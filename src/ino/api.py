@@ -135,45 +135,36 @@ class Repository:
     def get_object(self, object_id: str) -> DigitalObject:
         return self.store.get(object_id)
 
-    def _live_types(self, object_id: str, pending: dict[str, tuple] | None = None):
-        if pending and object_id in pending:
-            return pending[object_id]
+    def _live_types(self, object_id: str):
         if self.store.exists(object_id):
             return self.store.get(object_id).types
         return None
 
-    def _require_type(self, object_id: str, type_name: str, error_cls,
-                      pending=None):
-        types = self._live_types(object_id, pending)
+    def _require_type(self, object_id: str, type_name: str, error_cls) -> None:
+        types = self._live_types(object_id)
         if types is None or type_name not in types:
             raise error_cls(object_id)
-        return types
 
-    def _validate_relationships(self, subj_types, triples, pending=None) -> None:
-        counts: dict[str, int] = {}
-        for t in triples:
-            counts[t.predicate] = counts.get(t.predicate, 0) + 1
-        for t in triples:
-            if t.object.is_iri and t.object.value.startswith(ID_PREFIX):
-                target_types = self._live_types(t.object.value, pending)
-                if target_types is None:
-                    raise NotFound(f"relationship target {t.object.value} not live")
-                self.ontology.validate_relationship(
-                    subj_types, t.predicate, target_types
-                )
+    def _commit(self, ops: list[BatchOp]) -> list[DigitalObject]:
+        """Check the final relationship list of every object the batch
+        creates or relinks against the ontology, raise the first violation,
+        then commit the batch all-or-nothing. Relationship targets may be
+        objects that the same batch creates."""
+        created = {op.object_id: op.draft.types for op in ops if op.kind == "create"}
+
+        def types_of(object_id):
+            return created.get(object_id) or self._live_types(object_id)
+
+        for op in ops:
+            if op.kind == "create":
+                types, triples = op.draft.types, op.draft.relationships
+            elif op.relationships is not None:
+                types, triples = self.store.get(op.object_id).types, op.relationships
             else:
-                self.ontology.validate_relationship(
-                    subj_types, t.predicate, literal=not t.object.is_iri
-                )
-        # commit-boundary cardinality: min and max over the final triple list
-        for predicate, rule in self.ontology.rules.items():
-            count = counts.get(predicate, 0)
-            applies = bool(set(subj_types) & rule.domain)
-            if count and not applies:
-                # domain violation reported above; nothing more to add
                 continue
-            if applies:
-                self.ontology.check_cardinality(predicate, count, 0)
+            for exc in self.ontology.violations(types, triples, types_of):
+                raise exc
+        return self.store.commit_batch(ops)
 
     def find_resource_by_url(self, url: str) -> str | None:
         norm = normalize_url(url)
@@ -189,7 +180,7 @@ class Repository:
 
     # ------------------------------------------------------------ operations
 
-    def add_agent(self, name: str, kind: str) -> str:
+    def add_agent(self, name: str, kind: str, extra_relationships=()) -> str:
         if not name:
             raise InvalidObject("name: must be non-empty")
         if kind not in AGENT_KINDS:
@@ -200,8 +191,9 @@ class Repository:
             draft = make_draft(
                 oid, ("Agent",),
                 datastreams=[Datastream("properties", "text/plain", content=props)],
+                relationships=[Triple(oid, p, o) for p, o in extra_relationships],
             )
-            self.store.create(draft)
+            self._commit([BatchOp("create", oid, draft=draft)])
             return oid
 
     def add_resource(self, spec: ResourceSpec) -> str:
@@ -214,8 +206,7 @@ class Repository:
                     return existing
             oid = self._new_id("resource")
             draft = self._resource_draft(oid, spec)
-            self._validate_relationships(draft.types, draft.relationships)
-            self.store.create(draft)
+            self._commit([BatchOp("create", oid, draft=draft)])
             return oid
 
     def _resource_draft(self, oid: str, spec: ResourceSpec) -> DigitalObject:
@@ -249,8 +240,7 @@ class Repository:
                 Triple(oid, MEMBER_OF, Term.iri(a))
                 for a in sorted(spec.initial_aggregations)
             ]
-            for predicate, obj in extra_relationships:
-                rels.append(Triple(oid, predicate, obj))
+            rels += [Triple(oid, p, o) for p, o in extra_relationships]
             draft = make_draft(
                 oid, ("Metadata",),
                 datastreams=[
@@ -259,8 +249,7 @@ class Repository:
                 ],
                 relationships=rels,
             )
-            self._validate_relationships(draft.types, draft.relationships)
-            self.store.create(draft)
+            self._commit([BatchOp("create", oid, draft=draft)])
             return oid
 
     def update_metadata_payload(self, object_id: str, format_id: str,
@@ -282,14 +271,13 @@ class Repository:
                     streams.append(ds)
             if not replaced:
                 streams.append(Datastream(ds_id, "text/xml", content=payload))
-            self.store.modify(object_id, datastreams=streams)
+            self._commit([BatchOp("modify", object_id, datastreams=tuple(streams))])
 
-    def create_aggregation(self, agent: str, proxy: ResourceSpec) -> str:
+    def create_aggregation(self, agent: str, proxy: ResourceSpec,
+                           extra_relationships=()) -> str:
         with self._lock:
-            agent_obj_types = self._require_type(agent, "Agent", UnknownAgent)
-            agent_obj = self.store.get(agent)
+            self._require_type(agent, "Agent", UnknownAgent)
             ops = []
-            pending: dict[str, tuple] = {}
             if proxy.content_url is not None:
                 proxy_id = self.find_resource_by_url(proxy.content_url)
             else:
@@ -300,22 +288,16 @@ class Repository:
                 for agg in proxy.initial_aggregations:
                     self._require_type(agg, "Aggregation", UnknownAggregation)
                 ops.append(BatchOp("create", proxy_id, draft=proxy_draft))
-                pending[proxy_id] = ("Resource",)
             agg_id = self._new_id("agg")
-            agg_draft = make_draft(
-                agg_id, ("Aggregation",),
-                relationships=[Triple(agg_id, REPRESENTED_BY, Term.iri(proxy_id))],
-            )
-            self._validate_relationships(agg_draft.types, agg_draft.relationships,
-                                         pending)
-            pending[agg_id] = ("Aggregation",)
+            rels = [Triple(agg_id, REPRESENTED_BY, Term.iri(proxy_id))]
+            rels += [Triple(agg_id, p, o) for p, o in extra_relationships]
+            agg_draft = make_draft(agg_id, ("Aggregation",), relationships=rels)
             ops.append(BatchOp("create", agg_id, draft=agg_draft))
-            new_agent_rels = agent_obj.relationships + (
+            agent_rels = self.store.get(agent).relationships + (
                 Triple(agent, AGGREGATOR_FOR, Term.iri(agg_id)),
             )
-            self._validate_relationships(agent_obj_types, new_agent_rels, pending)
-            ops.append(BatchOp("modify", agent, relationships=new_agent_rels))
-            self.store.commit_batch(ops)
+            ops.append(BatchOp("modify", agent, relationships=agent_rels))
+            self._commit(ops)
             return agg_id
 
     def members_of(self, agg: str) -> set[str]:
@@ -349,28 +331,18 @@ class Repository:
                 )
                 ops.append(BatchOp("modify", m, relationships=rels))
             if ops:
-                self.store.commit_batch(ops)
+                self._commit(ops)
             return MembershipDelta(frozenset(added), frozenset(removed))
 
     def add_relationship(self, subj: str, predicate: str, obj) -> None:
         """obj: an object id (str) or a literal Term."""
         with self._lock:
             subject = self.store.get(subj)  # NotFound if not live
-            term = self._relationship_term(obj)
-            if term.is_iri:
-                target = self._live_types(term.value)
-                if target is None:
-                    raise NotFound(f"relationship target {term.value} not live")
-                self.ontology.validate_relationship(subject.types, predicate, target)
-            else:
-                self.ontology.validate_relationship(subject.types, predicate,
-                                                    literal=True)
-            triple = Triple(subj, predicate, term)
+            triple = Triple(subj, predicate, self._relationship_term(obj))
             if triple in subject.relationships:
                 return  # relationships are a set; re-asserting is a no-op
-            current = sum(1 for t in subject.relationships if t.predicate == predicate)
-            self.ontology.check_cardinality(predicate, current, +1)
-            self.store.modify(subj, relationships=subject.relationships + (triple,))
+            rels = subject.relationships + (triple,)
+            self._commit([BatchOp("modify", subj, relationships=rels)])
 
     def remove_relationship(self, subj: str, predicate: str, obj) -> None:
         with self._lock:
@@ -379,11 +351,8 @@ class Repository:
             triple = Triple(subj, predicate, term)
             if triple not in subject.relationships:
                 raise NotFound(f"no such relationship on {subj}")
-            current = sum(1 for t in subject.relationships if t.predicate == predicate)
-            self.ontology.check_cardinality(predicate, current, -1)
-            rels = list(subject.relationships)
-            rels.remove(triple)
-            self.store.modify(subj, relationships=rels)
+            rels = tuple(t for t in subject.relationships if t != triple)
+            self._commit([BatchOp("modify", subj, relationships=rels)])
 
     @staticmethod
     def _relationship_term(obj) -> Term:
@@ -396,7 +365,7 @@ class Repository:
             obj = self.store.get(object_id)
             if "Metadata" not in obj.types:
                 raise NotFound(f"{object_id} is not a Metadata object")
-            self.store.purge(object_id)
+            self._commit([BatchOp("purge", object_id)])
 
     def purge_resource(self, object_id: str) -> None:
         with self._lock:
@@ -416,7 +385,7 @@ class Repository:
                     dependents.append(t.subject)
             if dependents:
                 raise HasDependents(dependents)
-            self.store.purge(object_id)
+            self._commit([BatchOp("purge", object_id)])
 
     # ---------------------------------------------------------------- queries
 
@@ -436,58 +405,14 @@ class Repository:
     # ------------------------------------------------------------------ audit
 
     def audit(self) -> list[str]:
-        """Full-scan ontology audit; returns a list of violation descriptions."""
-        violations: list[str] = []
-        with self._lock:
-            live = {obj.id: obj for obj in self.store.objects()}
-        for obj in live.values():
-            counts: dict[str, int] = {}
-            for t in obj.relationships:
-                counts[t.predicate] = counts.get(t.predicate, 0) + 1
-                if not self.ontology.is_registered(t.predicate):
-                    violations.append(f"{obj.id}: unregistered predicate {t.predicate}")
-                    continue
-                rule = self.ontology.rule(t.predicate)
-                if not (set(obj.types) & rule.domain):
-                    violations.append(
-                        f"{obj.id}: domain violation on {t.predicate}"
-                    )
-                if t.object.is_iri:
-                    if rule.allows_literal:
-                        violations.append(
-                            f"{obj.id}: {t.predicate} expects literal object"
-                        )
-                    else:
-                        target = live.get(t.object.value)
-                        if target is None:
-                            violations.append(
-                                f"{obj.id}: dangling target {t.object.value} "
-                                f"of {t.predicate}"
-                            )
-                        elif not (set(target.types) & rule.range_types):
-                            violations.append(
-                                f"{obj.id}: range violation on {t.predicate}"
-                            )
-                else:
-                    if not rule.allows_literal:
-                        violations.append(
-                            f"{obj.id}: literal object not allowed on {t.predicate}"
-                        )
-            for predicate, rule in self.ontology.rules.items():
-                if not (set(obj.types) & rule.domain):
-                    continue
-                count = counts.get(predicate, 0)
-                if count < rule.min_per_subject:
-                    violations.append(
-                        f"{obj.id}: {predicate} count {count} below min "
-                        f"{rule.min_per_subject}"
-                    )
-                if rule.max_per_subject is not None and count > rule.max_per_subject:
-                    violations.append(
-                        f"{obj.id}: {predicate} count {count} above max "
-                        f"{rule.max_per_subject}"
-                    )
-        return violations
+        """Full-scan ontology audit with the checker every write uses;
+        returns one "{id}: {violation}" line per broken rule."""
+        objects = list(self.store.objects())  # a snapshot taken under the lock
+        live = {obj.id: obj.types for obj in objects}
+        return [
+            f"{obj.id}: {exc}" for obj in objects
+            for exc in self.ontology.violations(obj.types, obj.relationships, live.get)
+        ]
 
     # --------------------------------------------------------- disseminations
 

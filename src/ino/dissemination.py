@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 from xml.etree import ElementTree as ET
@@ -17,6 +18,9 @@ from .model import DigitalObject
 
 LITERAL = "Literal"
 TRANSFORMED = "Transformed"
+
+# latency samples kept per dissemination path; older samples are dropped
+METRICS_MAXLEN = 10_000
 
 FORMAT_DS_PREFIX = "format_"
 _FORMAT_ID_RE = re.compile(r"[a-z0-9_]{1,32}$")
@@ -111,7 +115,10 @@ class Disseminator:
                  registry: CrosswalkRegistry | None = None):
         self._get_object = get_object
         self.registry = registry or CrosswalkRegistry()
-        self.metrics: dict[str, list[float]] = {LITERAL: [], TRANSFORMED: []}
+        self.metrics: dict[str, deque[float]] = {
+            LITERAL: deque(maxlen=METRICS_MAXLEN),
+            TRANSFORMED: deque(maxlen=METRICS_MAXLEN),
+        }
 
     def list_formats(self, object_id: str) -> set[str]:
         obj = self._get_object(object_id)  # raises NotFound

@@ -185,10 +185,10 @@ class Harvester:
         for t in hits:
             if self.repo.store.exists(t.subject):
                 return t.subject
-        agent = self.repo.add_agent(base_url, "Service")
-        self.repo.add_relationship(agent, SOURCE_BASE_URL,
-                                   Term.literal(base_url))
-        return agent
+        return self.repo.add_agent(
+            base_url, "Service",
+            extra_relationships=[(SOURCE_BASE_URL, Term.literal(base_url))],
+        )
 
     def _source_aggregation(self, base_url: str, set_spec: str | None) -> str:
         key = f"{base_url}|{set_spec or ''}"
@@ -198,9 +198,7 @@ class Harvester:
         for t in hits:
             if self.repo.store.exists(t.subject):
                 return t.subject
-        agent = self._source_agent(base_url)
-        agg = self.repo.create_aggregation(
-            agent, ResourceSpec(content_url=base_url)
+        return self.repo.create_aggregation(
+            self._source_agent(base_url), ResourceSpec(content_url=base_url),
+            extra_relationships=[(SOURCE_SET, Term.literal(key))],
         )
-        self.repo.add_relationship(agg, SOURCE_SET, Term.literal(key))
-        return agg

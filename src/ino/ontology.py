@@ -14,6 +14,7 @@ from .errors import (
     CardinalityViolation,
     DomainViolation,
     InvalidRule,
+    NotFound,
     ParseError,
     RangeViolation,
     UnknownPredicate,
@@ -153,7 +154,7 @@ class OntologyRegistry:
     def rule(self, predicate: str) -> PredicateRule:
         r = self._rules.get(predicate)
         if r is None:
-            raise UnknownPredicate(predicate)
+            raise UnknownPredicate(f"unregistered predicate {predicate}")
         return r
 
     def is_registered(self, predicate: str) -> bool:
@@ -168,19 +169,21 @@ class OntologyRegistry:
         rule = self.rule(predicate)
         if not (set(subj_types) & rule.domain):
             raise DomainViolation(
-                f"{predicate}: subject types {sorted(subj_types)} "
-                f"not in domain {sorted(rule.domain)}"
+                f"domain violation on {predicate}: subject types "
+                f"{sorted(subj_types)} not in domain {sorted(rule.domain)}"
             )
         if literal:
             if not rule.allows_literal:
-                raise RangeViolation(f"{predicate}: literal object not allowed")
+                raise RangeViolation(
+                    f"range violation on {predicate}: literal object not allowed")
         else:
             if rule.allows_literal:
-                raise RangeViolation(f"{predicate}: range is Literal, got object")
+                raise RangeViolation(
+                    f"range violation on {predicate}: range is Literal, got object")
             if not (set(obj_types or ()) & rule.range_types):
                 raise RangeViolation(
-                    f"{predicate}: object types {sorted(obj_types or ())} "
-                    f"not in range {sorted(rule.range_types)}"
+                    f"range violation on {predicate}: object types "
+                    f"{sorted(obj_types or ())} not in range {sorted(rule.range_types)}"
                 )
 
     def check_cardinality(self, predicate: str, current_count: int,
@@ -195,3 +198,32 @@ class OntologyRegistry:
             raise CardinalityViolation(
                 predicate, f"max {rule.max_per_subject}", attempted
             )
+
+    def violations(self, subj_types, triples, types_of):
+        """Yield, as exceptions, every rule broken by a subject of
+        ``subj_types`` whose whole relationship list is ``triples``.
+        ``types_of(iri)`` gives a target's types, or None if no live object
+        has that id; such a dangling target is NotFound. Each triple yields
+        at most one violation; cardinality is checked for every rule whose
+        domain fits the subject."""
+        counts: dict[str, int] = {}
+        for t in triples:
+            counts[t.predicate] = counts.get(t.predicate, 0) + 1
+            try:
+                if t.object.is_iri:
+                    target = types_of(t.object.value)
+                    if target is None:
+                        raise NotFound(
+                            f"dangling target {t.object.value} of {t.predicate}")
+                    self.validate_relationship(subj_types, t.predicate, target)
+                else:
+                    self.validate_relationship(subj_types, t.predicate, literal=True)
+            except (NotFound, UnknownPredicate, DomainViolation, RangeViolation) as exc:
+                yield exc
+        subj = set(subj_types)
+        for predicate, rule in self._rules.items():
+            if subj & rule.domain:
+                try:
+                    self.check_cardinality(predicate, counts.get(predicate, 0), 0)
+                except CardinalityViolation as exc:
+                    yield exc

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import base64
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -126,6 +127,8 @@ class Service:
                headers) -> tuple[int, str, bytes]:
         parts = [p for p in path.split("/") if p]
         if path == "/oai":
+            if method == "POST":  # OAI-PMH allows form-encoded arguments
+                query = dict(parse_qsl(body.decode("utf-8")))
             return 200, "text/xml", self.provider.handle_request(query)
 
         if method == "GET" and len(parts) == 2 and parts[0] == "objects":
@@ -160,13 +163,19 @@ class Service:
         # mutating routes
         if method == "POST" and len(parts) == 2 and parts[0] == "objects":
             self._check_key(headers)
-            oid = self._create_object(parts[1], json.loads(body or b"{}"))
+            doc = json.loads(body or b"{}")
+            if not isinstance(doc, dict):
+                raise InvalidObject("body: expected a JSON object")
+            oid = self._create_object(parts[1], doc)
             self._sync_provider()
             return 201, "application/json", json.dumps({"id": oid}).encode()
         if (method == "PUT" and len(parts) == 3 and parts[0] == "aggregations"
                 and parts[2] == "members"):
             self._check_key(headers)
-            members = {ID_PREFIX + m for m in json.loads(body)}
+            doc = json.loads(body)
+            if not (isinstance(doc, list) and all(isinstance(m, str) for m in doc)):
+                raise InvalidObject("body: expected a JSON array of member ids")
+            members = {ID_PREFIX + m for m in doc}
             delta = self.repo.set_aggregation_membership(
                 ID_PREFIX + parts[1], members
             )
@@ -189,7 +198,7 @@ class Service:
         elif kind == "metadata":
             payload = body.get("payload", "")
             if body.get("payloadEncoding") == "base64":
-                payload = base64.b64decode(payload)
+                payload = base64.b64decode(payload, validate=True)
             else:
                 payload = payload.encode("utf-8")
             oid = self.repo.add_metadata(
@@ -216,7 +225,7 @@ class Service:
 def _resource_spec(body: dict) -> ResourceSpec:
     content = body.get("content")
     if content is not None:
-        content = base64.b64decode(content)
+        content = base64.b64decode(content, validate=True)
     return ResourceSpec(
         content_url=body.get("contentUrl"),
         content=content,
@@ -264,9 +273,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str):
         split = urlsplit(self.path)
         query = dict(parse_qsl(split.query))
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
         try:
+            length = int(self.headers.get("Content-Length") or 0)
+            body = self.rfile.read(length) if length else b""
             status, media, data = self.service.handle(
                 method, split.path, query, body, self.headers
             )
@@ -279,9 +288,15 @@ class _Handler(BaseHTTPRequestHandler):
                        json.dumps({"error": type(exc).__name__,
                                    "message": str(exc)}).encode())
             return
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, UTF-8, base64 or Content-Length
             self._send(400, "application/json",
-                       json.dumps({"error": f"bad JSON: {exc}"}).encode())
+                       json.dumps({"error": f"bad request body: {exc}"}).encode())
+            return
+        except Exception as exc:  # every request gets a response
+            logging.getLogger(__name__).exception("%s %s failed", method, self.path)
+            self._send(500, "application/json",
+                       json.dumps({"error": type(exc).__name__,
+                                   "message": str(exc)}).encode())
             return
         if status == 302:
             self.send_response(302)
@@ -302,13 +317,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("GET")
 
     def do_POST(self):
-        # OAI-PMH allows POST with form-encoded arguments
-        if urlsplit(self.path).path == "/oai":
-            length = int(self.headers.get("Content-Length") or 0)
-            form = dict(parse_qsl(self.rfile.read(length).decode("utf-8")))
-            data = self.service.provider.handle_request(form)
-            self._send(200, "text/xml", data)
-            return
         self._dispatch("POST")
 
     def do_PUT(self):

@@ -312,7 +312,8 @@ class ObjectStore:
                 raise SeqOutOfRange(
                     f"seq {seq} beyond current max {self.current_seq}"
                 )
-            return [e for e in self._events if e.seq > seq]
+            # _recover's gap check guarantees event seq == list index + 1
+            return self._events[max(seq, 0):]
 
     # ----------------------------------------------------------- commit path
 

@@ -270,6 +270,23 @@ def test_extension_predicate_relationship(tmp_path, vclock):
         repo.close()
 
 
+def test_dangling_target_is_not_found_on_every_path(fixture):
+    repo, agent, _agg, r1 = fixture
+    with pytest.raises(NotFound):
+        repo.add_relationship(r1, MEMBER_OF, "info:ino/ghost")
+    with pytest.raises(NotFound):
+        repo.add_metadata(
+            MetadataSpec(target=r1, format_id="nsdl_dc", payload=PAYLOAD,
+                         provider=agent),
+            extra_relationships=[(MEMBER_OF, Term.iri("http://example.org/x"))])
+    from ino.model import Triple
+    repo.store.modify(r1, relationships=[
+        Triple(r1, MEMBER_OF, Term.iri("info:ino/ghost")),
+    ])
+    assert repo.audit() == [
+        f"{r1}: dangling target info:ino/ghost of {MEMBER_OF}"]
+
+
 def test_remove_nonexistent_relationship(fixture):
     repo, _agent, agg, r1 = fixture
     with pytest.raises(NotFound):

@@ -3,6 +3,7 @@ import pytest
 from ino.api import MetadataSpec, ResourceSpec
 from ino.dissemination import (
     LITERAL,
+    METRICS_MAXLEN,
     TRANSFORMED,
     CrosswalkRegistry,
     is_format_id,
@@ -129,3 +130,10 @@ def test_metrics_record_both_paths(metadata_repo):
     metrics = repo.disseminator.metrics
     assert len(metrics[LITERAL]) == 1 and len(metrics[TRANSFORMED]) == 1
     assert all(v >= 0 for v in metrics[LITERAL] + metrics[TRANSFORMED])
+
+
+def test_metrics_are_bounded(metadata_repo):
+    repo, m = metadata_repo
+    for _ in range(METRICS_MAXLEN + 5):
+        repo.get_dissemination(m, "nsdl_dc")
+    assert len(repo.disseminator.metrics[LITERAL]) == METRICS_MAXLEN

@@ -208,3 +208,32 @@ def test_transport_failure_raises(target):
         raise OSError("connection refused")
     with pytest.raises(RemoteProtocolError):
         Harvester(target, fetch=broken).harvest(BASE_URL, "nsdl_dc")
+
+
+def test_crash_between_provenance_commits_keeps_one_agent(source, tmp_path):
+    _repo, provider = source
+    clock = VirtualClock()
+    repo = Repository(tmp_path / "crashy", clock=clock)
+    commit = repo.store.commit_batch
+    calls = []
+
+    def crash_on_second_commit(ops):
+        calls.append(ops)
+        if len(calls) == 2:
+            raise RuntimeError("simulated crash")
+        return commit(ops)
+
+    repo.store.commit_batch = crash_on_second_commit
+    with pytest.raises(RuntimeError):
+        Harvester(repo, fetch=loopback(provider)).harvest(BASE_URL, "nsdl_dc")
+    repo.store.abandon()
+
+    repo = Repository(tmp_path / "crashy", clock=clock)
+    try:
+        stats = Harvester(repo, fetch=loopback(provider)).harvest(
+            BASE_URL, "nsdl_dc")
+        assert stats.created_metadata == 9
+        assert count_type(repo, "Agent") == 1
+        assert repo.audit() == []
+    finally:
+        repo.close()

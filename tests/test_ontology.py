@@ -5,11 +5,20 @@ from ino.errors import (
     CardinalityViolation,
     DomainViolation,
     InvalidRule,
+    NotFound,
     ParseError,
     RangeViolation,
     UnknownPredicate,
 )
-from ino.model import MEMBER_OF, METADATA_FOR, PROVIDED_BY
+from ino.model import (
+    AGGREGATOR_FOR,
+    MEMBER_OF,
+    METADATA_FOR,
+    PROVIDED_BY,
+    SOURCE_RECORD_ID,
+    Term,
+    Triple,
+)
 from ino.ontology import OntologyRegistry
 
 ANNOTATES = "info:ino/def#annotates"
@@ -99,3 +108,43 @@ def test_check_cardinality():
     registry.check_cardinality(MEMBER_OF, 5, +1)
     with pytest.raises(CardinalityViolation):
         registry.check_cardinality(METADATA_FOR, 1, -1)
+
+
+M, R, A, AGG = "info:ino/m", "info:ino/r", "info:ino/a", "info:ino/agg"
+LIVE = {R: ("Resource",), A: ("Agent",), AGG: ("Aggregation",)}
+
+
+def test_violations_clean_object_yields_nothing():
+    registry = OntologyRegistry.load()
+    triples = [
+        Triple(M, METADATA_FOR, Term.iri(R)),
+        Triple(M, PROVIDED_BY, Term.iri(A)),
+        Triple(M, MEMBER_OF, Term.iri(AGG)),
+        Triple(M, SOURCE_RECORD_ID, Term.literal("oai:x:1")),
+    ]
+    assert list(registry.violations({"Metadata"}, triples, LIVE.get)) == []
+
+
+def test_violations_yield_each_broken_rule_once():
+    registry = OntologyRegistry.load()
+    triples = [
+        Triple(M, AGGREGATOR_FOR, Term.iri(AGG)),  # domain is Agent
+        Triple(M, MEMBER_OF, Term.iri(R)),  # range is Aggregation
+        Triple(M, PROVIDED_BY, Term.iri("info:ino/ghost")),  # dangling
+        Triple(M, "info:ino/def#nope", Term.iri(R)),  # unregistered
+        Triple(M, SOURCE_RECORD_ID, Term.literal("a")),
+        Triple(M, SOURCE_RECORD_ID, Term.literal("b")),  # max 1
+    ]  # and no metadataFor: min 1
+    found = list(registry.violations({"Metadata"}, triples, LIVE.get))
+    assert sorted(type(e).__name__ for e in found) == [
+        "CardinalityViolation", "CardinalityViolation", "DomainViolation",
+        "NotFound", "RangeViolation", "UnknownPredicate",
+    ]
+    bounds = {(e.predicate, e.bound) for e in found
+              if isinstance(e, CardinalityViolation)}
+    assert bounds == {(SOURCE_RECORD_ID, "max 1"), (METADATA_FOR, "min 1")}
+    messages = {type(e): str(e) for e in found}
+    assert messages[DomainViolation].startswith(f"domain violation on {AGGREGATOR_FOR}")
+    assert messages[RangeViolation].startswith(f"range violation on {MEMBER_OF}")
+    assert messages[UnknownPredicate] == "unregistered predicate info:ino/def#nope"
+    assert "info:ino/ghost" in messages[NotFound]

@@ -263,3 +263,29 @@ def test_http_redirect_for_surrogate(live):
         port, "GET", f"/objects/{resource}/datastreams/content")
     assert status == 302
     assert headers["Location"] == "http://example.org/a"
+
+
+@pytest.mark.parametrize("method, path, body, status", [
+    pytest.param("POST", "/query", b"\xff\xfe", 400, id="query-utf8"),
+    pytest.param("POST", "/oai", b"verb=\xff", 400, id="oai-form-utf8"),
+    pytest.param("POST", "/objects/agent", b"{not json", 400, id="bad-json"),
+    pytest.param("POST", "/objects/agent", b"[1, 2]", 400, id="json-array"),
+    pytest.param("PUT", "/aggregations/agg-1/members", b"5", 400,
+                 id="members-not-array"),
+    pytest.param("POST", "/objects/resource",
+                 b'{"content": "!!!", "mediaType": "text/plain"}', 400,
+                 id="content-base64"),
+    pytest.param("POST", "/objects/metadata",
+                 b'{"payload": "!!!", "payloadEncoding": "base64"}', 400,
+                 id="payload-base64"),
+    # a field of the wrong type that no route checks: the catch-all answers
+    pytest.param("POST", "/objects/resource",
+                 b'{"contentUrl": "http://example.org/a", '
+                 b'"initialAggregations": 5}', 500, id="uncaught-type-error"),
+])
+def test_malformed_requests_get_a_response(live, method, path, body, status):
+    _svc, port = live
+    got, headers, data = request(port, method, path, body, {"X-INO-Key": KEY})
+    assert got == status
+    assert headers["Content-Type"] == "application/json"
+    assert "error" in json.loads(data)
