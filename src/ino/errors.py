@@ -34,6 +34,11 @@ class StoreLocked(InoError):
     pass
 
 
+class StoreFailed(InoError):
+    """Writes are refused: the store is closed, or a commit failed after its
+    journal write (reopening the store redoes that commit)."""
+
+
 # --- triple index / queries ---
 
 class QueryTooLarge(InoError):

@@ -192,30 +192,28 @@ class Service:
 
     def _create_object(self, kind: str, body: dict) -> str:
         if kind == "agent":
-            oid = self.repo.add_agent(body.get("name", ""), body.get("kind", ""))
+            oid = self.repo.add_agent(_field(body, "name"), _field(body, "kind"))
         elif kind == "resource":
             oid = self.repo.add_resource(_resource_spec(body))
         elif kind == "metadata":
-            payload = body.get("payload", "")
-            if body.get("payloadEncoding") == "base64":
+            payload = _field(body, "payload")
+            if _field(body, "payloadEncoding", default=None) == "base64":
                 payload = base64.b64decode(payload, validate=True)
             else:
                 payload = payload.encode("utf-8")
             oid = self.repo.add_metadata(
                 MetadataSpec(
-                    target=ID_PREFIX + body.get("target", ""),
-                    format_id=body.get("formatId", ""),
+                    target=ID_PREFIX + _field(body, "target"),
+                    format_id=_field(body, "formatId"),
                     payload=payload,
-                    provider=ID_PREFIX + body.get("provider", ""),
-                    initial_aggregations=frozenset(
-                        ID_PREFIX + a for a in body.get("initialAggregations", [])
-                    ),
+                    provider=ID_PREFIX + _field(body, "provider"),
+                    initial_aggregations=_id_set(body, "initialAggregations"),
                 )
             )
         elif kind == "aggregation":
             oid = self.repo.create_aggregation(
-                ID_PREFIX + body.get("agent", ""),
-                _resource_spec(body.get("proxy", {})),
+                ID_PREFIX + _field(body, "agent"),
+                _resource_spec(_field(body, "proxy", dict, {})),
             )
         else:
             raise NotFound(f"object kind {kind!r}")
@@ -223,17 +221,32 @@ class Service:
 
 
 def _resource_spec(body: dict) -> ResourceSpec:
-    content = body.get("content")
+    content = _field(body, "content", default=None)
     if content is not None:
         content = base64.b64decode(content, validate=True)
     return ResourceSpec(
-        content_url=body.get("contentUrl"),
+        content_url=_field(body, "contentUrl", default=None),
         content=content,
-        media_type=body.get("mediaType"),
-        initial_aggregations=frozenset(
-            ID_PREFIX + a for a in body.get("initialAggregations", [])
-        ),
+        media_type=_field(body, "mediaType", default=None),
+        initial_aggregations=_id_set(body, "initialAggregations"),
     )
+
+
+def _field(body: dict, key: str, kind: type = str, default=""):
+    """``body[key]``, which must be a ``kind`` (or null where ``default`` is
+    None); ``default`` when the key is absent."""
+    value = body.get(key, default)
+    if not isinstance(value, kind) and value is not default:
+        raise InvalidObject(
+            f"{key}: expected a JSON {'string' if kind is str else 'object'}")
+    return value
+
+
+def _id_set(body: dict, key: str) -> frozenset:
+    value = body.get(key, [])
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise InvalidObject(f"{key}: expected a JSON array of ids")
+    return frozenset(ID_PREFIX + v for v in value)
 
 
 def _object_json(obj) -> bytes:

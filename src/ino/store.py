@@ -1,12 +1,20 @@
 """Durable object store: one canonical XML file per object, sharded directories,
-an append-only intent journal for atomic multi-object commits, and a gap-free
-change-event feed.
+a redo journal for atomic multi-object commits, and a gap-free change-event
+feed.
 
-Commit protocol: frame the full intent (new file bytes + events) into the
-journal, fsync, apply the file writes, append the events, then write a commit
-marker. Recovery replays forward any complete intent record past the last
-marker and discards torn records, so interrupted commits either fully apply
-or vanish.
+Commit protocol: frame one redo record (the new file bytes and the events)
+into the journal and fsync it; then replace the object files and append the
+events, with no fsync. Recovery redoes every complete record in the journal
+and drops a torn tail, so an interrupted commit either fully applies or
+vanishes. Files are replaced whole and events already in the log are skipped,
+so redoing a record twice is harmless.
+
+A checkpoint (at open, at close, and whenever the journal passes
+``CHECKPOINT_BYTES``) fsyncs the object files written since the last one, the
+shard directories that hold them and the event log, then empties the journal.
+A commit that fails after its journal write stops the store: further commits
+raise ``StoreFailed``, ``close`` skips the checkpoint, and reopening redoes the
+failed record.
 """
 
 from __future__ import annotations
@@ -17,16 +25,17 @@ import json
 import hashlib
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DuplicateId,
     InvalidObject,
     NotFound,
     SeqOutOfRange,
+    StoreFailed,
     StoreLocked,
 )
 from .model import (
@@ -44,6 +53,11 @@ from .model import (
 CREATED = "Created"
 MODIFIED = "Modified"
 PURGED = "Purged"
+_EVENT_KIND = {"create": CREATED, "modify": MODIFIED, "purge": PURGED}
+
+# Journal size past which a commit ends with a checkpoint. It bounds both the
+# redo work at open and the set of object files waiting for their fsync.
+CHECKPOINT_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -100,6 +114,9 @@ class ObjectStore:
         self._events: list[ChangeEvent] = []
         self._crash_point: Callable[[str], None] = lambda name: None
         self._commit_listeners: list[Callable[[list], None]] = []
+        self._unsynced: set[str] = set()  # durable writes since the checkpoint
+        self._journal_bytes = 0
+        self._stopped: str | None = None  # why writes are refused, if they are
 
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "objects").mkdir(exist_ok=True)
@@ -109,17 +126,34 @@ class ObjectStore:
         except OSError:
             os.close(self._lock_fd)
             raise StoreLocked(f"data directory already in use: {self.root}")
-        self._recover()
         self._journal_fd = os.open(
             self.root / "journal.log", os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
         )
         self._events_fd = os.open(
             self.root / "events.log", os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
         )
+        try:
+            self._recover()
+            self._checkpoint()
+        except BaseException:
+            self.abandon()
+            raise
 
     # ------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
+        """Checkpoint and release the store. After a failed commit the journal
+        is kept, so the next open redoes that commit."""
+        with self._lock:
+            try:
+                if self._stopped is None:
+                    self._checkpoint()
+            finally:
+                self.abandon()
+
+    def abandon(self) -> None:
+        """Release the store without a checkpoint; simulates a crashed process."""
+        self._stopped = self._stopped or "the store is closed"
         for fd in (self._journal_fd, self._events_fd):
             try:
                 os.close(fd)
@@ -131,10 +165,6 @@ class ObjectStore:
         except OSError:
             pass
 
-    def abandon(self) -> None:
-        """Drop file handles without cleanup; simulates a crashed process."""
-        self.close()
-
     def on_commit(self, listener: Callable[[list], None]) -> None:
         """Register a callback invoked inside the commit critical section with
         the list of (kind, old_object_or_None, new_object_or_None) applied."""
@@ -143,58 +173,36 @@ class ObjectStore:
     # -------------------------------------------------------------- recovery
 
     def _recover(self) -> None:
-        events_path = self.root / "events.log"
-        journal_path = self.root / "journal.log"
+        raw = (self.root / "events.log").read_bytes()
+        pos = 0
+        while (nl := raw.find(b"\n", pos)) >= 0:
+            try:
+                self._events.append(ChangeEvent.from_json(raw[pos:nl].decode("utf-8")))
+            except (ValueError, KeyError, TypeError):
+                break  # torn tail
+            pos = nl + 1
+        if pos < len(raw):
+            os.ftruncate(self._events_fd, pos)  # keep the log parseable
 
-        events: list[ChangeEvent] = []
-        if events_path.exists():
-            raw = events_path.read_bytes()
-            good = 0
-            for line in raw.split(b"\n"):
-                if not line:
-                    good += 1
-                    continue
-                try:
-                    events.append(ChangeEvent.from_json(line.decode("utf-8")))
-                    good += 1
-                except Exception:
-                    break  # torn tail
-            # truncate a torn tail so the log stays parseable
-            kept = b"\n".join(e.to_json().encode("utf-8") for e in events)
-            if kept:
-                kept += b"\n"
-            if kept != raw:
-                events_path.write_bytes(kept)
-
-        # replay complete intent records past the last commit marker
-        if journal_path.exists():
-            records, _ = self._read_journal(journal_path.read_bytes())
-            last_seq = events[-1].seq if events else 0
-            for rec in records:
-                if rec["committed"]:
-                    continue
-                self._apply_record_files(rec)
-                for ev_line in rec["events"]:
-                    ev = ChangeEvent.from_json(ev_line)
-                    if ev.seq > last_seq:
-                        with open(events_path, "ab") as fh:
-                            fh.write(ev.to_json().encode("utf-8") + b"\n")
-                        events.append(ev)
-                        last_seq = ev.seq
-            journal_path.write_bytes(b"")
+        # redo every complete record; files are replaced whole, and events
+        # already in the log are skipped
+        for rec in self._read_journal((self.root / "journal.log").read_bytes()):
+            for w in rec["writes"]:
+                self._write_file(w["path"], base64.b64decode(w["content"]))
+            events = [ev for ev in map(ChangeEvent.from_json, rec["events"])
+                      if ev.seq > self.current_seq]
+            self._append_events(events)
+            self._events.extend(events)
 
         # gap check
-        for i, ev in enumerate(events):
+        for i, ev in enumerate(self._events):
             if ev.seq != i + 1:
                 raise InvalidObject(
                     f"event log corrupt: expected seq {i + 1}, found {ev.seq}"
                 )
-        self._events = events
 
         # load all object files
-        obj_seq: dict[str, int] = {}
-        for ev in events:
-            obj_seq[ev.object_id] = ev.seq
+        obj_seq = {ev.object_id: ev.seq for ev in self._events}
         for path in sorted((self.root / "objects").rglob("*.xml")):
             obj = deserialize_object(path.read_bytes())
             obj = obj.with_seq(obj_seq.get(obj.id, 0))
@@ -204,54 +212,55 @@ class ObjectStore:
                 self._objects[obj.id] = obj
 
     @staticmethod
-    def _read_journal(data: bytes) -> tuple[list[dict], int]:
-        """Parse framed journal records; stop at the first torn record."""
+    def _read_journal(data: bytes) -> list[dict]:
+        """Parse framed ``J <len> <sha256>`` records; stop at the first torn one."""
         records: list[dict] = []
         pos = 0
-        while pos < len(data):
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                break
-            header = data[pos:nl].decode("utf-8", "replace").split(" ")
-            if header[0] == "C" and len(header) == 2:
-                for rec in records:
-                    if str(rec["seq_start"]) == header[1]:
-                        rec["committed"] = True
+        while (nl := data.find(b"\n", pos)) >= 0:
+            header = data[pos:nl].split(b" ")
+            if header[0] == b"C":  # a commit marker of the older journal format
                 pos = nl + 1
                 continue
-            if header[0] != "J" or len(header) != 3:
+            if len(header) != 3 or header[0] != b"J" or not header[1].isdigit():
                 break
-            try:
-                length = int(header[1])
-            except ValueError:
+            end = nl + 1 + int(header[1])
+            payload = data[nl + 1 : end]
+            if end > len(data) or hashlib.sha256(payload).hexdigest().encode() != header[2]:
                 break
-            payload = data[nl + 1 : nl + 1 + length]
-            if len(payload) < length:
-                break
-            if hashlib.sha256(payload).hexdigest() != header[2]:
-                break
-            rec = json.loads(payload.decode("utf-8"))
-            rec["committed"] = False
-            records.append(rec)
-            pos = nl + 1 + length
-            if data[pos : pos + 1] == b"\n":
-                pos += 1
-        return records, pos
+            records.append(json.loads(payload))
+            pos = end + 1  # the newline after the payload
+        return records
 
-    def _apply_record_files(self, rec: dict) -> None:
-        for w in rec["writes"]:
-            path = self.root / w["path"]
-            path.parent.mkdir(parents=True, exist_ok=True)
-            content = base64.b64decode(w["content"])
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(content)
-            os.replace(tmp, path)
+    def _checkpoint(self) -> None:
+        """Make the files written since the last checkpoint durable, then empty
+        the journal, whose records are no longer needed for redo."""
+        if self.durable:
+            dirs: set[Path] = set()
+            for rel in self._unsynced:
+                path = self.root / rel
+                dirs.update(path.parents[i] for i in range(3))  # yy, xx, objects
+                _fsync_path(path)
+            for d in dirs:
+                _fsync_path(d)
+            os.fsync(self._events_fd)
+        self._unsynced.clear()
+        os.ftruncate(self._journal_fd, 0)
+        self._journal_bytes = 0
 
     # --------------------------------------------------------------- helpers
 
-    def _fsync(self, fd: int) -> None:
+    def _write_file(self, rel: str, content: bytes) -> None:
+        path = self.root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(".tmp")
+        tmp.write_bytes(content)
+        os.replace(tmp, path)
         if self.durable:
-            os.fsync(fd)
+            self._unsynced.add(rel)
+
+    def _append_events(self, events: Iterable[ChangeEvent]) -> None:
+        os.write(self._events_fd,
+                 "".join(e.to_json() + "\n" for e in events).encode("utf-8"))
 
     @property
     def current_seq(self) -> int:
@@ -320,32 +329,26 @@ class ObjectStore:
     def commit_batch(self, ops: list[BatchOp]) -> list[DigitalObject]:
         """Apply a list of ops as one atomic commit; all-or-nothing."""
         with self._lock:
+            if self._stopped:
+                raise StoreFailed(self._stopped)
             now = self.clock.now()
             seq = self.current_seq
             staged: dict[str, DigitalObject] = {}  # new versions within batch
-            purged: set[str] = set()
-            results: list[DigitalObject] = []
-            applied: list[tuple[str, DigitalObject | None, DigitalObject | None]] = []
+            applied: list[tuple[str, DigitalObject | None, DigitalObject]] = []
             events: list[ChangeEvent] = []
-            writes: list[dict] = []
-
-            def live(oid: str) -> DigitalObject | None:
-                if oid in purged:
-                    return None
-                return staged.get(oid) or self._objects.get(oid)
 
             for op in ops:
+                if op.kind not in _EVENT_KIND:
+                    raise ValueError(f"unknown op kind {op.kind!r}")
                 seq += 1
+                oid = op.object_id
+                old = staged[oid] if oid in staged else self._objects.get(oid)
                 if op.kind == "create":
+                    if oid in staged or oid in self._objects or oid in self._tombstones:
+                        raise DuplicateId(oid)
                     draft = op.draft
-                    if (
-                        live(draft.id) is not None
-                        or draft.id in self._tombstones
-                        or draft.id in purged
-                    ):
-                        raise DuplicateId(draft.id)
                     obj = DigitalObject(
-                        id=draft.id,
+                        id=oid,
                         types=draft.types,
                         created=now,
                         modified=now,
@@ -353,18 +356,10 @@ class ObjectStore:
                         relationships=draft.relationships,
                         seq=seq,
                     )
-                    validate_object(obj)
-                    staged[obj.id] = obj
-                    results.append(obj)
-                    applied.append(("create", None, obj))
-                    events.append(ChangeEvent(seq, CREATED, obj.id, now))
+                elif old is None or old.state == DELETED:
+                    raise NotFound(oid)
                 elif op.kind == "modify":
-                    old = live(op.object_id)
-                    if old is None:
-                        raise NotFound(op.object_id)
-                    from dataclasses import replace as _replace
-
-                    obj = _replace(
+                    obj = replace(
                         old,
                         types=op.types if op.types is not None else old.types,
                         datastreams=(
@@ -380,80 +375,54 @@ class ObjectStore:
                         modified=now,
                         seq=seq,
                     )
-                    validate_object(obj)
-                    staged[obj.id] = obj
-                    results.append(obj)
-                    applied.append(("modify", old, obj))
-                    events.append(ChangeEvent(seq, MODIFIED, obj.id, now))
-                elif op.kind == "purge":
-                    old = live(op.object_id)
-                    if old is None:
-                        raise NotFound(op.object_id)
-                    tomb = DigitalObject(
-                        id=old.id,
+                else:
+                    obj = DigitalObject(
+                        id=oid,
                         types=(),
                         state=DELETED,
                         created=old.created,
                         modified=now,
                         seq=seq,
                     )
-                    staged.pop(old.id, None)
-                    purged.add(old.id)
-                    staged[old.id] = tomb
-                    results.append(tomb)
-                    applied.append(("purge", old, tomb))
-                    events.append(ChangeEvent(seq, PURGED, old.id, now))
-                else:
-                    raise ValueError(f"unknown op kind {op.kind!r}")
+                validate_object(obj)
+                staged[oid] = obj
+                applied.append((op.kind, old, obj))
+                events.append(ChangeEvent(seq, _EVENT_KIND[op.kind], oid, now))
 
-            for oid, obj in staged.items():
-                writes.append(
-                    {
-                        "path": shard_path(oid),
-                        "content": base64.b64encode(serialize_object(obj)).decode(
-                            "ascii"
-                        ),
-                    }
-                )
-
+            files = {shard_path(oid): serialize_object(obj) for oid, obj in staged.items()}
             record = {
-                "seq_start": self.current_seq + 1,
-                "writes": writes,
+                "writes": [{"path": path, "content": base64.b64encode(content).decode("ascii")}
+                           for path, content in files.items()],
                 "events": [e.to_json() for e in events],
             }
             payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-            frame = (
-                b"J %d %s\n" % (len(payload), hashlib.sha256(payload).hexdigest().encode())
-                + payload
-                + b"\n"
-            )
-            os.write(self._journal_fd, frame)
-            self._crash_point("journal-written")
-            self._fsync(self._journal_fd)
-            self._crash_point("journal-synced")
+            frame = b"J %d %s\n%s\n" % (
+                len(payload), hashlib.sha256(payload).hexdigest().encode(), payload)
+            try:
+                os.write(self._journal_fd, frame)
+                self._journal_bytes += len(frame)
+                self._crash_point("journal-written")
+                if self.durable:
+                    os.fsync(self._journal_fd)
+                self._crash_point("journal-synced")
 
-            first = True
-            for w in writes:
-                path = self.root / w["path"]
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(".tmp")
-                tmp.write_bytes(base64.b64decode(w["content"]))
-                os.replace(tmp, path)
-                if first:
-                    self._crash_point("first-file-written")
-                    first = False
-            self._crash_point("files-written")
+                for i, (path, content) in enumerate(files.items()):
+                    self._write_file(path, content)
+                    if i == 0:
+                        self._crash_point("first-file-written")
+                self._crash_point("files-written")
 
-            for e in events:
-                os.write(self._events_fd, e.to_json().encode("utf-8") + b"\n")
-            self._fsync(self._events_fd)
-            self._crash_point("events-written")
-
-            os.write(
-                self._journal_fd, b"C %d\n" % (self.current_seq + 1)
-            )
-            self._fsync(self._journal_fd)
-            self._crash_point("committed")
+                self._append_events(events)
+                self._crash_point("events-written")
+                if self._journal_bytes > CHECKPOINT_BYTES:
+                    self._checkpoint()
+                self._crash_point("committed")
+            except BaseException:
+                # memory no longer matches the disk; the journal still holds
+                # the record, so reopening redoes it
+                self._stopped = ("a commit failed after its journal write; "
+                                 "reopen the store to redo it")
+                raise
 
             # publish in memory
             for oid, obj in staged.items():
@@ -466,4 +435,12 @@ class ObjectStore:
 
             for listener in self._commit_listeners:
                 listener(applied)
-            return results
+            return [obj for _kind, _old, obj in applied]
+
+
+def _fsync_path(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -278,10 +278,16 @@ def test_http_redirect_for_surrogate(live):
     pytest.param("POST", "/objects/metadata",
                  b'{"payload": "!!!", "payloadEncoding": "base64"}', 400,
                  id="payload-base64"),
-    # a field of the wrong type that no route checks: the catch-all answers
+    # JSON fields of the wrong type
     pytest.param("POST", "/objects/resource",
                  b'{"contentUrl": "http://example.org/a", '
-                 b'"initialAggregations": 5}', 500, id="uncaught-type-error"),
+                 b'"initialAggregations": 5}', 400, id="wrong-type-field"),
+    pytest.param("POST", "/objects/agent", b'{"name": 5, "kind": "Person"}', 400,
+                 id="name-not-string"),
+    pytest.param("POST", "/objects/metadata", b'{"target": null}', 400,
+                 id="target-null"),
+    pytest.param("POST", "/objects/aggregation", b'{"agent": "a", "proxy": []}', 400,
+                 id="proxy-not-object"),
 ])
 def test_malformed_requests_get_a_response(live, method, path, body, status):
     _svc, port = live
@@ -289,3 +295,18 @@ def test_malformed_requests_get_a_response(live, method, path, body, status):
     assert got == status
     assert headers["Content-Type"] == "application/json"
     assert "error" in json.loads(data)
+
+
+def test_unexpected_failure_is_a_500(live, monkeypatch):
+    svc, port = live
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(svc.repo, "add_agent", fail)
+    got, headers, data = request(port, "POST", "/objects/agent",
+                                 json.dumps({"name": "n", "kind": "Person"}),
+                                 {"X-INO-Key": KEY})
+    assert got == 500
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(data)["error"] == "RuntimeError"

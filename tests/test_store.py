@@ -1,3 +1,4 @@
+import os
 import random
 import time
 
@@ -8,10 +9,13 @@ from ino.errors import (
     InvalidObject,
     NotFound,
     SeqOutOfRange,
+    StoreFailed,
     StoreLocked,
 )
-from ino.model import Datastream, Term, Triple, VirtualClock, make_draft, serialize_object
-from ino.store import CREATED, MODIFIED, PURGED, ObjectStore
+from ino import store as store_module
+from ino.model import (Datastream, Term, Triple, VirtualClock, make_draft,
+                       serialize_object, shard_path)
+from ino.store import CREATED, MODIFIED, PURGED, BatchOp, ObjectStore
 from util import random_object
 
 
@@ -158,6 +162,18 @@ def test_second_open_is_locked(tmp_path):
     store.close()
 
 
+def test_failed_open_releases_the_lock(tmp_path):
+    store = ObjectStore(tmp_path / "d")
+    store.create(draft("r1"))
+    store.close()
+    (tmp_path / "d" / "events.log").write_text(
+        '{"seq":2,"kind":"Created","objectId":"info:ino/r1",'
+        '"timestamp":"2006-01-01T00:00:00Z"}\n')
+    for _ in range(2):  # not StoreLocked the second time
+        with pytest.raises(InvalidObject, match="event log corrupt"):
+            ObjectStore(tmp_path / "d")
+
+
 class Boom(Exception):
     pass
 
@@ -212,6 +228,116 @@ def _run_crash_scenario(tmp_path, crash_at, batch):
     # store remains writable after recovery
     recovered.create(draft("after"))
     recovered.close()
+
+
+def test_failed_commit_stops_writes_until_reopen(tmp_path):
+    clock = VirtualClock()
+    store = ObjectStore(tmp_path / "d", clock=clock)
+
+    def fail(name):
+        if name == "files-written":
+            raise OSError("simulated write failure")
+
+    store._crash_point = fail
+    with pytest.raises(OSError):
+        store.create(draft("r1"))
+    store._crash_point = lambda name: None
+    with pytest.raises(StoreFailed):
+        store.create(draft("r2"))
+    store.close()
+
+    reopened = ObjectStore(tmp_path / "d", clock=clock)
+    assert reopened.ids() == ["info:ino/r1"]
+    assert reopened.get("info:ino/r1").seq == 1
+    assert [(e.seq, e.kind, e.object_id) for e in reopened.changes_since(0)] == [
+        (1, CREATED, "info:ino/r1")]
+    reopened.create(draft("r2"))
+    reopened.close()
+
+
+def test_torn_object_file_is_redone_at_open(tmp_path):
+    clock = VirtualClock()
+    store = ObjectStore(tmp_path / "d", clock=clock, durable=True)
+    store.create(draft("r1"))
+    store.create(draft("r2"))
+    store.abandon()
+    # a power loss may tear a file whose writes were never fsynced
+    path = tmp_path / "d" / shard_path("info:ino/r2")
+    path.write_bytes(path.read_bytes()[:20])
+
+    reopened = ObjectStore(tmp_path / "d", clock=clock)
+    assert reopened.ids() == ["info:ino/r1", "info:ino/r2"]
+    assert reopened.get("info:ino/r2").seq == 2
+    reopened.close()
+
+
+def test_durable_commit_does_one_fsync(store, monkeypatch):
+    calls = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    store.commit_batch([BatchOp("create", "info:ino/a", draft=draft("a")),
+                        BatchOp("create", "info:ino/b", draft=draft("b"))])
+    assert len(calls) == 1
+
+
+def test_close_empties_the_journal(tmp_path):
+    store = ObjectStore(tmp_path / "d", clock=VirtualClock())
+    store.create(draft("r1"))
+    journal = tmp_path / "d" / "journal.log"
+    assert journal.stat().st_size > 0
+    store.close()
+    assert journal.stat().st_size == 0
+
+
+def test_checkpoint_bounds_the_journal_and_abandon_recovers(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_module, "CHECKPOINT_BYTES", 2000)
+    clock = VirtualClock()
+    store = ObjectStore(tmp_path / "d", clock=clock)
+    journal = tmp_path / "d" / "journal.log"
+    sizes = []
+    for i in range(50):
+        store.create(draft(f"o{i}"))
+        if i % 3 == 2:
+            store.modify(f"info:ino/o{i - 1}")
+        if i % 10 == 9:
+            store.purge(f"info:ino/o{i - 2}")
+        sizes.append(journal.stat().st_size)
+    assert 0 < max(sizes) <= 2000 and 0 in sizes
+    objects = {o.id: o for o in store.objects()}
+    events = store.changes_since(0)
+    store.abandon()
+
+    reopened = ObjectStore(tmp_path / "d", clock=clock)
+    assert {o.id: o for o in reopened.objects()} == objects
+    assert reopened.changes_since(0) == events
+    with pytest.raises(DuplicateId):
+        reopened.create(draft("o7"))
+    reopened.close()
+
+
+def test_journal_with_commit_markers_of_the_older_format(tmp_path):
+    clock = VirtualClock()
+    store = ObjectStore(tmp_path / "d", clock=clock)
+    store.create(draft("r1"))
+    rel = Triple("info:ino/r1", "info:ino/def#memberOf", Term.iri("info:ino/a"))
+    final = store.modify("info:ino/r1", relationships=[rel])
+    store.abandon()
+    # each frame is a header line and a payload line; add a marker after each
+    journal = tmp_path / "d" / "journal.log"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(b"".join(
+        line + (b"C %d\n" % (i // 2 + 1) if i % 2 else b"")
+        for i, line in enumerate(lines)))
+
+    reopened = ObjectStore(tmp_path / "d", clock=clock)
+    assert reopened.get("info:ino/r1") == final
+    assert reopened.current_seq == 2
+    reopened.close()
 
 
 def test_lookup_latency_size_independent(tmp_path):
