@@ -1,19 +1,19 @@
 """OAI-PMH 2.0 data provider over a materialized record cache.
 
-The cache is batch-populated from conjunctive queries over the triple index
-and maintained incrementally from the store's change-event feed; record
+The cache is batch-populated from conjunctive queries over the triple index,
+maintained from the store's change-event feed and replaced whole, never
+changed in place; resumption tokens are stateless cursors over it. Record
 payloads are disseminated at response time, never stored.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
-import hashlib
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from xml.etree import ElementTree as ET
 
 from .dissemination import OAI_DC_NS
@@ -37,7 +37,7 @@ XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 
 REPOSITORY_NAME = "ino-repo"
 IDENTIFIER_PREFIX = "oai:ndr.local:"
-TOKEN_TTL_SECONDS = 3600
+TOKEN_VERSION = "v2"
 
 _FORMAT_NAMESPACES = {
     "oai_dc": (OAI_DC_NS, "http://www.openarchives.org/OAI/2.0/oai_dc.xsd"),
@@ -65,29 +65,45 @@ class CacheStats:
     elapsed: float
 
 
-def encode_token(query_key: str, offset: int, epoch: int, expiry: int) -> str:
-    raw = f"v1|{query_key}|{offset}|{epoch}|{expiry}".encode("ascii")
-    return base64.urlsafe_b64encode(raw).decode("ascii")
+def encode_token(fmt: str, set_spec: str | None, from_s: str | None,
+                 until_s: str | None, after: tuple[datetime, str]) -> str:
+    """A resumption token: the list's arguments and the (datestamp,
+    identifier) of the last record sent. The provider keeps no state for it."""
+    fields = [TOKEN_VERSION, fmt, set_spec, from_s, until_s,
+              format_ts(after[0]), after[1]]
+    return base64.urlsafe_b64encode(json.dumps(fields).encode()).decode("ascii")
 
 
-def decode_token(token: str, current_epoch: int, now: float | None = None):
+def decode_token(token: str):
+    """Inverse of ``encode_token``; ``BadResumptionToken`` for anything else."""
     try:
-        raw = base64.urlsafe_b64decode(token.encode("ascii")).decode("ascii")
-    except (binascii.Error, UnicodeError, ValueError) as exc:
-        raise BadResumptionToken("malformed token") from exc
-    parts = raw.split("|")
-    if len(parts) != 5 or parts[0] != "v1":
-        raise BadResumptionToken("malformed token")
-    _, query_key, offset_s, epoch_s, expiry_s = parts
-    try:
-        offset, epoch, expiry = int(offset_s), int(epoch_s), int(expiry_s)
+        # binascii.Error, UnicodeError and JSONDecodeError are ValueErrors
+        fields = json.loads(base64.urlsafe_b64decode(token.encode("ascii")))
+        if not (isinstance(fields, list) and len(fields) == 7
+                and fields[0] == TOKEN_VERSION
+                and all(isinstance(fields[i], str) for i in (1, 5, 6))
+                and all(isinstance(f, (str, type(None))) for f in fields[2:5])):
+            raise ValueError("wrong shape")
+        _, fmt, set_spec, from_s, until_s, stamp, identifier = fields
+        return fmt, set_spec, from_s, until_s, (parse_ts(stamp), identifier)
     except ValueError as exc:
         raise BadResumptionToken("malformed token") from exc
-    if epoch != current_epoch:
-        raise BadResumptionToken("stale cache epoch")
-    if (now if now is not None else time.time()) > expiry:
-        raise BadResumptionToken("token expired")
-    return query_key, offset
+
+
+def _parse_window(from_s: str | None, until_s: str | None):
+    """The datetime bounds of a list's ``from`` and ``until``, each at day
+    (``YYYY-MM-DD``) or seconds granularity; a day ``until`` covers the whole
+    day. ``ValueError`` for a bad datestamp or for mixed granularities."""
+    if from_s and until_s and len(from_s) != len(until_s):
+        raise ValueError("from and until differ in granularity")
+    return _parse_bound(from_s, 0), _parse_bound(until_s, 1)
+
+
+def _parse_bound(value: str | None, end_of_day: int) -> datetime | None:
+    if value is not None and len(value) == len("YYYY-MM-DD"):
+        day = datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+        return day + timedelta(days=end_of_day, seconds=-end_of_day)
+    return None if value is None else parse_ts(value)
 
 
 class OaiProvider:
@@ -98,8 +114,6 @@ class OaiProvider:
         self.base_url = base_url
         self.records: dict[tuple[str, str], OaiRecord] = {}
         self.last_applied_seq = 0
-        self.epoch = 1
-        self._queries: dict[str, dict] = {}  # queryKey -> request args
 
     # ----------------------------------------------------------- cache build
 
@@ -119,8 +133,8 @@ class OaiProvider:
         ]
 
     def rebuild_cache(self) -> CacheStats:
-        """Re-derive all live records via graph queries; carry forward deleted
-        records whose source object is no longer live; bump the epoch."""
+        """Re-derive all live records via graph queries and carry forward
+        deleted records whose source object is no longer live."""
         start = time.perf_counter()
         with self.repo._lock:
             q = ConjunctiveQuery(
@@ -141,41 +155,48 @@ class OaiProvider:
                     fresh.setdefault(key, rec)
             self.records = fresh
             self.last_applied_seq = self.repo.store.current_seq
-        self.epoch += 1
-        self._queries.clear()
         return CacheStats(len(self.records), time.perf_counter() - start)
 
     # ------------------------------------------------------------ incremental
 
     def apply_event(self, event: ChangeEvent) -> None:
-        if event.seq != self.last_applied_seq + 1:
-            raise EventOutOfOrder(
-                f"expected seq {self.last_applied_seq + 1}, got {event.seq}"
-            )
-        if event.kind == PURGED:
-            for key, rec in list(self.records.items()):
-                if rec.source_object == event.object_id and not rec.deleted:
-                    self.records[key] = replace(
-                        rec, deleted=True, datestamp=event.timestamp
-                    )
-        elif event.kind in (CREATED, MODIFIED):
-            obj = self.repo.get_object(event.object_id)
-            if "Metadata" in obj.types:
-                new = {(r.identifier, r.format): r
-                       for r in self._records_for(event.object_id)}
-                for key, rec in list(self.records.items()):
-                    if rec.source_object == event.object_id and key not in new:
-                        del self.records[key]
-                self.records.update(new)
-        self.last_applied_seq = event.seq
+        self._apply([event])
 
     def catch_up(self) -> int:
         """Apply any store events past the last applied seq."""
-        applied = 0
-        for ev in self.repo.changes_since(self.last_applied_seq):
-            self.apply_event(ev)
-            applied += 1
-        return applied
+        events = self.repo.changes_since(self.last_applied_seq)
+        self._apply(events)
+        return len(events)
+
+    def _apply(self, events) -> None:
+        """Apply ``events`` to a copy of the cache, then publish the copy:
+        ``self.records`` is never changed in place, so a request iterates the
+        map it read undisturbed and needs no lock."""
+        if not events:
+            return
+        records = dict(self.records)
+        seq = self.last_applied_seq
+        for event in events:
+            if event.seq != seq + 1:
+                raise EventOutOfOrder(f"expected seq {seq + 1}, got {event.seq}")
+            if event.kind == PURGED:
+                for key, rec in records.items():
+                    if rec.source_object == event.object_id and not rec.deleted:
+                        records[key] = replace(
+                            rec, deleted=True, datestamp=event.timestamp
+                        )
+            elif event.kind in (CREATED, MODIFIED):
+                obj = self.repo.get_object(event.object_id)
+                if "Metadata" in obj.types:
+                    new = {(r.identifier, r.format): r
+                           for r in self._records_for(event.object_id)}
+                    for key, rec in list(records.items()):
+                        if rec.source_object == event.object_id and key not in new:
+                            del records[key]
+                    records.update(new)
+            seq = event.seq
+        self.records = records
+        self.last_applied_seq = seq
 
     # ------------------------------------------------------- cache persistence
 
@@ -198,13 +219,14 @@ class OaiProvider:
 
     def load_cache(self, path) -> None:
         data = json.loads(path.read_text())
-        self.records = {}
+        records = {}
         for d in data["records"]:
             rec = OaiRecord(
                 d["identifier"], d["format"], parse_ts(d["datestamp"]),
                 frozenset(d["setSpecs"]), d["deleted"], d["sourceObject"],
             )
-            self.records[(rec.identifier, rec.format)] = rec
+            records[(rec.identifier, rec.format)] = rec
+        self.records = records
         self.last_applied_seq = data["lastAppliedSeq"]
 
     # --------------------------------------------------------------- requests
@@ -224,8 +246,7 @@ class OaiProvider:
 
     def _verb_Identify(self, params):
         self._reject_extra_args(params, set())
-        live = [r for r in self.records.values()]
-        earliest = min((r.datestamp for r in live), default=None)
+        earliest = min((r.datestamp for r in self.records.values()), default=None)
         body = ET.Element("Identify")
         _text(body, "repositoryName", REPOSITORY_NAME)
         _text(body, "baseURL", self.base_url)
@@ -261,7 +282,9 @@ class OaiProvider:
         return self._respond(params, body)
 
     def _verb_ListSets(self, params):
-        self._reject_extra_args(params, {"resumptionToken"})
+        if "resumptionToken" in params:  # ListSets is never paged
+            raise _OaiError("badResumptionToken", "ListSets issues no tokens")
+        self._reject_extra_args(params, set())
         body = ET.Element("ListSets")
         q = ConjunctiveQuery(
             (TriplePattern(Var("?a"), Term.iri(OBJECT_TYPE),
@@ -291,12 +314,12 @@ class OaiProvider:
                                 required={"identifier", "metadataPrefix"})
         identifier = params["identifier"]
         prefix = params["metadataPrefix"]
-        known = [r for r in self.records.values() if r.identifier == identifier]
-        if not known:
-            raise _OaiError("idDoesNotExist", identifier)
-        rec = self.records.get((identifier, prefix))
+        records = self.records
+        rec = records.get((identifier, prefix))
         if rec is None:
-            raise _OaiError("cannotDisseminateFormat", prefix)
+            if any(r.identifier == identifier for r in records.values()):
+                raise _OaiError("cannotDisseminateFormat", prefix)
+            raise _OaiError("idDoesNotExist", identifier)
         body = ET.Element("GetRecord")
         body.append(self._record_element(rec, with_metadata=True))
         return self._respond(params, body)
@@ -333,34 +356,34 @@ class OaiProvider:
             if set(params) - {"verb", "resumptionToken"}:
                 raise _OaiError("badArgument",
                                 "resumptionToken is an exclusive argument")
-            query_key, offset = self._decode_or_error(token)
-            args = self._queries.get(query_key)
-            if args is None:
-                raise _OaiError("badResumptionToken", "unknown query key")
+            try:
+                fmt, set_spec, from_s, until_s, after = decode_token(token)
+            except BadResumptionToken as exc:
+                raise _OaiError("badResumptionToken", str(exc)) from exc
         else:
             self._reject_extra_args(
                 params, {"metadataPrefix", "set", "from", "until"},
                 required={"metadataPrefix"},
             )
-            args = {
-                "metadataPrefix": params["metadataPrefix"],
-                "set": params.get("set"),
-                "from": params.get("from"),
-                "until": params.get("until"),
-            }
-            offset = 0
+            fmt, set_spec = params["metadataPrefix"], params.get("set")
+            from_s, until_s = params.get("from"), params.get("until")
+            after = None
+        try:
+            from_ts, until_ts = _parse_window(from_s, until_s)
+        except ValueError as exc:
+            raise _OaiError("badArgument" if token is None
+                            else "badResumptionToken", str(exc)) from exc
 
-        fmt = args["metadataPrefix"]
-        if fmt not in {r.format for r in self.records.values()}:
-            raise _OaiError("cannotDisseminateFormat", fmt)
-        from_ts = self._parse_date_arg(args.get("from"))
-        until_ts = self._parse_date_arg(args.get("until"))
-        selection = self.select(fmt, args.get("set"), from_ts, until_ts)
-        if not selection:
+        selection = self.select(fmt, set_spec, from_ts, until_ts)
+        # an updated or purged record gets a newer datestamp, so it moves past
+        # the cursor: a harvester may see it twice, but never misses a record
+        start = 0 if after is None else bisect_right(
+            selection, after, key=lambda r: (r.datestamp, r.identifier))
+        page = selection[start : start + self.page_size]
+        if not page:
+            if not any(r.format == fmt for r in self.records.values()):
+                raise _OaiError("cannotDisseminateFormat", fmt)
             raise _OaiError("noRecordsMatch", "empty selection")
-        page = selection[offset : offset + self.page_size]
-        if not page and offset > 0:
-            raise _OaiError("badResumptionToken", "offset beyond result list")
 
         body = ET.Element(verb)
         for rec in page:
@@ -369,39 +392,15 @@ class OaiProvider:
             else:
                 body.append(self._header_element(rec))
 
-        next_offset = offset + len(page)
-        query_key = hashlib.sha256(
-            json.dumps([verb, fmt, args.get("set"), args.get("from"),
-                        args.get("until")]).encode()
-        ).hexdigest()[:16]
-        if next_offset < len(selection):
-            self._queries[query_key] = args
-            tok = encode_token(query_key, next_offset, self.epoch,
-                               int(time.time()) + TOKEN_TTL_SECONDS)
+        more = start + len(page) < len(selection)
+        if more or token is not None:
             rt = ET.SubElement(body, "resumptionToken",
                                completeListSize=str(len(selection)),
-                               cursor=str(offset))
-            rt.text = tok
-        elif token is not None:
-            ET.SubElement(body, "resumptionToken",
-                          completeListSize=str(len(selection)),
-                          cursor=str(offset))
+                               cursor=str(start))
+            if more:
+                rt.text = encode_token(fmt, set_spec, from_s, until_s,
+                                       (page[-1].datestamp, page[-1].identifier))
         return self._respond(params, body)
-
-    def _decode_or_error(self, token):
-        try:
-            return decode_token(token, self.epoch)
-        except BadResumptionToken as exc:
-            raise _OaiError("badResumptionToken", str(exc)) from exc
-
-    @staticmethod
-    def _parse_date_arg(value):
-        if value is None:
-            return None
-        try:
-            return parse_ts(value)
-        except ValueError as exc:
-            raise _OaiError("badArgument", f"bad datestamp {value!r}") from exc
 
     # element builders -------------------------------------------------------
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import secrets
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -306,10 +307,14 @@ class _Handler(BaseHTTPRequestHandler):
                        json.dumps({"error": f"bad request body: {exc}"}).encode())
             return
         except Exception as exc:  # every request gets a response
-            logging.getLogger(__name__).exception("%s %s failed", method, self.path)
+            # the id ties the answer the client saw to the logged traceback
+            error_id = secrets.token_hex(4)
+            logging.getLogger(__name__).exception(
+                "%s %s failed (errorId %s)", method, self.path, error_id)
             self._send(500, "application/json",
                        json.dumps({"error": type(exc).__name__,
-                                   "message": str(exc)}).encode())
+                                   "message": str(exc),
+                                   "errorId": error_id}).encode())
             return
         if status == 302:
             self.send_response(302)

@@ -1,12 +1,16 @@
+import base64
+import json
 import re
-import time
+import sys
+import threading
+from datetime import timedelta
 
 import pytest
 from xml.etree import ElementTree as ET
 
 from ino.api import MetadataSpec, ResourceSpec
 from ino.errors import BadResumptionToken, EventOutOfOrder
-from ino.model import format_ts, local_id
+from ino.model import format_ts, local_id, parse_ts
 from ino.oai import OaiProvider, decode_token, encode_token
 
 
@@ -62,8 +66,10 @@ def oracle_identifiers(repo, fmt, set_spec=None, from_ts=None, until_ts=None):
     return sorted(out)
 
 
-def harvest_identifiers(provider, verb="ListIdentifiers", **args):
-    params = {"verb": verb, "metadataPrefix": "oai_dc", **args}
+def harvest_identifiers(provider, verb="ListIdentifiers", token=None, **args):
+    """The identifiers of a whole list, or of its rest after ``token``."""
+    params = ({"verb": verb, "resumptionToken": token} if token else
+              {"verb": verb, "metadataPrefix": "oai_dc", **args})
     ids = []
     while True:
         root = parse(provider.handle_request(params))
@@ -82,18 +88,31 @@ def harvest_identifiers(provider, verb="ListIdentifiers", **args):
 # -------------------------------------------------------------------- tokens
 
 def test_token_roundtrip():
-    tok = encode_token("abc123", 40, 7, int(time.time()) + 60)
-    assert decode_token(tok, 7) == ("abc123", 40)
+    after = (parse_ts("2006-01-01T00:00:07Z"), "oai:ndr.local:m9")
+    for args in [("oai_dc", None, None, None, after),
+                 ("nsdl_dc", "a1", "2006-01-01", "2006-01-02", after),
+                 ("oai_dc", None, "2006-01-01T00:00:00Z", None, after)]:
+        assert decode_token(encode_token(*args)) == args
 
 
 def test_token_errors():
-    expiry = int(time.time()) + 60
-    with pytest.raises(BadResumptionToken):
-        decode_token("!!not-base64!!", 1)
-    with pytest.raises(BadResumptionToken):
-        decode_token(encode_token("k", 0, 1, expiry), 2)  # stale epoch
-    with pytest.raises(BadResumptionToken):
-        decode_token(encode_token("k", 0, 1, int(time.time()) - 1), 1)
+    def b64(fields) -> str:
+        return base64.urlsafe_b64encode(json.dumps(fields).encode()).decode()
+
+    stamp = "2006-01-01T00:00:00Z"
+    for token in [
+        "!!not-base64!!",
+        base64.urlsafe_b64encode(b"\xff\xfe").decode(),
+        b64("not a list"),
+        b64({"v": "v2"}),  # JSON of the wrong shape
+        b64(["v2", "oai_dc"]),
+        b64(["v1", "oai_dc", None, None, None, stamp, "x"]),
+        b64(["v2", "oai_dc", None, None, None, stamp, 5]),
+        b64(["v2", "oai_dc", 3, None, None, stamp, "x"]),
+        b64(["v2", "oai_dc", None, None, None, "yesterday", "x"]),
+    ]:
+        with pytest.raises(BadResumptionToken):
+            decode_token(token)
 
 
 # --------------------------------------------------------------- cache build
@@ -251,6 +270,16 @@ def test_list_identifiers_date_window(setup):
     })
     assert sorted(got) == oracle_identifiers(
         repo, "oai_dc", from_ts=lo, until_ts=hi)
+    # day granularity: a day `until` covers the whole day
+    day = lo.replace(hour=0, minute=0, second=0)
+    got = harvest_identifiers(provider, **{
+        "from": format_ts(day)[:10], "until": format_ts(hi)[:10],
+    })
+    assert sorted(got) == oracle_identifiers(
+        repo, "oai_dc", from_ts=day,
+        until_ts=hi.replace(hour=23, minute=59, second=59)) != []
+    assert harvest_identifiers(provider, **{
+        "until": format_ts(day - timedelta(days=1))[:10]}) == []
 
 
 def test_list_records_carries_metadata(setup):
@@ -295,19 +324,76 @@ def test_deleted_record_in_output(setup):
     assert record.find("metadata") is None
 
 
-def test_epoch_bump_invalidates_tokens(setup):
-    _repo, provider, _agg, _mids = setup
+def test_token_survives_rebuild(setup):
+    repo, provider, _agg, _mids = setup
     root = parse(provider.handle_request(
-        {"verb": "ListRecords", "metadataPrefix": "oai_dc"}))
-    token = root.find("ListRecords").findtext("resumptionToken")
+        {"verb": "ListIdentifiers", "metadataPrefix": "oai_dc"}))
+    ids = [h.findtext("identifier") for h in root.iter("header")]
+    token = root.find("ListIdentifiers").findtext("resumptionToken")
     provider.rebuild_cache()
+    ids += harvest_identifiers(provider, token=token)
+    assert sorted(ids) == oracle_identifiers(repo, "oai_dc")
+
+
+def test_update_mid_harvest_loses_no_record(setup):
+    repo, provider, _agg, mids = setup
     root = parse(provider.handle_request(
-        {"verb": "ListRecords", "resumptionToken": token}))
-    assert root.find("error").get("code") == "badResumptionToken"
+        {"verb": "ListIdentifiers", "metadataPrefix": "oai_dc"}))
+    ids = [h.findtext("identifier") for h in root.iter("header")]
+    token = root.find("ListIdentifiers").findtext("resumptionToken")
+    sent = next(m for m in mids if "oai:ndr.local:" + local_id(m) == ids[0])
+    repo.update_metadata_payload(sent, "nsdl_dc", doc("edited"))
+    provider.catch_up()
+    ids += harvest_identifiers(provider, token=token)
+    # the updated record moved past the cursor, so it comes again at the end
+    assert ids[-1] == ids[0]
+    assert sorted(set(ids)) == oracle_identifiers(repo, "oai_dc")
+
+
+def test_lists_read_while_catch_up_writes(setup):
+    """A reader pages lists while the cache is republished under it."""
+    repo, provider, _agg, _mids = setup
+    agent = repo.add_agent("writer", "Person")
+    provider.catch_up()
+    started, done, failures = threading.Event(), threading.Event(), []
+
+    def read():
+        try:
+            while not done.is_set():
+                provider.handle_request({"verb": "Identify"})
+                harvest_identifiers(provider)
+                started.set()
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+            started.set()
+
+    reader = threading.Thread(target=read)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader.start()
+        assert started.wait(timeout=30)
+        for i in range(150):
+            r = repo.add_resource(ResourceSpec(
+                content_url=f"http://example.org/w{i}"))
+            repo.add_metadata(MetadataSpec(
+                target=r, format_id="nsdl_dc", payload=doc(f"w{i}"),
+                provider=agent))
+            provider.catch_up()
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert failures == []
+    assert sorted(harvest_identifiers(provider)) == \
+        oracle_identifiers(repo, "oai_dc")
 
 
 def test_protocol_errors(setup):
     _repo, provider, _agg, _mids = setup
+    bad_window = encode_token("oai_dc", None, "notadate", None,
+                              (parse_ts("2006-01-01T00:00:00Z"), "x"))
     cases = [
         ({"verb": "Frobnicate"}, "badVerb"),
         ({}, "badVerb"),
@@ -321,6 +407,11 @@ def test_protocol_errors(setup):
          "cannotDisseminateFormat"),
         ({"verb": "ListRecords", "resumptionToken": "garbage"},
          "badResumptionToken"),
+        ({"verb": "ListRecords", "resumptionToken": bad_window},
+         "badResumptionToken"),
+        ({"verb": "ListSets", "resumptionToken": "junk"}, "badResumptionToken"),
+        ({"verb": "ListIdentifiers", "metadataPrefix": "oai_dc",
+          "from": "2006-01-01", "until": "2006-01-02T00:00:00Z"}, "badArgument"),
     ]
     for params, code in cases:
         root = parse(provider.handle_request(params))

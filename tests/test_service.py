@@ -297,7 +297,7 @@ def test_malformed_requests_get_a_response(live, method, path, body, status):
     assert "error" in json.loads(data)
 
 
-def test_unexpected_failure_is_a_500(live, monkeypatch):
+def test_unexpected_failure_is_a_500(live, monkeypatch, caplog):
     svc, port = live
 
     def fail(*args, **kwargs):
@@ -309,4 +309,8 @@ def test_unexpected_failure_is_a_500(live, monkeypatch):
                                  {"X-INO-Key": KEY})
     assert got == 500
     assert headers["Content-Type"] == "application/json"
-    assert json.loads(data)["error"] == "RuntimeError"
+    doc = json.loads(data)
+    assert doc["error"] == "RuntimeError"
+    assert doc["errorId"]
+    logged = [r for r in caplog.records if doc["errorId"] in r.getMessage()]
+    assert logged and logged[0].exc_info is not None
