@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from .api import Repository
@@ -71,6 +72,9 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     if args.command == "serve":
         config = load_config(args.config)
+        # the access log (logger "ino.access") and failures, to stderr
+        logging.basicConfig(level=logging.INFO,
+                            format="%(asctime)s %(name)s %(message)s")
         service = Service(config)
         print(f"serving on {args.host}:{config['port']}")
         service.serve_forever(int(config["port"]), args.host)

@@ -78,13 +78,19 @@ def format_ts(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+_TS_SHAPE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+
+
 def parse_ts(text: str) -> datetime:
-    try:
-        return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(
-            tzinfo=timezone.utc
-        )
-    except ValueError as exc:
-        raise ValueError(f"bad timestamp {text!r}") from exc
+    """The inverse of ``format_ts``: exactly ``YYYY-MM-DDThh:mm:ssZ`` in ASCII
+    digits and a real date and time, else ``ValueError``."""
+    # fromisoformat also takes other ISO forms, so the shape is checked first
+    if _TS_SHAPE.fullmatch(text):
+        try:
+            return datetime.fromisoformat(text[:-1]).replace(tzinfo=timezone.utc)
+        except ValueError:
+            pass  # no such date or time
+    raise ValueError(f"bad timestamp {text!r}")
 
 
 class Clock:

@@ -9,6 +9,7 @@ import json
 import logging
 import secrets
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
@@ -51,6 +52,9 @@ DEFAULT_CONFIG = {
     "ontologyPath": "",
     "pageSize": "100",
 }
+
+# one JSON line per request at INFO; ``ino serve`` sends it to stderr
+_ACCESS_LOG = logging.getLogger("ino.access")
 
 
 def load_config(path) -> dict:
@@ -285,11 +289,19 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _dispatch(self, method: str):
+        self._started = time.perf_counter()
         split = urlsplit(self.path)
         query = dict(parse_qsl(split.query))
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            # the body's end is unknown, so nothing more on this connection
+            # can be read as a request
+            self.close_connection = True
+            self._send(400, "application/json", json.dumps(
+                {"error": f"bad Content-Length: {length!r}"}).encode())
+            return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
+            body = self.rfile.read(int(length))
             status, media, data = self.service.handle(
                 method, split.path, query, body, self.headers
             )
@@ -302,7 +314,7 @@ class _Handler(BaseHTTPRequestHandler):
                        json.dumps({"error": type(exc).__name__,
                                    "message": str(exc)}).encode())
             return
-        except ValueError as exc:  # bad JSON, UTF-8, base64 or Content-Length
+        except ValueError as exc:  # bad JSON, UTF-8 or base64
             self._send(400, "application/json",
                        json.dumps({"error": f"bad request body: {exc}"}).encode())
             return
@@ -314,21 +326,32 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(500, "application/json",
                        json.dumps({"error": type(exc).__name__,
                                    "message": str(exc),
-                                   "errorId": error_id}).encode())
-            return
-        if status == 302:
-            self.send_response(302)
-            self.send_header("Location", media)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+                                   "errorId": error_id}).encode(),
+                       error_id=error_id)
             return
         self._send(status, media, data)
 
-    def _send(self, status, media, data):
+    def _send(self, status, media, data, error_id=None):
+        """Answer the request: ``media`` is the Content-Type, or the Location
+        of a 302. The status line, headers and body go out in one write: a
+        body sent after the headers would wait for the client's delayed ACK
+        under Nagle's algorithm, about 40 ms on every keep-alive request."""
+        if _ACCESS_LOG.isEnabledFor(logging.INFO):
+            entry = {"method": self.command, "route": urlsplit(self.path).path,
+                     "status": status,
+                     "ms": round(1000 * (time.perf_counter() - self._started), 3),
+                     "bytes": len(data)}
+            if error_id is not None:
+                entry["errorId"] = error_id
+            _ACCESS_LOG.info(json.dumps(entry))
         self.send_response(status)
-        self.send_header("Content-Type", media)
+        self.send_header("Location" if status == 302 else "Content-Type", media)
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
+        # end_headers() would send the buffered header lines on their own;
+        # like it, send none to an HTTP/0.9 request
+        if self.request_version != "HTTP/0.9":
+            data = b"".join(self._headers_buffer) + b"\r\n" + data
+            self._headers_buffer = []
         self.wfile.write(data)
 
     def do_GET(self):

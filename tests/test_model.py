@@ -10,6 +10,8 @@ from ino.model import (
     Term,
     Triple,
     deserialize_object,
+    format_ts,
+    parse_ts,
     serialize_object,
     shard_path,
     validate_object,
@@ -127,3 +129,45 @@ def test_shard_path_pinned_values():
 def test_shard_path_deterministic_and_distinct():
     assert shard_path("info:ino/r1") == shard_path("info:ino/r1")
     assert shard_path("info:ino/r1") != shard_path("info:ino/r2")
+
+
+def strptime_ts(text):
+    """The earlier parser, kept as the reference: whatever it rejects,
+    ``parse_ts`` rejects."""
+    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+
+
+@pytest.mark.parametrize("text", [
+    "2006-02-30T00:00:00Z", "2006-01-01T24:00:00Z", "2006-01-01T00:60:00Z",
+    "2006-01-01T00:00:60Z", "2006-01-01 00:00:00Z", "2006-01-01T00:00:00",
+    "2006-01-01T00:00:00+00:00", "2006-01-01", "2006-W01-1T00:00:00Z",
+    "20060101T000000Z", "0000-01-01T00:00:00Z", " 2006-01-01T00:00:00Z", "",
+    # taken by strptime, never written by format_ts
+    "2006-1-1T0:0:0Z", "2006-01-01T00:00:0Z",
+    "\u0662\u0660\u0660\u0666-01-01T00:00:00Z",  # Arabic-Indic digits
+])
+def test_parse_ts_rejects(text):
+    with pytest.raises(ValueError):
+        parse_ts(text)
+
+
+def test_parse_ts_is_no_looser_than_strptime():
+    rng = random.Random(7)
+    alphabet = "0123456789-T:Z +W\u0663"
+    for _ in range(3000):
+        ts = datetime.fromtimestamp(rng.randrange(0, 2 ** 32), timezone.utc)
+        text = list(format_ts(ts))
+        assert parse_ts("".join(text)) == ts
+        for _ in range(rng.randrange(1, 3)):
+            text[rng.randrange(len(text))] = rng.choice(alphabet)
+        text = "".join(text)
+        try:
+            expected = strptime_ts(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_ts(text)
+            continue
+        try:
+            assert parse_ts(text) == expected
+        except ValueError:
+            assert format_ts(expected) != text  # a form format_ts never writes

@@ -1,10 +1,13 @@
 import http.client
 import json
+import logging
+import socket
 import threading
 import urllib.parse
 
 import pytest
 
+from ino import service as service_module
 from ino.errors import ConfigError, StoreLocked
 from ino.model import VirtualClock
 from ino.service import Service, load_config
@@ -314,3 +317,148 @@ def test_unexpected_failure_is_a_500(live, monkeypatch, caplog):
     assert doc["errorId"]
     logged = [r for r in caplog.records if doc["errorId"] in r.getMessage()]
     assert logged and logged[0].exc_info is not None
+
+
+def fail(*args, **kwargs):
+    raise RuntimeError("unexpected")
+
+
+def test_each_response_is_one_write(live, monkeypatch):
+    """The status line, headers and body go out in one write: a body sent
+    after the headers waits for the client's delayed ACK (Nagle)."""
+    svc, port = live
+    _agent, _agg, resource, _metadata = populate(svc)
+    record = next(iter(svc.provider.records.values()))
+    writes = []
+
+    class CountingWriter:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return self.inner.write(data)
+
+        def __getattr__(self, name):  # flush, closed, close
+            return getattr(self.inner, name)
+
+    setup = service_module._Handler.setup
+
+    def counting_setup(handler):
+        setup(handler)
+        handler.wfile = CountingWriter(handler.wfile)
+
+    monkeypatch.setattr(service_module._Handler, "setup", counting_setup)
+    get_record = "/oai?" + urllib.parse.urlencode(
+        {"verb": "GetRecord", "identifier": record.identifier,
+         "metadataPrefix": record.format})
+    agent = json.dumps({"name": "n", "kind": "Person"})
+    cases = [
+        ("GET", get_record, None, {}, 200),
+        ("POST", "/objects/agent", agent, {"X-INO-Key": KEY}, 201),
+        ("GET", f"/objects/{resource}/datastreams/content", None, {}, 302),
+        ("POST", "/objects/agent", b"{not json", {"X-INO-Key": KEY}, 400),
+        ("POST", "/objects/agent", agent, {}, 403),
+        ("GET", "/objects/ghost", None, {}, 404),
+    ]
+    for method, path, body, headers, status in cases:
+        writes.clear()
+        got, _h, data = request(port, method, path, body, headers)
+        assert got == status
+        assert len(writes) == 1, (status, writes)
+        assert writes[0].startswith(f"HTTP/1.1 {status} ".encode())
+        assert writes[0].endswith(b"\r\n\r\n" + data)
+
+    monkeypatch.setattr(svc.repo, "add_agent", fail)
+    writes.clear()
+    got, _h, data = request(port, "POST", "/objects/agent", agent, {"X-INO-Key": KEY})
+    assert got == 500 and len(writes) == 1
+    assert writes[0].endswith(b"\r\n\r\n" + data)
+
+
+def test_keep_alive_connection_answers_each_request(live):
+    svc, port = live
+    _agent, agg, resource, metadata = populate(svc)
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    cases = [
+        ("GET", "/oai?verb=Identify", None, {}, 200, b"<repositoryName>"),
+        ("GET", f"/objects/{resource}", None, {}, 200, resource.encode()),
+        ("GET", "/objects/ghost", None, {}, 404, b'"NotFound"'),
+        ("GET", f"/objects/{resource}/datastreams/content", None, {}, 302, b""),
+        ("GET", f"/disseminations/{metadata}/oai_dc", None, {}, 200,
+         b"<dc:title>T</dc:title>"),
+        ("POST", "/query",
+         f"SELECT ?s WHERE ?s <info:ino/def#memberOf> <info:ino/{agg}>", {},
+         200, resource.encode()),
+        ("POST", "/objects/agent", json.dumps({"name": "k", "kind": "Person"}),
+         {"X-INO-Key": KEY}, 201, b'"id"'),
+        ("POST", "/objects/agent", b"{not json", {"X-INO-Key": KEY}, 400,
+         b"bad request body"),
+        ("POST", "/objects/agent", json.dumps({"name": "k", "kind": "Person"}),
+         {}, 403, b"X-INO-Key"),
+        ("GET", "/oai?verb=ListIdentifiers&metadataPrefix=oai_dc", None, {},
+         200, metadata.encode()),
+    ]
+    try:
+        for i in range(20):
+            method, path, body, headers, status, needle = cases[i % len(cases)]
+            conn.request(method, path, body=body, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+            assert (resp.status, needle in data) == (status, True), (i, path, data)
+            assert not resp.will_close
+    finally:
+        conn.close()
+
+
+def raw_exchange(port, payload):
+    """Send ``payload`` on a fresh socket and read until the server closes;
+    the socket timeout fails the test where the server would hang."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("length", ["-1", "-5", "1e3", "+5", "0x10", " "])
+def test_bad_content_length_is_400_and_closes(live, length):
+    _svc, port = live
+    # the body has no line end, so a server that read it as the next request
+    # line would wait for one and the read above would time out
+    reply = raw_exchange(port, (
+        "POST /query HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+        "SELECT ?s WHERE ?s ?p ?o").encode())
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"].startswith(
+        "bad Content-Length")
+
+
+def test_http09_request_gets_the_body_alone(live):
+    _svc, port = live
+    reply = raw_exchange(port, b"GET /objects/ghost\r\n\r\n")
+    assert json.loads(reply)["error"] == "NotFound"
+
+
+def test_access_log_line_per_request(live, monkeypatch, caplog):
+    svc, port = live
+    caplog.set_level(logging.INFO, logger="ino.access")
+    request(port, "GET", "/oai?verb=Identify")
+    request(port, "GET", "/objects/ghost")
+    monkeypatch.setattr(svc.repo, "add_agent", fail)
+    _s, _h, data = request(port, "POST", "/objects/agent",
+                           json.dumps({"name": "n", "kind": "Person"}),
+                           {"X-INO-Key": KEY})
+    lines = [json.loads(r.getMessage()) for r in caplog.records
+             if r.name == "ino.access"]
+    assert [(d["method"], d["route"], d["status"]) for d in lines] == [
+        ("GET", "/oai", 200), ("GET", "/objects/ghost", 404),
+        ("POST", "/objects/agent", 500)]
+    for d in lines:
+        assert set(d) >= {"method", "route", "status", "ms", "bytes"}
+        assert d["ms"] >= 0 and d["bytes"] > 0
+    assert "errorId" not in lines[0] and "errorId" not in lines[1]
+    assert lines[2]["errorId"] == json.loads(data)["errorId"]
