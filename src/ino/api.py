@@ -399,6 +399,14 @@ class Repository:
         with self._lock:
             return self.index.evaluate(q)
 
+    def explain(self, q: ConjunctiveQuery | str) -> list[dict]:
+        """The join steps ``query`` runs for ``q``: each pattern, its
+        estimate when planned and the rows after it."""
+        if isinstance(q, str):
+            q = parse_query(q)
+        with self._lock:
+            return self.index.explain(q)
+
     def changes_since(self, seq: int):
         return self.store.changes_since(seq)
 

@@ -1,12 +1,20 @@
-"""Triple index over live objects with three access orders (SPO, POS, OSP),
-single-pattern matching, and conjunctive (join) query evaluation with a naive
-brute-force reference evaluator used as an oracle in tests.
+"""Triple index over live objects, single-pattern matching, and conjunctive
+(join) query evaluation, with a naive brute-force reference evaluator used as
+an oracle in tests.
+
+Each term is interned to an int id when a triple is indexed, and three maps
+on ids give the access orders SPO, POS and OSP. ``_choose_path`` picks
+the map that serves a pattern's known positions; ``match``, ``estimate`` and
+the join are built on it. A join runs on tuple rows with a fixed slot per
+variable, takes next the pattern with the fewest estimated matches given the
+variables already bound, and builds ``Term``s only at projection.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import OracleTooLarge, QuerySyntaxError, QueryTooLarge
 from .model import (
@@ -29,6 +37,32 @@ _VAR_RE = re.compile(r"\?[a-z][a-z0-9]*$")
 MAX_PATTERNS = 8
 DEFAULT_RESULT_CAP = 10_000_000
 ORACLE_TRIPLE_CAP = 1_000_000
+
+_ABSENT = -1  # the id of a constant that no indexed triple uses
+_ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # key orders of SPO, POS, OSP
+
+
+def _choose_path(bound: int, const: int) -> tuple[int, tuple[int, ...]]:
+    """The access path for a pattern whose positions in the bit set ``bound``
+    (bit 0 subject, 1 predicate, 2 object) are known, those in ``const``
+    being constants: the map (0 SPO, 1 POS, 2 OSP) whose key order begins
+    with the bound positions, and that order. Where several maps qualify
+    (all or no positions bound), the one whose order begins with the most
+    constants, which a join step looks up once and not once per row."""
+    best = None
+    for i, order in enumerate(_ORDERS):
+        if sum(1 << pos for pos in order[:bound.bit_count()]) == bound:
+            lead = 0
+            while lead < 3 and const >> order[lead] & 1:
+                lead += 1
+            if best is None or lead > best[0]:
+                best = (lead, i, order)
+    return best[1], best[2]
+
+
+# the path of every (bound, const) pair, so a pattern's is one lookup
+_PATHS = {(b, c): _choose_path(b, c)
+          for b in range(8) for c in range(8) if c & ~b == 0}
 
 
 @dataclass(frozen=True)
@@ -87,7 +121,10 @@ class SolutionRow:
         return dict(self.items)
 
     def __getitem__(self, var: str) -> Term:
-        return self.bindings[var]
+        for name, term in self.items:
+            if name == var:
+                return term
+        raise KeyError(var)
 
 
 def extract_triples(obj: DigitalObject) -> list[Triple]:
@@ -117,56 +154,98 @@ def triple_count_formula(obj: DigitalObject) -> int:
 
 
 class TripleIndex:
-    """In-memory index with subject-, predicate-, and object-major orders."""
+    """In-memory index with subject-, predicate- and object-major orders,
+    keyed on interned term ids."""
 
     def __init__(self, result_cap: int = DEFAULT_RESULT_CAP):
         self.result_cap = result_cap
-        self._spo: dict[str, dict[str, set[Term]]] = {}
-        self._pos: dict[str, dict[Term, set[str]]] = {}
-        self._osp: dict[Term, dict[str, set[str]]] = {}
-        self._by_object: dict[str, list[Triple]] = {}
+        # a term's key is an IRI's text or a literal's Term, so a subject or
+        # predicate is looked up without building a Term
+        self._ids: dict[str | Term, int] = {}
+        self._terms: list[Term | None] = []  # id -> Term; None while free
+        self._free: list[int] = []  # ids of dropped terms, reused first
+        self._spo: dict[int, dict[int, set[int]]] = {}
+        self._pos: dict[int, dict[int, set[int]]] = {}
+        self._osp: dict[int, dict[int, set[int]]] = {}
+        self._maps = (self._spo, self._pos, self._osp)  # as _ORDERS
         self._count = 0
 
     # ------------------------------------------------------------ maintenance
 
+    def _intern(self, key, term: Term) -> int:
+        i = self._ids.get(key)
+        if i is None:
+            if self._free:
+                i = self._free.pop()
+                self._terms[i] = term
+            else:
+                i = len(self._terms)
+                self._terms.append(term)
+            self._ids[key] = i
+        return i
+
+    def _id(self, term: Term) -> int:
+        """A constant's id; ``_ABSENT`` when no indexed triple uses it."""
+        return self._ids.get(term.value if term.kind == "iri" else term, _ABSENT)
+
     def _add(self, t: Triple) -> None:
-        self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
-        self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
-        self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(t.predicate)
+        ids = self._ids
+        o = t.object
+        o = self._intern(o.value if o.kind == "iri" else o, o)
+        s = ids.get(t.subject)
+        if s is None:
+            s = self._intern(t.subject, Term.iri(t.subject))
+        p = ids.get(t.predicate)
+        if p is None:
+            p = self._intern(t.predicate, Term.iri(t.predicate))
+        objs = self._spo.setdefault(s, {}).setdefault(p, set())
+        if o in objs:
+            return
+        objs.add(o)
+        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._count += 1
 
-    def _remove(self, t: Triple) -> None:
-        def drop(d, k1, k2, v):
-            inner = d[k1]
-            s = inner[k2]
-            s.discard(v)
-            if not s:
-                del inner[k2]
-            if not inner:
-                del d[k1]
-
-        drop(self._spo, t.subject, t.predicate, t.object)
-        drop(self._pos, t.predicate, t.object, t.subject)
-        drop(self._osp, t.object, t.subject, t.predicate)
-        self._count -= 1
-
     def index_object(self, obj: DigitalObject) -> None:
-        if obj.id in self._by_object:
-            self.deindex_object(obj.id)
-        triples = extract_triples(obj)
-        self._by_object[obj.id] = triples
-        for t in triples:
+        self.deindex_object(obj.id)
+        for t in extract_triples(obj):
             self._add(t)
 
     def deindex_object(self, object_id: str) -> None:
-        for t in self._by_object.pop(object_id, []):
-            self._remove(t)
+        """Remove the triples whose subject is the object or one of its
+        datastreams, ``{id}/{dsId}`` under hasDatastream. A local id holds no
+        ``/``, so these are exactly the triples ``extract_triples`` gave."""
+        preds = self._spo.get(self._ids.get(object_id))
+        if preds is None:
+            return
+        terms = self._terms
+        subjects = [self._ids[object_id]]
+        subjects += [o for o in preds.get(self._ids.get(HAS_DATASTREAM), ())
+                     if terms[o].value.startswith(object_id + "/")]
+        touched = set(subjects)
+        for s in subjects:
+            for p, objs in self._spo.pop(s, {}).items():
+                for o in objs:
+                    _unlink(self._pos, p, o, s)
+                    _unlink(self._osp, o, s, p)
+                self._count -= len(objs)
+                touched.add(p)
+                touched |= objs
+        # a term whose last triple went leaves the table, so it stays bounded
+        for i in touched:
+            if i not in self._spo and i not in self._pos and i not in self._osp:
+                term = terms[i]
+                del self._ids[term.value if term.kind == "iri" else term]
+                terms[i] = None
+                self._free.append(i)
 
     def rebuild(self, objects) -> None:
+        self._ids.clear()
+        self._terms.clear()
+        self._free.clear()
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
-        self._by_object.clear()
         self._count = 0
         for obj in objects:
             self.index_object(obj)
@@ -175,161 +254,190 @@ class TripleIndex:
         return self._count
 
     def all_triples(self) -> list[Triple]:
-        out = []
-        for triples in self._by_object.values():
-            out.extend(triples)
-        return out
+        terms = self._terms
+        return [Triple(terms[s].value, terms[p].value, terms[o])
+                for s, preds in self._spo.items()
+                for p, objs in preds.items() for o in objs]
 
     def triple_set(self) -> set[Triple]:
         return set(self.all_triples())
 
-    # --------------------------------------------------------------- matching
+    # ---------------------------------------------------------- access paths
 
-    def _candidates(self, p: TriplePattern) -> list[Triple]:
-        s = p.subject.value if isinstance(p.subject, Term) else None
-        pr = p.predicate.value if isinstance(p.predicate, Term) else None
-        o = p.object if isinstance(p.object, Term) else None
-        if isinstance(p.subject, Term) and not p.subject.is_iri:
-            return []
-        if isinstance(p.predicate, Term) and not p.predicate.is_iri:
-            return []
+    def _lookup(self, key, bound: int = 0):
+        """Look up a pattern on its access path: ``key`` holds the ids of
+        its constants by position (None where open), and the bit set
+        ``bound`` adds the positions that bound variables fill. Returns the
+        node under the path's leading constants, or None if no triple has
+        them, the path's key order, and the number of leading constants."""
+        const = ((key[0] is not None) | (key[1] is not None) << 1
+                 | (key[2] is not None) << 2)
+        i, order = _PATHS[bound | const, const]
+        node = self._maps[i]
+        depth = 0
+        while depth < 3 and key[order[depth]] is not None:
+            node = _child(node, key[order[depth]], depth)
+            if not node:
+                return None, order, depth
+            depth += 1
+        return node, order, depth
 
-        if s is not None and pr is not None:
-            objs = self._spo.get(s, {}).get(pr, set())
-            if o is not None:
-                return [Triple(s, pr, o)] if o in objs else []
-            return [Triple(s, pr, obj) for obj in objs]
-        if pr is not None and o is not None:
-            return [Triple(subj, pr, o) for subj in self._pos.get(pr, {}).get(o, set())]
-        if s is not None and o is not None:
-            return [Triple(s, pred, o) for pred in self._osp.get(o, {}).get(s, set())]
-        if s is not None:
-            return [
-                Triple(s, pred, obj)
-                for pred, objs in self._spo.get(s, {}).items()
-                for obj in objs
-            ]
-        if pr is not None:
-            return [
-                Triple(subj, pr, obj)
-                for obj, subjs in self._pos.get(pr, {}).items()
-                for subj in subjs
-            ]
-        if o is not None:
-            return [
-                Triple(subj, pred, o)
-                for subj, preds in self._osp.get(o, {}).items()
-                for pred in preds
-            ]
-        return self.all_triples()
+    def _constants(self, atoms) -> tuple:
+        s, p, o = atoms
+        return (None if isinstance(s, Var) else self._id(s),
+                None if isinstance(p, Var) else self._id(p),
+                None if isinstance(o, Var) else self._id(o))
 
-    def estimate(self, p: TriplePattern) -> int:
-        """Exact count of the most-ground access path's range."""
-        s = p.subject.value if isinstance(p.subject, Term) else None
-        pr = p.predicate.value if isinstance(p.predicate, Term) else None
-        o = p.object if isinstance(p.object, Term) else None
-        if s is not None and pr is not None and o is not None:
+    def _matches(self, key) -> int:
+        node, _order, depth = self._lookup(key)
+        if node is None:
+            return 0
+        if depth == 3:
             return 1
-        if s is not None and pr is not None:
-            return len(self._spo.get(s, {}).get(pr, ()))
-        if pr is not None and o is not None:
-            return len(self._pos.get(pr, {}).get(o, ()))
-        if s is not None and o is not None:
-            return len(self._osp.get(o, {}).get(s, ()))
-        if s is not None:
-            return sum(len(v) for v in self._spo.get(s, {}).values())
-        if pr is not None:
-            return sum(len(v) for v in self._pos.get(pr, {}).values())
-        if o is not None:
-            return sum(len(v) for v in self._osp.get(o, {}).values())
+        if depth == 2:
+            return len(node)
+        if depth == 1:
+            return sum(map(len, node.values()))
         return self._count
 
+    def estimate(self, p: TriplePattern) -> int:
+        """Exact number of triples that match the pattern's constants."""
+        return self._matches(self._constants(_atoms(p)))
+
     def match(self, p: TriplePattern) -> set[Triple]:
-        return set(self._candidates(p))
+        """The triples that match the pattern's constants."""
+        key = self._constants(_atoms(p))
+        node, order, depth = self._lookup(key)
+        if node is None:
+            return set()
+        prefix = tuple(key[pos] for pos in order[:depth])
+        at = [order.index(pos) for pos in range(3)]
+        terms = self._terms
+        out = set()
+        for rest in _expand(node, 3 - depth):
+            ids = prefix + rest
+            out.add(Triple(terms[ids[at[0]]].value, terms[ids[at[1]]].value,
+                           terms[ids[at[2]]]))
+        return out
 
     # ------------------------------------------------------------- evaluation
 
     def evaluate(self, q: ConjunctiveQuery) -> set[SolutionRow]:
-        ordered = sorted(
-            range(len(q.patterns)), key=lambda i: (self.estimate(q.patterns[i]), i)
-        )
-        rows: list[dict[str, Term]] = [{}]
-        for i in ordered:
-            pattern = q.patterns[i]
-            new_rows: list[dict[str, Term]] = []
+        rows, slot = self._join(q)
+        names = sorted(set(q.projected))
+        if not rows:
+            return set()
+        if not names:
+            return {SolutionRow(())}
+        terms = self._terms
+        keys = set(map(itemgetter(*[slot[v] for v in names]), rows))
+        if len(names) == 1:
+            name = names[0]
+            return {SolutionRow(((name, terms[k]),)) for k in keys}
+        return {SolutionRow(tuple(zip(names, map(terms.__getitem__, k))))
+                for k in keys}
+
+    def explain(self, q: ConjunctiveQuery) -> list[dict]:
+        """One entry per join step, in the order run: the pattern, its
+        estimated matches per row given the variables bound before it, and
+        the rows after the step."""
+        plan: list[dict] = []
+        self._join(q, plan)
+        return plan
+
+    def _join(self, q: ConjunctiveQuery, plan: list | None = None):
+        """Join the patterns of ``q`` on tuple rows. Each next pattern is the
+        one with the fewest estimated matches per row given the variables
+        bound so far: its exact count over its constants, divided, for each
+        position a bound variable fills, by the number of distinct terms in
+        that position. Returns the rows and each variable's slot in them."""
+        atoms = [_atoms(p) for p in q.patterns]
+        keys = [self._constants(a) for a in atoms]
+        counts: dict[int, int] = {}
+        slot: dict[str, int] = {}
+        rows: list[tuple] = [()]
+
+        def fanout(i):
+            if i not in counts:
+                counts[i] = self._matches(keys[i])
+            est = counts[i]
+            for pos, atom in enumerate(atoms[i]):
+                if isinstance(atom, Var) and atom.name in slot:
+                    est /= len(self._maps[pos]) or 1  # distinct terms there
+            return est
+
+        todo = list(range(len(atoms)))
+        while todo:
+            i = todo[0] if len(todo) == 1 else min(todo, key=lambda i: (fanout(i), i))
+            todo.remove(i)
+            if plan is not None:
+                plan.append({"pattern": _render(q.patterns[i]),
+                             "estimate": fanout(i)})
+            rows = self._step(rows, atoms[i], keys[i], slot)
+            if plan is not None:
+                plan[-1]["rows"] = len(rows)
+        return rows, slot
+
+    def _step(self, rows, atoms, key, slot):
+        """Extend every row by each match of one pattern; its new variables
+        take the next slots."""
+        bound = known = 0  # the positions bound variables fill; all known
+        for pos in range(3):
+            if key[pos] is None and atoms[pos].name in slot:
+                bound |= 1 << pos
+            known += key[pos] is not None or bound >> pos & 1
+        node, order, depth = self._lookup(key, bound)  # once for the step
+        if node is None:
+            return []
+        names = [atoms[pos].name for pos in order[known:]]
+        for name in names:
+            slot.setdefault(name, len(slot))
+        free = 3 - known
+        cap = self.result_cap
+        if depth == known:
+            ext = _expand(node, free, names)
+            if len(rows) * len(ext) > cap:
+                raise QueryTooLarge(f"intermediate result exceeds {cap} rows")
+            return [row + e for row in rows for e in ext]
+        # the rest of the bound key, per row: a variable's slot, or
+        # (None, id) for a constant after a variable
+        first, *rest = [slot[atoms[pos].name] if key[pos] is None
+                        else (None, key[pos]) for pos in order[depth:known]]
+        if not rest and not free:  # a check against one set
+            return [row for row in rows if row[first] in node]
+        get = node.get
+        out: list[tuple] = []
+        append = out.append
+        if not rest and free == 1:  # the common shape: one new variable
             for row in rows:
-                self._extend_rows(pattern, row, new_rows)
-                if len(new_rows) > self.result_cap:
-                    raise QueryTooLarge(
-                        f"intermediate result exceeds {self.result_cap} rows"
-                    )
-            rows = new_rows
-            if not rows:
-                break
-        return _project(rows, q.projected)
-
-    def _extend_rows(self, p: TriplePattern, row: dict[str, Term],
-                     out: list[dict[str, Term]]) -> None:
-        """Append every extension of `row` matching pattern `p`, binding the
-        pattern's open variables straight off the index maps (the hot path of
-        evaluate -- no Triple objects are materialized here)."""
-        def resolve(atom):
-            if isinstance(atom, Var):
-                return row.get(atom.name), atom.name
-            return atom, None
-
-        s_term, s_var = resolve(p.subject)
-        p_term, p_var = resolve(p.predicate)
-        o_term, o_var = resolve(p.object)
-        # subject and predicate positions only ever hold IRIs
-        if (s_term is not None and not s_term.is_iri) or \
-           (p_term is not None and not p_term.is_iri):
-            return
-        s = s_term.value if s_term is not None else None
-        pr = p_term.value if p_term is not None else None
-        o = o_term
-
-        def emit(*pairs):
-            new = dict(row)
-            for name, value in pairs:
-                existing = new.get(name)
-                if existing is not None and existing != value:
-                    return  # same variable twice in one pattern
-                new[name] = value
-            out.append(new)
-
-        if s is not None and pr is not None:
-            objs = self._spo.get(s, {}).get(pr)
-            if not objs:
-                return
-            if o is not None:
-                if o in objs:
-                    out.append(dict(row))
-                return
-            for obj in objs:
-                emit((o_var, obj))
-        elif pr is not None and o is not None:
-            for subj in self._pos.get(pr, {}).get(o, ()):
-                emit((s_var, Term.iri(subj)))
-        elif s is not None and o is not None:
-            for pred in self._osp.get(o, {}).get(s, ()):
-                emit((p_var, Term.iri(pred)))
-        elif s is not None:
-            for pred, objs in self._spo.get(s, {}).items():
-                for obj in objs:
-                    emit((p_var, Term.iri(pred)), (o_var, obj))
-        elif pr is not None:
-            for obj, subjs in self._pos.get(pr, {}).items():
-                for subj in subjs:
-                    emit((s_var, Term.iri(subj)), (o_var, obj))
-        elif o is not None:
-            for subj, preds in self._osp.get(o, {}).items():
-                for pred in preds:
-                    emit((s_var, Term.iri(subj)), (p_var, Term.iri(pred)))
-        else:
-            for t in self.all_triples():
-                emit((s_var, Term.iri(t.subject)),
-                     (p_var, Term.iri(t.predicate)), (o_var, t.object))
+                n = get(row[first])
+                if n:
+                    for x in n:
+                        append(row + (x,))
+                    if len(out) > cap:
+                        raise QueryTooLarge(
+                            f"intermediate result exceeds {cap} rows")
+            return out
+        for row in rows:
+            n = get(row[first])
+            d = depth + 1
+            for k in rest:
+                if not n:
+                    break
+                n = _child(n, k[1] if isinstance(k, tuple) else row[k], d)
+                d += 1
+            if not n:
+                continue
+            if not free:
+                append(row)
+            elif free == 1:
+                for x in n:
+                    append(row + (x,))
+            else:
+                out += [row + e for e in _expand(n, free, names)]
+            if len(out) > cap:
+                raise QueryTooLarge(f"intermediate result exceeds {cap} rows")
+        return out
 
     def evaluate_brute_force(self, q: ConjunctiveQuery) -> set[SolutionRow]:
         """Semantics-defining reference: filter the full triple list per pattern,
@@ -347,7 +455,61 @@ class TripleIndex:
                     if ext is not None:
                         new_rows.append(ext)
             rows = new_rows
-        return _project(rows, q.projected)
+        return {
+            SolutionRow.of({v: row[v] for v in q.projected if v in row})
+            for row in rows
+        }
+
+
+def _atoms(p: TriplePattern) -> tuple[Atom, Atom, Atom]:
+    return p.subject, p.predicate, p.object
+
+
+def _child(node, key, depth):
+    """One key down from ``node``, which lies ``depth`` keys under a map's
+    root: a dict, a set, or for the third key whether the set holds it."""
+    return key in node if depth == 2 else node.get(key)
+
+
+def _expand(node, free: int, names=()) -> list[tuple]:
+    """Every key tuple of the ``free`` levels under ``node``. Where a
+    variable in ``names`` (one per level) repeats, only the tuples whose
+    values agree there, each value once."""
+    if free == 0:
+        return [()]
+    if free == 1:
+        return [(x,) for x in node]
+    if free == 2:
+        ext = [(x, y) for x, leaf in node.items() for y in leaf]
+    else:
+        ext = [(x, y, z) for x, mid in node.items()
+               for y, leaf in mid.items() for z in leaf]
+    first = [names.index(n) for n in names]
+    if first == list(range(len(names))):
+        return ext
+    keep = sorted(set(first))
+    return [tuple(e[j] for j in keep) for e in ext
+            if all(e[j] == e[f] for j, f in enumerate(first))]
+
+
+def _unlink(m, a: int, b: int, c: int) -> None:
+    inner = m[a]
+    leaf = inner[b]
+    leaf.discard(c)
+    if not leaf:
+        del inner[b]
+        if not inner:
+            del m[a]
+
+
+def _render(p: TriplePattern) -> str:
+    def atom(a):
+        if isinstance(a, Var):
+            return a.name
+        if a.is_iri:
+            return f"<{a.value}>"
+        return '"' + a.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return " ".join(atom(a) for a in _atoms(p))
 
 
 def _unifies(p: TriplePattern, t: Triple) -> bool:
@@ -384,12 +546,6 @@ def _merge(p: TriplePattern, t: Triple, row: dict[str, Term]):
     ext = dict(row)
     ext.update(pairs)
     return ext
-
-
-def _project(rows, projected) -> set[SolutionRow]:
-    return {
-        SolutionRow.of({v: row[v] for v in projected if v in row}) for row in rows
-    }
 
 
 # ------------------------------------------------------------- query grammar

@@ -53,6 +53,9 @@ DEFAULT_CONFIG = {
     "pageSize": "100",
 }
 
+# the largest request body read; a longer Content-Length is answered 413
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 # one JSON line per request at INFO; ``ino serve`` sends it to stderr
 _ACCESS_LOG = logging.getLogger("ino.access")
 
@@ -153,6 +156,9 @@ class Service:
                 ID_PREFIX + parts[1], parts[2]
             )
             return 200, media, data
+        if method == "POST" and path == "/query" and query.get("explain") == "1":
+            plan = self.repo.explain(body.decode("utf-8"))
+            return 200, "application/json", json.dumps({"plan": plan}).encode()
         if method == "POST" and path == "/query":
             rows = self.repo.query(body.decode("utf-8"))
             out = [
@@ -300,8 +306,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, "application/json", json.dumps(
                 {"error": f"bad Content-Length: {length!r}"}).encode())
             return
+        size = length.lstrip("0") or "0"  # int() refuses over 4300 digits
+        if len(size) > len(str(MAX_BODY_BYTES)) or int(size) > MAX_BODY_BYTES:
+            # the body is left unread, so the connection cannot go on
+            self.close_connection = True
+            self._send(413, "application/json", json.dumps(
+                {"error": f"body over {MAX_BODY_BYTES} bytes"}).encode())
+            return
         try:
-            body = self.rfile.read(int(length))
+            body = self.rfile.read(int(size))
             status, media, data = self.service.handle(
                 method, split.path, query, body, self.headers
             )

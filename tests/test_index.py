@@ -1,5 +1,7 @@
 import itertools
 import random
+from dataclasses import replace
+from datetime import timedelta
 
 import pytest
 
@@ -16,6 +18,7 @@ from ino.index import (
     triple_count_formula,
 )
 from ino.model import (
+    INO_NS,
     MEMBER_OF,
     METADATA_FOR,
     OBJECT_TYPE,
@@ -27,6 +30,8 @@ from ino.model import (
     type_iri,
 )
 from util import random_object
+
+RELATED_TO = INO_NS + "relatedTo"
 
 
 def obj(local, types=("Resource",), **kw):
@@ -257,3 +262,245 @@ def test_pattern_count_limit():
     )
     with pytest.raises(QuerySyntaxError):
         ConjunctiveQuery(patterns, ("?s",))
+
+
+# ------------------------------------------- differential and bound tests
+
+def _random_index(rng, n=40):
+    """Random objects, plus a self-loop and a literal that spells the IRI
+    of a subject, so kinds and repeated variables are exercised."""
+    idx = TripleIndex()
+    objects = [random_object(rng, object_id=f"info:ino/o{i}") for i in range(n)]
+    oid = objects[0].id
+    objects[0] = make_draft(oid, objects[0].types, objects[0].datastreams, [
+        Triple(oid, RELATED_TO, Term.iri(oid)),
+        Triple(oid, RELATED_TO, Term.literal(objects[1].id)),
+        Triple(oid, MEMBER_OF, Term.iri(objects[2].id)),
+    ])
+    for i in range(3, n):
+        if rng.random() < 0.5:  # links between objects, for chains
+            objects[i] = make_draft(objects[i].id, objects[i].types, (), [
+                Triple(objects[i].id, MEMBER_OF,
+                       Term.iri(rng.choice(objects[:i]).id))])
+    for o in objects:
+        idx.index_object(o)
+    return idx
+
+
+_ABSENT_TERMS = (Term.iri("info:ino/none"), Term.literal("nope"),
+                 Term.literal("info:ino/o3"))
+
+
+def _random_patterns(rng, triples, by_subject):
+    """1-3 patterns from indexed triples that share a subject (a star) or
+    link an object to a subject (a chain). Each position is a constant, a
+    variable named after its term (so shared terms join), another variable,
+    or now and then a constant that no triple uses."""
+    chosen = [rng.choice(triples)]
+    for _ in range(rng.randint(0, 2)):
+        base = rng.choice(chosen)
+        pool = by_subject[base.subject]
+        if base.object.is_iri and rng.random() < 0.5:
+            pool = by_subject.get(base.object.value, pool)
+        chosen.append(rng.choice(pool))
+    names: dict[Term, str] = {}
+    patterns = []
+    for t in chosen:
+        atoms = []
+        for value in (Term.iri(t.subject), Term.iri(t.predicate), t.object):
+            roll = rng.random()
+            if roll < 0.05:
+                atoms.append(rng.choice(_ABSENT_TERMS))
+            elif roll < 0.4:
+                atoms.append(value)
+            elif roll < 0.5 and names:
+                atoms.append(Var(rng.choice(sorted(names.values()))))
+            else:
+                atoms.append(Var(names.setdefault(value, f"?v{len(names)}")))
+        patterns.append(TriplePattern(*atoms))
+    return tuple(patterns)
+
+
+def test_evaluate_equals_brute_force_in_every_order():
+    rng = random.Random(7)
+    idx = _random_index(rng)
+    triples = idx.all_triples()
+    by_subject: dict[str, list[Triple]] = {}
+    for t in triples:
+        by_subject.setdefault(t.subject, []).append(t)
+    checked = nonempty = joins = 0
+    while checked < 300:
+        patterns = _random_patterns(rng, triples, by_subject)
+        used = sorted(set().union(*(p.variables() for p in patterns)))
+        cost = 1
+        for p in patterns:
+            cost *= max(idx.estimate(p), 1)
+        if cost > 50_000:  # keep the nested-loop oracle cheap
+            continue
+        projected = tuple(rng.sample(used, rng.randint(0, len(used))))
+        expected = idx.evaluate_brute_force(ConjunctiveQuery(patterns, projected))
+        for perm in itertools.permutations(patterns):
+            assert idx.evaluate(ConjunctiveQuery(perm, projected)) == expected, perm
+        checked += 1
+        nonempty += bool(expected)
+        joins += bool(expected) and len(patterns) > 1
+    assert nonempty >= 100 and joins >= 50, (nonempty, joins)
+
+
+@pytest.mark.parametrize("patterns, projected", [
+    # a variable predicate
+    ([(Var("?s"), Var("?p"), Term.iri("info:ino/o2"))], ("?s", "?p")),
+    # a variable twice in one pattern: the self-loop only
+    ([(Var("?x"), Var("?p"), Var("?x"))], ("?x", "?p")),
+    ([(Var("?x"), Var("?x"), Var("?o"))], ("?x",)),
+    # a literal bound to a variable that a later pattern uses as a subject:
+    # its text is an IRI subject's, but a literal is no subject
+    ([(Term.iri("info:ino/o0"), Var("?p"), Var("?o")),
+      (Var("?o"), Term.iri(OBJECT_TYPE), Var("?t"))], ("?o", "?t")),
+    # a chain and a star
+    ([(Var("?a"), Term.iri(MEMBER_OF), Var("?b")),
+      (Var("?b"), Term.iri(OBJECT_TYPE), Var("?t")),
+      (Var("?b"), Term.iri(STATE), Var("?st"))], ("?a", "?t", "?st")),
+    # constants that no triple uses, in each position
+    ([(Var("?s"), Term.iri("info:ino/nope"), Var("?o"))], ("?s",)),
+    ([(Term.literal("info:ino/o0"), Var("?p"), Var("?o"))], ("?p",)),
+    ([(Var("?s"), Term.iri(STATE), Var("?o")),
+      (Var("?s"), Var("?p"), Term.literal("nope"))], ("?s",)),
+])
+def test_evaluate_shapes_equal_brute_force(patterns, projected):
+    idx = _random_index(random.Random(8))
+    q = ConjunctiveQuery(tuple(TriplePattern(*p) for p in patterns), projected)
+    expected = idx.evaluate_brute_force(q)
+    for perm in itertools.permutations(q.patterns):
+        assert idx.evaluate(ConjunctiveQuery(perm, projected)) == expected
+
+
+def test_self_loop_and_literal_rows():
+    idx = _random_index(random.Random(8))
+    loop = ConjunctiveQuery((TriplePattern(Var("?x"), Var("?p"), Var("?x")),),
+                            ("?x",))
+    assert idx.evaluate(loop) == {SolutionRow.of({"?x": Term.iri("info:ino/o0")})}
+    lit = ConjunctiveQuery((
+        TriplePattern(Term.iri("info:ino/o0"), Term.iri(RELATED_TO), Var("?o")),
+        TriplePattern(Var("?o"), Term.iri(OBJECT_TYPE), Var("?t"))), ("?o",))
+    assert idx.evaluate(lit) == {SolutionRow.of({"?o": Term.iri("info:ino/o0")})}
+
+
+def _term_table(idx):
+    live = [t for t in idx._terms if t is not None]
+    assert len(live) == len(idx._ids) == len(idx._terms) - len(idx._free)
+    return set(live)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_term_table_equals_rebuild_after_churn(seed):
+    rng = random.Random(seed)
+    idx = TripleIndex()
+    live = {}
+    for i in range(300):
+        roll = rng.random()
+        if roll < 0.4 or not live:
+            o = random_object(rng, object_id=f"info:ino/o{i}")
+        elif roll < 0.85:  # modify: a new modifiedDate and new links
+            old = live[rng.choice(sorted(live))]
+            fresh = random_object(rng, object_id=old.id)
+            o = replace(old, modified=old.modified + timedelta(seconds=i),
+                        datastreams=fresh.datastreams,
+                        relationships=fresh.relationships)
+        else:
+            oid = rng.choice(sorted(live))
+            idx.deindex_object(oid)
+            del live[oid]
+            continue
+        idx.index_object(o)
+        live[o.id] = o
+    fresh = TripleIndex()
+    fresh.rebuild(live.values())
+    assert _term_table(idx) == _term_table(fresh)
+    assert idx.triple_set() == fresh.triple_set()
+    assert idx.size() == fresh.size()
+
+
+def test_term_table_empties_when_every_object_goes():
+    rng = random.Random(4)
+    idx = TripleIndex()
+    objects = [random_object(rng, object_id=f"info:ino/o{i}") for i in range(30)]
+    for o in objects:
+        idx.index_object(o)
+        idx.index_object(o)  # re-indexing replaces
+    for o in objects:
+        idx.deindex_object(o.id)
+    assert idx.size() == 0 and _term_table(idx) == set()
+
+
+# ---------------------------------------------------------------- explain
+
+def _aggregation_fixture(aggregations=6, resources=60):
+    """The bench's shape: resources and their metadata, each a member of
+    one aggregation; aggregation 0 has few members."""
+    idx = TripleIndex()
+    for i in range(resources):
+        agg = Term.iri(f"info:ino/agg{0 if i < 3 else 1 + i % (aggregations - 1)}")
+        r, m = f"info:ino/r{i}", f"info:ino/m{i}"
+        idx.index_object(obj(f"r{i}", relationships=[Triple(r, MEMBER_OF, agg)]))
+        if i % 4:
+            idx.index_object(obj(f"m{i}", types=("Metadata",), relationships=[
+                Triple(m, METADATA_FOR, Term.iri(r)), Triple(m, MEMBER_OF, agg)]))
+    return idx
+
+
+def _join_query(agg):
+    return ConjunctiveQuery((
+        TriplePattern(Var("?r"), Term.iri(MEMBER_OF), Term.iri(agg)),
+        TriplePattern(Var("?m"), Term.iri(METADATA_FOR), Var("?r")),
+        TriplePattern(Var("?m"), Term.iri(OBJECT_TYPE),
+                      Term.iri(type_iri("Metadata"))),
+    ), ("?m",))
+
+
+@pytest.mark.parametrize("agg", ["info:ino/agg0", "info:ino/agg1"])
+def test_explain_join(agg):
+    idx = _aggregation_fixture()
+    q = _join_query(agg)
+    plan = idx.explain(q)
+    assert len(plan) == 3
+    assert sorted(step["pattern"] for step in plan) == sorted([
+        f"?r <{MEMBER_OF}> <{agg}>", f"?m <{METADATA_FOR}> ?r",
+        f"?m <{OBJECT_TYPE}> <{type_iri('Metadata')}>"])
+    # the last step holds the join's rows before projection
+    every_variable = ConjunctiveQuery(q.patterns, ("?m", "?r"))
+    assert plan[-1]["rows"] == len(idx.evaluate_brute_force(every_variable)) > 0
+    # the first step's estimate is the pattern's exact count
+    first = next(p for p in q.patterns if _render_of(p) == plan[0]["pattern"])
+    assert plan[0]["estimate"] == idx.estimate(first)
+    assert idx.evaluate(q) == idx.evaluate_brute_force(q)
+
+
+def _render_of(p):
+    return " ".join(a.name if isinstance(a, Var) else f"<{a.value}>"
+                    for a in (p.subject, p.predicate, p.object))
+
+
+def test_explain_starts_from_a_selective_constant_pattern():
+    idx = _aggregation_fixture()
+    for q in (_join_query("info:ino/agg0"),
+              ConjunctiveQuery(tuple(reversed(_join_query("info:ino/agg0").patterns)),
+                               ("?m",))):
+        plan = idx.explain(q)
+        assert plan[0]["pattern"] == f"?r <{MEMBER_OF}> <info:ino/agg0>"
+        assert plan[0]["estimate"] == plan[0]["rows"] == 5  # 3 resources, 2 metadata
+
+
+def test_explain_with_an_absent_constant():
+    idx = _aggregation_fixture()
+    plan = idx.explain(_join_query("info:ino/none"))
+    assert plan[0] == {"pattern": f"?r <{MEMBER_OF}> <info:ino/none>",
+                       "estimate": 0, "rows": 0}
+    assert [step["rows"] for step in plan] == [0, 0, 0]
+
+
+def test_solution_row_getitem():
+    row = SolutionRow.of({"?a": Term.iri("x"), "?b": Term.literal("y")})
+    assert row["?b"] == Term.literal("y") and row["?a"] == Term.iri("x")
+    with pytest.raises(KeyError):
+        row["?c"]

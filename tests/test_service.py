@@ -113,6 +113,23 @@ def test_query_route(service):
                                                 f"info:ino/{_metadata}"}
 
 
+def test_query_explain_route(service):
+    _agent, agg, resource, metadata = populate(service)
+    q = (f"SELECT ?m WHERE ?r <info:ino/def#memberOf> <info:ino/{agg}> ; "
+         "?m <info:ino/def#metadataFor> ?r ; "
+         "?m <info:ino/def#objectType> <info:ino/def#Metadata>").encode()
+    status, media, data = service.handle("POST", "/query", {"explain": "1"}, q, {})
+    plan = json.loads(data)["plan"]
+    assert (status, media, len(plan)) == (200, "application/json", 3)
+    # one metadataFor triple against two members: the plan starts there
+    assert plan[0] == {"pattern": "?m <info:ino/def#metadataFor> ?r",
+                       "estimate": 1, "rows": 1}
+    assert plan[-1]["rows"] == 1
+    _s, _m, data = service.handle("POST", "/query", {}, q, {})
+    assert json.loads(data)["rows"] == [
+        {"?m": {"kind": "iri", "value": f"info:ino/{metadata}"}}]
+
+
 def test_membership_route(service):
     _agent, agg, resource, metadata = populate(service)
     status, _media, data = call(service, "PUT", f"/aggregations/{agg}/members",
@@ -435,6 +452,36 @@ def test_bad_content_length_is_400_and_closes(live, length):
     assert reply.count(b"HTTP/1.1 ") == 1
     assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"].startswith(
         "bad Content-Length")
+
+
+# at 10**15 the old read raised MemoryError: a 500, with the connection left
+# open and the body to be parsed as the next request; int() refuses a string
+# of over 4300 digits
+@pytest.mark.parametrize("length", [str(10**15), "9" * 5000],
+                         ids=["10**15", "5000-digits"])
+def test_oversized_body_is_413_and_closes(live, length):
+    _svc, port = live
+    reply = raw_exchange(port, (
+        "POST /query HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+        "SELECT ?s WHERE ?s ?p ?o").encode())
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert "body over" in json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"]
+
+
+def test_body_bound_is_inclusive(live, monkeypatch):
+    _svc, port = live
+    body = b"SELECT ?s WHERE ?s <info:ino/def#state> \"Active\""
+    monkeypatch.setattr(service_module, "MAX_BODY_BYTES", len(body))
+    status, _h, data = request(port, "POST", "/query", body)
+    assert status == 200 and "rows" in json.loads(data)
+    status, _h, _d = request(port, "POST", "/query", body + b" ")
+    assert status == 413
+    reply = raw_exchange(port, (
+        "POST /query HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+        f"Content-Length: {'0' * 5000}{len(body)}\r\n\r\n").encode() + body)
+    assert reply.startswith(b"HTTP/1.1 200 ")
 
 
 def test_http09_request_gets_the_body_alone(live):
