@@ -96,11 +96,10 @@ class Repository:
 
     def __init__(self, root, ontology: OntologyRegistry | None = None,
                  clock: Clock | None = None, durable: bool = True,
-                 crosswalks: CrosswalkRegistry | None = None,
-                 result_cap: int | None = None):
+                 crosswalks: CrosswalkRegistry | None = None):
         self.ontology = ontology or OntologyRegistry.load()
         self.store = ObjectStore(root, clock=clock, durable=durable)
-        self.index = TripleIndex(**({"result_cap": result_cap} if result_cap else {}))
+        self.index = TripleIndex()
         self.index.rebuild(self.store.objects())
         self.store.on_commit(self._on_commit)
         self.disseminator = Disseminator(self.store.get, crosswalks)

@@ -8,6 +8,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from .api import Repository
 from .bench import bench_all
@@ -139,11 +140,18 @@ def _run(args) -> int:
         repo = Repository(args.data_dir)
         try:
             provider = OaiProvider(repo)
+            path = Path(args.data_dir) / "oai_cache.json"
+            if path.exists():  # its deleted records carry forward
+                try:
+                    provider.load_cache(path)
+                except (ValueError, KeyError, TypeError) as exc:
+                    print(f"warning: unreadable {path} ({exc}); its deleted "
+                          "records are lost", file=sys.stderr)
             stats = provider.rebuild_cache()
-            from pathlib import Path
-
-            provider.save_cache(Path(args.data_dir) / "oai_cache.json")
-            print(f"{stats.records} records in {stats.elapsed:.2f}s")
+            provider.save_cache(path)
+            deleted = sum(r.deleted for r in provider.records.values())
+            print(f"{stats.records} records ({deleted} deleted) "
+                  f"in {stats.elapsed:.2f}s")
         finally:
             repo.close()
         return 0

@@ -84,10 +84,9 @@ def nsdl_dc_to_oai_dc(data: bytes) -> bytes:
 
 
 class CrosswalkRegistry:
-    def __init__(self, include_builtin: bool = True):
+    def __init__(self):
         self._by_pair: dict[tuple[str, str], Crosswalk] = {}
-        if include_builtin:
-            self.register("nsdl_dc", "oai_dc", "nsdl_dc_to_oai_dc", nsdl_dc_to_oai_dc)
+        self.register("nsdl_dc", "oai_dc", "nsdl_dc_to_oai_dc", nsdl_dc_to_oai_dc)
 
     def register(self, from_format: str, to_format: str, transform_id: str,
                  transform: Callable[[bytes], bytes]) -> None:

@@ -62,7 +62,7 @@ class Harvester:
                 from_ts: str | None = None) -> IngestStats:
         stats = IngestStats()
         agent = self._source_agent(base_url)
-        agg = self._source_aggregation(base_url, set_spec)
+        agg = self._source_aggregation(base_url, set_spec, agent)
 
         params = {"verb": "ListRecords", "metadataPrefix": metadata_prefix}
         if set_spec:
@@ -127,7 +127,7 @@ class Harvester:
             stats.skipped += 1
             return
         try:
-            existing = self._find_metadata(oai_id)
+            existing = self._live_subject(SOURCE_RECORD_ID, oai_id)
             if existing is not None:
                 current = self.repo.get_dissemination(existing, metadata_prefix)[0]
                 if current == payload:
@@ -167,38 +167,24 @@ class Harvester:
                     return text
         return None
 
-    def _find_metadata(self, oai_id: str) -> str | None:
-        hits = self.repo.match(
-            TriplePattern(Var("?m"), Term.iri(SOURCE_RECORD_ID),
-                          Term.literal(oai_id))
-        )
-        for t in hits:
+    def _live_subject(self, predicate: str, literal: str) -> str | None:
+        """A live object with ``literal`` as its ``predicate``, if any."""
+        for t in self.repo.match(TriplePattern(Var("?s"), Term.iri(predicate),
+                                               Term.literal(literal))):
             if self.repo.store.exists(t.subject):
                 return t.subject
         return None
 
     def _source_agent(self, base_url: str) -> str:
-        hits = self.repo.match(
-            TriplePattern(Var("?a"), Term.iri(SOURCE_BASE_URL),
-                          Term.literal(base_url))
-        )
-        for t in hits:
-            if self.repo.store.exists(t.subject):
-                return t.subject
-        return self.repo.add_agent(
+        return self._live_subject(SOURCE_BASE_URL, base_url) or self.repo.add_agent(
             base_url, "Service",
             extra_relationships=[(SOURCE_BASE_URL, Term.literal(base_url))],
         )
 
-    def _source_aggregation(self, base_url: str, set_spec: str | None) -> str:
+    def _source_aggregation(self, base_url: str, set_spec: str | None,
+                            agent: str) -> str:
         key = f"{base_url}|{set_spec or ''}"
-        hits = self.repo.match(
-            TriplePattern(Var("?a"), Term.iri(SOURCE_SET), Term.literal(key))
-        )
-        for t in hits:
-            if self.repo.store.exists(t.subject):
-                return t.subject
-        return self.repo.create_aggregation(
-            self._source_agent(base_url), ResourceSpec(content_url=base_url),
+        return self._live_subject(SOURCE_SET, key) or self.repo.create_aggregation(
+            agent, ResourceSpec(content_url=base_url),
             extra_relationships=[(SOURCE_SET, Term.literal(key))],
         )

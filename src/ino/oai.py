@@ -1,9 +1,14 @@
 """OAI-PMH 2.0 data provider over a materialized record cache.
 
-The cache is batch-populated from conjunctive queries over the triple index,
-maintained from the store's change-event feed and replaced whole, never
-changed in place; resumption tokens are stateless cursors over it. Record
-payloads are disseminated at response time, never stored.
+One rule, ``_reconcile``, gives each object its records: a live object typed
+Metadata has one live record per format it can be disseminated in, in the sets
+its own memberOf relationships name; a purged object keeps the records it had,
+marked deleted at its purge time (``deletedRecord=persistent``); any other
+object has none. ``rebuild_cache`` applies the rule to every live Metadata
+object and every object the cache holds records of, ``catch_up`` to each
+object the new change events touch. The record map and its ``formats`` are
+replaced whole, never changed in place; resumption tokens are stateless
+cursors over them. Record payloads are disseminated at response time.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .errors import BadResumptionToken, EventOutOfOrder, FormatUnavailable, NotF
 from .index import ConjunctiveQuery, TriplePattern, Var
 from .model import (
     MEMBER_OF,
-    METADATA_FOR,
     OBJECT_TYPE,
     Term,
     format_ts,
@@ -29,7 +33,7 @@ from .model import (
     parse_ts,
     type_iri,
 )
-from .store import CREATED, MODIFIED, PURGED, ChangeEvent
+from .store import ChangeEvent
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 OAI_SCHEMA = "http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
@@ -112,91 +116,88 @@ class OaiProvider:
         self.repo = repo
         self.page_size = page_size
         self.base_url = base_url
+        self.formats: frozenset[str] = frozenset()  # of every record cached; grows
         self.records: dict[tuple[str, str], OaiRecord] = {}
         self.last_applied_seq = 0
 
     # ----------------------------------------------------------- cache build
 
-    def _records_for(self, metadata_id: str) -> list[OaiRecord]:
-        obj = self.repo.get_object(metadata_id)
-        q = ConjunctiveQuery(
-            (TriplePattern(Term.iri(metadata_id), Term.iri(MEMBER_OF), Var("?a")),),
-            ("?a",),
-        )
-        sets = frozenset(
-            local_id(row["?a"].value) for row in self.repo.query(q)
-        )
-        identifier = IDENTIFIER_PREFIX + local_id(metadata_id)
-        return [
-            OaiRecord(identifier, fmt, obj.modified, sets, False, metadata_id)
-            for fmt in sorted(self.repo.list_formats(metadata_id))
-        ]
+    def _reconcile(self, records: dict, formats: set, object_id: str) -> None:
+        """Give ``object_id`` the records the module's rule assigns it, in
+        ``records``; add any format they introduce to ``formats``."""
+        identifier = IDENTIFIER_PREFIX + local_id(object_id)
+        old = [records.pop((identifier, f)) for f in formats
+               if (identifier, f) in records]
+        purged = self.repo.store.purged_at(object_id)
+        if purged is not None:
+            for rec in old:
+                records[(identifier, rec.format)] = replace(
+                    rec, deleted=True, datestamp=purged)
+            return
+        try:
+            obj = self.repo.get_object(object_id)
+        except NotFound:
+            return
+        if "Metadata" not in obj.types:
+            return
+        sets = frozenset(local_id(t.object.value) for t in obj.relationships
+                         if t.predicate == MEMBER_OF)
+        for fmt in sorted(self.repo.list_formats(object_id)):
+            formats.add(fmt)
+            records[(identifier, fmt)] = OaiRecord(
+                identifier, fmt, obj.modified, sets, False, object_id)
+
+    def _publish(self, records: dict, formats: set, seq: int) -> None:
+        # formats first, and it only grows: a reader that reads ``records``
+        # and then ``formats`` finds the format of every record it holds
+        self.formats = frozenset(formats)
+        self.records = records
+        self.last_applied_seq = seq
 
     def rebuild_cache(self) -> CacheStats:
-        """Re-derive all live records via graph queries and carry forward
-        deleted records whose source object is no longer live."""
+        """Reconcile every live Metadata object and every object the cache
+        holds records of, so deleted records carry forward."""
         start = time.perf_counter()
         with self.repo._lock:
-            q = ConjunctiveQuery(
-                (
-                    TriplePattern(Var("?m"), Term.iri(OBJECT_TYPE),
-                                  Term.iri(type_iri("Metadata"))),
-                    TriplePattern(Var("?m"), Term.iri(METADATA_FOR), Var("?r")),
-                ),
-                ("?m",),
-            )
-            fresh: dict[tuple[str, str], OaiRecord] = {}
-            for row in self.repo.query(q):
-                mid = row["?m"].value
-                for rec in self._records_for(mid):
-                    fresh[(rec.identifier, rec.format)] = rec
-            for key, rec in self.records.items():
-                if rec.deleted and not self.repo.store.exists(rec.source_object):
-                    fresh.setdefault(key, rec)
-            self.records = fresh
-            self.last_applied_seq = self.repo.store.current_seq
-        return CacheStats(len(self.records), time.perf_counter() - start)
+            records, formats = dict(self.records), set(self.formats)
+            objects = dict.fromkeys(rec.source_object for rec in records.values())
+            objects.update(dict.fromkeys(t.subject for t in self.repo.match(
+                TriplePattern(Var("?m"), Term.iri(OBJECT_TYPE),
+                              Term.iri(type_iri("Metadata"))))))
+            for object_id in objects:
+                self._reconcile(records, formats, object_id)
+            self._publish(records, formats, self.repo.store.current_seq)
+        return CacheStats(len(records), time.perf_counter() - start)
 
     # ------------------------------------------------------------ incremental
 
     def apply_event(self, event: ChangeEvent) -> None:
-        self._apply([event])
+        with self.repo._lock:
+            self._apply([event])
 
     def catch_up(self) -> int:
         """Apply any store events past the last applied seq."""
-        events = self.repo.changes_since(self.last_applied_seq)
-        self._apply(events)
+        with self.repo._lock:
+            events = self.repo.changes_since(self.last_applied_seq)
+            self._apply(events)
         return len(events)
 
     def _apply(self, events) -> None:
-        """Apply ``events`` to a copy of the cache, then publish the copy:
-        ``self.records`` is never changed in place, so a request iterates the
-        map it read undisturbed and needs no lock."""
+        """Check that ``events`` continue the applied sequence, reconcile
+        each object they touch once in a copy of the cache, then publish the
+        copy: ``self.records`` is never changed in place, so a request
+        iterates the map it read undisturbed and needs no lock."""
         if not events:
             return
-        records = dict(self.records)
         seq = self.last_applied_seq
         for event in events:
             if event.seq != seq + 1:
                 raise EventOutOfOrder(f"expected seq {seq + 1}, got {event.seq}")
-            if event.kind == PURGED:
-                for key, rec in records.items():
-                    if rec.source_object == event.object_id and not rec.deleted:
-                        records[key] = replace(
-                            rec, deleted=True, datestamp=event.timestamp
-                        )
-            elif event.kind in (CREATED, MODIFIED):
-                obj = self.repo.get_object(event.object_id)
-                if "Metadata" in obj.types:
-                    new = {(r.identifier, r.format): r
-                           for r in self._records_for(event.object_id)}
-                    for key, rec in list(records.items()):
-                        if rec.source_object == event.object_id and key not in new:
-                            del records[key]
-                    records.update(new)
             seq = event.seq
-        self.records = records
-        self.last_applied_seq = seq
+        records, formats = dict(self.records), set(self.formats)
+        for object_id in dict.fromkeys(event.object_id for event in events):
+            self._reconcile(records, formats, object_id)
+        self._publish(records, formats, seq)
 
     # ------------------------------------------------------- cache persistence
 
@@ -226,8 +227,8 @@ class OaiProvider:
                 frozenset(d["setSpecs"]), d["deleted"], d["sourceObject"],
             )
             records[(rec.identifier, rec.format)] = rec
-        self.records = records
-        self.last_applied_seq = data["lastAppliedSeq"]
+        self._publish(records, {fmt for _id, fmt in records},
+                      data["lastAppliedSeq"])
 
     # --------------------------------------------------------------- requests
 
@@ -261,15 +262,13 @@ class OaiProvider:
     def _verb_ListMetadataFormats(self, params):
         self._reject_extra_args(params, {"identifier"})
         identifier = params.get("identifier")
+        records = self.records
         if identifier is not None:
-            formats = sorted(
-                r.format for r in self.records.values()
-                if r.identifier == identifier
-            )
+            formats = sorted(f for f in self.formats if (identifier, f) in records)
             if not formats:
                 raise _OaiError("idDoesNotExist", identifier)
         else:
-            formats = sorted({r.format for r in self.records.values()})
+            formats = sorted({r.format for r in records.values()})
         body = ET.Element("ListMetadataFormats")
         for f in formats:
             ns, schema = _FORMAT_NAMESPACES.get(
@@ -317,7 +316,7 @@ class OaiProvider:
         records = self.records
         rec = records.get((identifier, prefix))
         if rec is None:
-            if any(r.identifier == identifier for r in records.values()):
+            if any((identifier, f) in records for f in self.formats):
                 raise _OaiError("cannotDisseminateFormat", prefix)
             raise _OaiError("idDoesNotExist", identifier)
         body = ET.Element("GetRecord")
@@ -381,7 +380,7 @@ class OaiProvider:
             selection, after, key=lambda r: (r.datestamp, r.identifier))
         page = selection[start : start + self.page_size]
         if not page:
-            if not any(r.format == fmt for r in self.records.values()):
+            if fmt not in self.formats:
                 raise _OaiError("cannotDisseminateFormat", fmt)
             raise _OaiError("noRecordsMatch", "empty selection")
 

@@ -8,7 +8,6 @@ import base64
 import json
 import logging
 import secrets
-import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -91,7 +90,6 @@ class Service:
         self.provider = OaiProvider(self.repo,
                                     page_size=int(config.get("pageSize", "100")))
         self._cache_path = Path(config["dataDir"]) / "oai_cache.json"
-        self._mutation_lock = threading.Lock()
         if self._cache_path.exists():
             self.provider.load_cache(self._cache_path)
             self.provider.catch_up()
@@ -124,10 +122,6 @@ class Service:
         finally:
             server.server_close()
             self.close()
-
-    def _sync_provider(self) -> None:
-        with self._mutation_lock:
-            self.provider.catch_up()
 
     # -------------------------------------------------------------- handlers
 
@@ -178,7 +172,7 @@ class Service:
             if not isinstance(doc, dict):
                 raise InvalidObject("body: expected a JSON object")
             oid = self._create_object(parts[1], doc)
-            self._sync_provider()
+            self.provider.catch_up()
             return 201, "application/json", json.dumps({"id": oid}).encode()
         if (method == "PUT" and len(parts) == 3 and parts[0] == "aggregations"
                 and parts[2] == "members"):
@@ -190,7 +184,7 @@ class Service:
             delta = self.repo.set_aggregation_membership(
                 ID_PREFIX + parts[1], members
             )
-            self._sync_provider()
+            self.provider.catch_up()
             return 200, "application/json", json.dumps(
                 {"added": sorted(local_id(m) for m in delta.added),
                  "removed": sorted(local_id(m) for m in delta.removed)}

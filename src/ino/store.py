@@ -110,7 +110,7 @@ class ObjectStore:
         self.durable = durable
         self._lock = threading.RLock()
         self._objects: dict[str, DigitalObject] = {}
-        self._tombstones: dict[str, DigitalObject] = {}
+        self._tombstones: dict[str, datetime] = {}  # purged id -> purge time
         self._events: list[ChangeEvent] = []
         self._crash_point: Callable[[str], None] = lambda name: None
         self._commit_listeners: list[Callable[[list], None]] = []
@@ -207,7 +207,7 @@ class ObjectStore:
             obj = deserialize_object(path.read_bytes())
             obj = obj.with_seq(obj_seq.get(obj.id, 0))
             if obj.state == DELETED:
-                self._tombstones[obj.id] = obj
+                self._tombstones[obj.id] = obj.modified
             else:
                 self._objects[obj.id] = obj
 
@@ -301,6 +301,11 @@ class ObjectStore:
     def exists(self, object_id: str) -> bool:
         with self._lock:
             return object_id in self._objects
+
+    def purged_at(self, object_id: str) -> datetime | None:
+        """When ``object_id`` was purged; None if it never was."""
+        with self._lock:
+            return self._tombstones.get(object_id)
 
     def ids(self) -> list[str]:
         with self._lock:
@@ -428,7 +433,7 @@ class ObjectStore:
             for oid, obj in staged.items():
                 if obj.state == DELETED:
                     self._objects.pop(oid, None)
-                    self._tombstones[oid] = obj
+                    self._tombstones[oid] = obj.modified
                 else:
                     self._objects[oid] = obj
             self._events.extend(events)

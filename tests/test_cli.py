@@ -3,8 +3,10 @@ import threading
 
 import pytest
 
+from ino.api import Repository
 from ino.cli import main
 from ino.model import METADATA_FOR, Term, Triple, VirtualClock
+from ino.oai import OaiProvider
 from ino.service import Service
 
 
@@ -33,6 +35,30 @@ def test_generate_then_audit_and_rebuild(tmp_path, capsys):
     assert (tmp_path / "d" / "oai_cache.json").exists()
 
 
+def test_rebuild_oai_cache_keeps_deleted_records(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert run(capsys, "generate", "--data-dir", str(data),
+               "--resources", "20", "--seed", "3")[0] == 0
+    repo = Repository(data)
+    try:
+        provider = OaiProvider(repo)
+        provider.rebuild_cache()
+        repo.purge_metadata(next(iter(provider.records.values())).source_object)
+        provider.catch_up()
+        provider.save_cache(data / "oai_cache.json")
+    finally:
+        repo.close()
+    code, out = run(capsys, "rebuild-oai-cache", "--data-dir", str(data))
+    assert code == 0 and out.startswith("30 records (2 deleted)")
+    saved = json.loads((data / "oai_cache.json").read_text())
+    assert sum(r["deleted"] for r in saved["records"]) == 2
+
+    # a torn cache file is rebuilt from the store, without its deleted records
+    (data / "oai_cache.json").write_text('{"records": [')
+    code, out = run(capsys, "rebuild-oai-cache", "--data-dir", str(data))
+    assert code == 0 and out.startswith("28 records (0 deleted)")
+
+
 def test_generate_into_nonempty_store_fails(tmp_path, capsys):
     data = str(tmp_path / "d")
     assert run(capsys, "generate", "--data-dir", data, "--resources", "5")[0] == 0
@@ -41,8 +67,6 @@ def test_generate_into_nonempty_store_fails(tmp_path, capsys):
 
 
 def test_audit_exit_code_on_violation(tmp_path, capsys):
-    from ino.api import Repository
-
     data = str(tmp_path / "d")
     repo = Repository(data, clock=VirtualClock())
     agent = repo.add_agent("a", "Person")

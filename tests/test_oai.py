@@ -1,5 +1,6 @@
 import base64
 import json
+import random
 import re
 import sys
 import threading
@@ -163,6 +164,76 @@ def test_rebuild_carries_deleted_forward(setup):
     provider.rebuild_cache()
     deleted = [r for r in provider.records.values() if r.deleted]
     assert {r.identifier for r in deleted} == {"oai:ndr.local:" + local_id(mids[1])}
+
+
+def test_catch_up_over_purges_in_one_backlog(setup):
+    """Objects created or modified, then purged, before catch_up runs."""
+    repo, provider, _agg, mids = setup
+    agent = repo.add_agent("other", "Person")
+    r = repo.add_resource(ResourceSpec(content_url="http://example.org/brief"))
+    brief = repo.add_metadata(MetadataSpec(
+        target=r, format_id="nsdl_dc", payload=doc("brief"), provider=agent,
+    ))
+    repo.update_metadata_payload(mids[0], "nsdl_dc", doc("edited"))
+    repo.purge_metadata(brief)
+    repo.purge_metadata(mids[0])
+    provider.catch_up()
+    assert provider.last_applied_seq == repo.store.current_seq
+    purged_at = repo.changes_since(0)[-1].timestamp
+    touched = {k: (v.deleted, v.datestamp) for k, v in provider.records.items()
+               if v.source_object in (brief, mids[0])}
+    assert touched == {("oai:ndr.local:" + local_id(mids[0]), f): (True, purged_at)
+                       for f in ("nsdl_dc", "oai_dc")}
+
+
+def test_rebuild_marks_unapplied_purge_deleted(setup):
+    repo, provider, _agg, mids = setup
+    repo.purge_metadata(mids[1])
+    provider.rebuild_cache()
+    purged_at = repo.changes_since(0)[-1].timestamp
+    ident = "oai:ndr.local:" + local_id(mids[1])
+    for fmt in ("nsdl_dc", "oai_dc"):
+        rec = provider.records[(ident, fmt)]
+        assert rec.deleted and rec.datestamp == purged_at
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_catch_up_equals_rebuild_under_churn(setup, tmp_path, seed):
+    """After each seeded batch of writes, catch_up and a rebuild started from
+    the same prior cache agree, deleted records included."""
+    repo, provider, agg, mids = setup
+    rng = random.Random(seed)
+    agent = repo.add_agent("churn", "Person")
+    aggs = [agg, repo.create_aggregation(
+        agent, ResourceSpec(content_url="http://example.org/churn"))]
+    live, prior = list(mids), tmp_path / "prior.json"
+    for batch in range(12):
+        provider.save_cache(prior)
+        for op in range(rng.randint(1, 5)):
+            roll = rng.random()
+            if roll < 0.35 or not live:
+                r = repo.add_resource(ResourceSpec(
+                    content_url=f"http://example.org/c{batch}-{op}"))
+                live.append(repo.add_metadata(MetadataSpec(
+                    target=r, format_id="nsdl_dc", payload=doc(f"c{batch}"),
+                    provider=agent, initial_aggregations=frozenset(
+                        rng.sample(aggs, rng.randint(0, 2))),
+                )))
+            elif roll < 0.6:
+                repo.update_metadata_payload(rng.choice(live), "nsdl_dc",
+                                             doc(f"u{batch}-{op}"))
+            elif roll < 0.8:
+                repo.set_aggregation_membership(rng.choice(aggs), set(
+                    rng.sample(live, rng.randint(0, min(4, len(live))))))
+            else:
+                repo.purge_metadata(live.pop(rng.randrange(len(live))))
+        provider.catch_up()
+        twin = OaiProvider(repo, page_size=2)
+        twin.load_cache(prior)
+        twin.rebuild_cache()
+        assert twin.records == provider.records, (seed, batch)
+        assert twin.last_applied_seq == provider.last_applied_seq
+    assert any(r.deleted for r in provider.records.values())
 
 
 def test_apply_event_requires_order(setup):
@@ -386,6 +457,44 @@ def test_lists_read_while_catch_up_writes(setup):
         reader.join(timeout=30)
     assert not reader.is_alive()
     assert failures == []
+    assert sorted(harvest_identifiers(provider)) == \
+        oracle_identifiers(repo, "oai_dc")
+
+
+def test_concurrent_catch_ups_lose_no_write(setup):
+    """Writers that each catch up after their own write, as the HTTP
+    handlers do, all find their record in the published cache."""
+    repo, provider, _agg, _mids = setup
+    agent = repo.add_agent("writers", "Person")
+    failures = []
+
+    def write(w):
+        try:
+            for i in range(25):
+                r = repo.add_resource(ResourceSpec(
+                    content_url=f"http://example.org/t{w}-{i}"))
+                m = repo.add_metadata(MetadataSpec(
+                    target=r, format_id="nsdl_dc", payload=doc(f"t{w}-{i}"),
+                    provider=agent))
+                provider.catch_up()
+                if ("oai:ndr.local:" + local_id(m), "oai_dc") not in provider.records:
+                    failures.append(m)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    writers = [threading.Thread(target=write, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers)
+    assert failures == []
+    assert provider.last_applied_seq == repo.store.current_seq
     assert sorted(harvest_identifiers(provider)) == \
         oracle_identifiers(repo, "oai_dc")
 
