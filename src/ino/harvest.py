@@ -3,7 +3,8 @@ the repository through the high-level API, following resumption tokens.
 
 Each harvested record maps to addResource (first http(s) dc:identifier) plus
 addMetadata; provenance triples (sourceRecordId, sourceBaseUrl, sourceSet)
-make re-harvests idempotent.
+make re-harvests idempotent. A record deleted upstream purges the live
+metadata object harvested from it, and leaves its resource in place.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class IngestStats:
     created_metadata: int = 0
     updated: int = 0
     unchanged: int = 0
-    skipped: int = 0
+    skipped: int = 0  # records nothing was ingested from, deleted ones too
+    deleted: int = 0  # of the skipped deleted records, those that purged a copy
     failures: list[str] = field(default_factory=list)
 
 
@@ -111,10 +113,11 @@ class Harvester:
         if header is None:
             stats.failures.append("record without header")
             return
+        oai_id = (header.findtext(_q("identifier")) or "").strip()
         if header.get("status") == "deleted":
             stats.skipped += 1
+            self._purge_deleted(oai_id, stats)
             return
-        oai_id = (header.findtext(_q("identifier")) or "").strip()
         metadata_el = record.find(_q("metadata"))
         if metadata_el is None or len(metadata_el) == 0:
             stats.skipped += 1
@@ -155,6 +158,18 @@ class Harvester:
                 extra_relationships=[(SOURCE_RECORD_ID, Term.literal(oai_id))],
             )
             stats.created_metadata += 1
+        except InoError as exc:
+            stats.failures.append(f"{oai_id}: {exc}")
+
+    def _purge_deleted(self, oai_id: str, stats: IngestStats) -> None:
+        """Purge the live metadata object harvested from ``oai_id``, if any.
+        Its resource stays: other metadata may describe it, and resources are
+        deduplicated by URL."""
+        try:
+            existing = self._live_subject(SOURCE_RECORD_ID, oai_id)
+            if existing is not None:
+                self.repo.purge_metadata(existing)
+                stats.deleted += 1
         except InoError as exc:
             stats.failures.append(f"{oai_id}: {exc}")
 

@@ -1,24 +1,37 @@
 """OAI-PMH 2.0 data provider over a materialized record cache.
 
-One rule, ``_reconcile``, gives each object its records: a live object typed
+One rule, ``_derive``, gives each object its records: a live object typed
 Metadata has one live record per format it can be disseminated in, in the sets
 its own memberOf relationships name; a purged object keeps the records it had,
 marked deleted at its purge time (``deletedRecord=persistent``); any other
-object has none. ``rebuild_cache`` applies the rule to every live Metadata
-object and every object the cache holds records of, ``catch_up`` to each
-object the new change events touch. The record map and its ``formats`` are
-replaced whole, never changed in place; resumption tokens are stateless
-cursors over them. Record payloads are disseminated at response time.
+object has none. ``_reconcile`` writes what the rule gives; ``rebuild_cache``
+applies it to every live Metadata object and every object the cache holds
+records of, ``catch_up`` to each object the new change events touch.
+
+The cache is two views of the same records. ``records`` maps (identifier,
+format) to a record for GetRecord; ``catch_up`` writes it one key at a time
+under the repository lock and never pops a key that stays, so a lookup never
+misses a live record. ``sequences`` holds, per format, every record (deleted
+ones too) sorted by (datestamp, identifier) in chunks of about
+``CHUNK_SIZE``; a published chunk is never changed, so a catch-up copies only
+the chunks it touches and then publishes a new sequence. Lists, Identify and
+ListMetadataFormats read only the sequences, so no request iterates
+``records`` and none takes a lock. A list page is a bisect plus a slice;
+resumption tokens are stateless cursors over the sequences. Record payloads
+are disseminated at response time.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate, islice
+from operator import attrgetter, itemgetter
 from xml.etree import ElementTree as ET
 
 from .dissemination import OAI_DC_NS
@@ -33,7 +46,7 @@ from .model import (
     parse_ts,
     type_iri,
 )
-from .store import ChangeEvent
+from .store import ChangeEvent, _fsync_path
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 OAI_SCHEMA = "http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
@@ -42,6 +55,10 @@ XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 REPOSITORY_NAME = "ino-repo"
 IDENTIFIER_PREFIX = "oai:ndr.local:"
 TOKEN_VERSION = "v2"
+
+# records per chunk of a RecordSequence: a chunk holds from half of this to
+# twice this, so an update copies O(n / CHUNK_SIZE + CHUNK_SIZE) references
+CHUNK_SIZE = 256
 
 _FORMAT_NAMESPACES = {
     "oai_dc": (OAI_DC_NS, "http://www.openarchives.org/OAI/2.0/oai_dc.xsd"),
@@ -67,6 +84,107 @@ class OaiRecord:
 class CacheStats:
     records: int
     elapsed: float
+
+
+# the sort key of a sequence, and its datestamp part, for bisect's ``key``
+_key = attrgetter("datestamp", "identifier")
+_stamp = attrgetter("datestamp")
+
+
+def _split(part: list[OaiRecord]) -> list[tuple[OaiRecord, ...]]:
+    """``part`` as chunks of ``CHUNK_SIZE`` to ``2 * CHUNK_SIZE`` records
+    (one shorter chunk when ``part`` is short); none for an empty ``part``."""
+    n = len(part)
+    k = n // CHUNK_SIZE or (1 if n else 0)
+    return [tuple(part[n * j // k : n * (j + 1) // k]) for j in range(k)]
+
+
+class RecordSequence:
+    """The records of one format sorted by (datestamp, identifier): a tuple
+    of sorted chunks with the last record and first position of each. A
+    sequence is never changed once built; ``updated`` builds the next one
+    and shares every chunk it does not touch."""
+
+    __slots__ = ("chunks", "lasts", "starts")
+
+    def __init__(self, chunks: tuple[tuple[OaiRecord, ...], ...] = ()):
+        self.chunks = chunks
+        self.lasts = tuple(map(itemgetter(-1), chunks))
+        self.starts = tuple(accumulate(map(len, chunks), initial=0))
+
+    @classmethod
+    def of(cls, records) -> RecordSequence:
+        # by identifier, then stably by datestamp: the (datestamp, identifier)
+        # order at half the cost of building a key tuple per record
+        ordered = sorted(records, key=attrgetter("identifier"))
+        ordered.sort(key=_stamp)
+        return cls(tuple(_split(ordered)))
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def position(self, x, find=bisect_left, key=_key) -> int:
+        """Where ``find`` (``bisect_left`` or ``bisect_right``) puts ``x``,
+        compared with each record's ``key``, in the whole sequence."""
+        c = find(self.lasts, x, key=key)
+        if c == len(self.chunks):
+            return len(self)
+        return self.starts[c] + find(self.chunks[c], x, key=key)
+
+    def walk(self, lo: int, hi: int):
+        """The records at positions ``lo`` to ``hi - 1``, in order."""
+        c = bisect_right(self.starts, lo) - 1
+        while lo < hi:
+            part = self.chunks[c][lo - self.starts[c] : hi - self.starts[c]]
+            yield from part
+            lo += len(part)
+            c += 1
+
+    def updated(self, removed, added) -> RecordSequence:
+        """This sequence without ``removed`` (records it holds) and with
+        ``added``. Each edit goes to the chunk whose range takes its key; a
+        touched chunk that falls under half of ``CHUNK_SIZE`` joins the one
+        before it, and one that reaches twice that splits."""
+        chunks = list(self.chunks) or [()]
+        edits: dict[int, list[OaiRecord]] = {}
+        for recs, put in ((removed, False), (added, True)):
+            for rec in recs:
+                k = _key(rec)
+                c = min(bisect_left(self.lasts, k, key=_key), len(chunks) - 1)
+                if c not in edits:
+                    edits[c] = list(chunks[c])
+                part = edits[c]
+                i = bisect_left(part, k, key=_key)
+                if put:
+                    part.insert(i, rec)
+                else:
+                    del part[i]
+        out: list[tuple[OaiRecord, ...]] = []
+        done = 0
+        for c in sorted(edits):
+            out += chunks[done:c]
+            part = edits[c]
+            if out and len(part) < CHUNK_SIZE // 2:
+                part = [*out.pop(), *part]
+            out += _split(part)
+            done = c + 1
+        out += chunks[done:]
+        return RecordSequence(tuple(out))
+
+
+_EMPTY = RecordSequence()
+
+
+@dataclass(frozen=True)
+class Page:
+    """One list page: up to ``page_size`` records past the cursor, whether
+    more follow, and, for a list without a set, the list's size and how many
+    of its records come before the page (``None`` with a set: counting them
+    would mean a scan)."""
+    records: list[OaiRecord]
+    more: bool
+    size: int | None
+    cursor: int | None
 
 
 def encode_token(fmt: str, set_spec: str | None, from_s: str | None,
@@ -116,57 +234,70 @@ class OaiProvider:
         self.repo = repo
         self.page_size = page_size
         self.base_url = base_url
-        self.formats: frozenset[str] = frozenset()  # of every record cached; grows
         self.records: dict[tuple[str, str], OaiRecord] = {}
+        self.sequences: dict[str, RecordSequence] = {}  # by format
         self.last_applied_seq = 0
 
     # ----------------------------------------------------------- cache build
 
-    def _reconcile(self, records: dict, formats: set, object_id: str) -> None:
-        """Give ``object_id`` the records the module's rule assigns it, in
-        ``records``; add any format they introduce to ``formats``."""
+    def _reconcile(self, records: dict, object_id: str):
+        """Give ``object_id`` in ``records`` the records the module's rule
+        assigns it, derived from those the cache holds for it, and return
+        both, each by format. Each record is assigned over its key, and only
+        a key that goes is popped, so a lookup never misses one that stays."""
         identifier = IDENTIFIER_PREFIX + local_id(object_id)
-        old = [records.pop((identifier, f)) for f in formats
-               if (identifier, f) in records]
+        old = {f: self.records[(identifier, f)] for f in self.sequences
+               if (identifier, f) in self.records}
+        new = self._derive(object_id, identifier, old)
+        for fmt, rec in new.items():
+            records[(identifier, fmt)] = rec
+        for fmt in old.keys() - new.keys():
+            records.pop((identifier, fmt), None)
+        return old, new
+
+    def _derive(self, object_id: str, identifier: str, old: dict) -> dict:
+        """The module's rule: ``object_id``'s records by format, given the
+        records ``old`` the cache holds for it."""
         purged = self.repo.store.purged_at(object_id)
         if purged is not None:
-            for rec in old:
-                records[(identifier, rec.format)] = replace(
-                    rec, deleted=True, datestamp=purged)
-            return
+            return {f: replace(rec, deleted=True, datestamp=purged)
+                    for f, rec in old.items()}
         try:
             obj = self.repo.get_object(object_id)
         except NotFound:
-            return
+            return {}
         if "Metadata" not in obj.types:
-            return
+            return {}
         sets = frozenset(local_id(t.object.value) for t in obj.relationships
                          if t.predicate == MEMBER_OF)
-        for fmt in sorted(self.repo.list_formats(object_id)):
-            formats.add(fmt)
-            records[(identifier, fmt)] = OaiRecord(
-                identifier, fmt, obj.modified, sets, False, object_id)
+        return {fmt: OaiRecord(identifier, fmt, obj.modified, sets, False,
+                               object_id)
+                for fmt in sorted(self.repo.list_formats(object_id))}
 
-    def _publish(self, records: dict, formats: set, seq: int) -> None:
-        # formats first, and it only grows: a reader that reads ``records``
-        # and then ``formats`` finds the format of every record it holds
-        self.formats = frozenset(formats)
+    def _publish(self, records: dict, seq: int) -> None:
+        """Publish ``records`` whole, with one sort per format."""
+        by_format: dict[str, list[OaiRecord]] = {}
+        for rec in records.values():
+            by_format.setdefault(rec.format, []).append(rec)
+        self.sequences = {f: RecordSequence.of(recs)
+                          for f, recs in by_format.items()}
         self.records = records
         self.last_applied_seq = seq
 
     def rebuild_cache(self) -> CacheStats:
         """Reconcile every live Metadata object and every object the cache
-        holds records of, so deleted records carry forward."""
+        holds records of, so deleted records carry forward, into new maps."""
         start = time.perf_counter()
         with self.repo._lock:
-            records, formats = dict(self.records), set(self.formats)
-            objects = dict.fromkeys(rec.source_object for rec in records.values())
+            objects = dict.fromkeys(rec.source_object
+                                    for rec in self.records.values())
             objects.update(dict.fromkeys(t.subject for t in self.repo.match(
                 TriplePattern(Var("?m"), Term.iri(OBJECT_TYPE),
                               Term.iri(type_iri("Metadata"))))))
+            records: dict[tuple[str, str], OaiRecord] = {}
             for object_id in objects:
-                self._reconcile(records, formats, object_id)
-            self._publish(records, formats, self.repo.store.current_seq)
+                self._reconcile(records, object_id)
+            self._publish(records, self.repo.store.current_seq)
         return CacheStats(len(records), time.perf_counter() - start)
 
     # ------------------------------------------------------------ incremental
@@ -183,10 +314,9 @@ class OaiProvider:
         return len(events)
 
     def _apply(self, events) -> None:
-        """Check that ``events`` continue the applied sequence, reconcile
-        each object they touch once in a copy of the cache, then publish the
-        copy: ``self.records`` is never changed in place, so a request
-        iterates the map it read undisturbed and needs no lock."""
+        """Check that ``events`` continue the applied sequence, reconcile each
+        object they touch once in ``records``, then publish each changed
+        format's sequence."""
         if not events:
             return
         seq = self.last_applied_seq
@@ -194,29 +324,55 @@ class OaiProvider:
             if event.seq != seq + 1:
                 raise EventOutOfOrder(f"expected seq {seq + 1}, got {event.seq}")
             seq = event.seq
-        records, formats = dict(self.records), set(self.formats)
-        for object_id in dict.fromkeys(event.object_id for event in events):
-            self._reconcile(records, formats, object_id)
-        self._publish(records, formats, seq)
+        removed: dict[str, list[OaiRecord]] = {}
+        added: dict[str, list[OaiRecord]] = {}
+        try:
+            for object_id in dict.fromkeys(event.object_id for event in events):
+                old, new = self._reconcile(self.records, object_id)
+                for fmt in old.keys() | new.keys():
+                    if old.get(fmt) != new.get(fmt):
+                        if fmt in old:
+                            removed.setdefault(fmt, []).append(old[fmt])
+                        if fmt in new:
+                            added.setdefault(fmt, []).append(new[fmt])
+        finally:
+            # even when an object fails, the sequences take what ``records``
+            # took, so a retry that finds those records unchanged stays right
+            sequences = dict(self.sequences)
+            for fmt in removed.keys() | added.keys():
+                sequences[fmt] = sequences.get(fmt, _EMPTY).updated(
+                    removed.get(fmt, ()), added.get(fmt, ()))
+            self.sequences = sequences
+        self.last_applied_seq = seq
 
     # ------------------------------------------------------- cache persistence
 
     def save_cache(self, path) -> None:
-        data = {
-            "lastAppliedSeq": self.last_applied_seq,
-            "records": [
-                {
-                    "identifier": r.identifier,
-                    "format": r.format,
-                    "datestamp": format_ts(r.datestamp),
-                    "setSpecs": sorted(r.set_specs),
-                    "deleted": r.deleted,
-                    "sourceObject": r.source_object,
-                }
-                for r in self.records.values()
-            ],
-        }
-        path.write_text(json.dumps(data))
+        """Write the cache to ``path`` through a temporary file and a rename,
+        so a crash leaves the old file or the new one; fsynced when the store
+        is durable."""
+        with self.repo._lock:  # catch_up writes ``records`` in place
+            data = {
+                "lastAppliedSeq": self.last_applied_seq,
+                "records": [
+                    {
+                        "identifier": r.identifier,
+                        "format": r.format,
+                        "datestamp": format_ts(r.datestamp),
+                        "setSpecs": sorted(r.set_specs),
+                        "deleted": r.deleted,
+                        "sourceObject": r.source_object,
+                    }
+                    for r in self.records.values()
+                ],
+            }
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(json.dumps(data))
+        if self.repo.store.durable:
+            _fsync_path(tmp)
+        os.replace(tmp, path)
+        if self.repo.store.durable:
+            _fsync_path(path.parent)
 
     def load_cache(self, path) -> None:
         data = json.loads(path.read_text())
@@ -227,8 +383,7 @@ class OaiProvider:
                 frozenset(d["setSpecs"]), d["deleted"], d["sourceObject"],
             )
             records[(rec.identifier, rec.format)] = rec
-        self._publish(records, {fmt for _id, fmt in records},
-                      data["lastAppliedSeq"])
+        self._publish(records, data["lastAppliedSeq"])
 
     # --------------------------------------------------------------- requests
 
@@ -247,7 +402,9 @@ class OaiProvider:
 
     def _verb_Identify(self, params):
         self._reject_extra_args(params, set())
-        earliest = min((r.datestamp for r in self.records.values()), default=None)
+        earliest = min((seq.chunks[0][0].datestamp
+                        for seq in self.sequences.values() if seq.chunks),
+                       default=None)
         body = ET.Element("Identify")
         _text(body, "repositoryName", REPOSITORY_NAME)
         _text(body, "baseURL", self.base_url)
@@ -262,13 +419,13 @@ class OaiProvider:
     def _verb_ListMetadataFormats(self, params):
         self._reject_extra_args(params, {"identifier"})
         identifier = params.get("identifier")
-        records = self.records
         if identifier is not None:
-            formats = sorted(f for f in self.formats if (identifier, f) in records)
+            formats = sorted(f for f in self.sequences
+                             if (identifier, f) in self.records)
             if not formats:
                 raise _OaiError("idDoesNotExist", identifier)
         else:
-            formats = sorted({r.format for r in records.values()})
+            formats = sorted(f for f, seq in self.sequences.items() if seq)
         body = ET.Element("ListMetadataFormats")
         for f in formats:
             ns, schema = _FORMAT_NAMESPACES.get(
@@ -316,7 +473,7 @@ class OaiProvider:
         records = self.records
         rec = records.get((identifier, prefix))
         if rec is None:
-            if any((identifier, f) in records for f in self.formats):
+            if any((identifier, f) in records for f in self.sequences):
                 raise _OaiError("cannotDisseminateFormat", prefix)
             raise _OaiError("idDoesNotExist", identifier)
         body = ET.Element("GetRecord")
@@ -333,21 +490,28 @@ class OaiProvider:
 
     def select(self, fmt: str, set_spec: str | None = None,
                from_ts: datetime | None = None,
-               until_ts: datetime | None = None) -> list[OaiRecord]:
-        """Stable (datestamp, identifier)-ordered selection over the cache."""
-        out = []
-        for rec in self.records.values():
-            if rec.format != fmt:
-                continue
-            if set_spec is not None and set_spec not in rec.set_specs:
-                continue
-            if from_ts is not None and rec.datestamp < from_ts:
-                continue
-            if until_ts is not None and rec.datestamp > until_ts:
-                continue
-            out.append(rec)
-        out.sort(key=lambda r: (r.datestamp, r.identifier))
-        return out
+               until_ts: datetime | None = None,
+               after: tuple[datetime, str] | None = None) -> Page:
+        """The page of the list (``fmt``, ``set_spec``, ``from_ts``,
+        ``until_ts``) that follows the (datestamp, identifier) ``after``:
+        bisects find the window and the cursor in the format's sequence;
+        without a set the page is a slice, with one the walk stops at the
+        first record past the page."""
+        seq = self.sequences.get(fmt, _EMPTY)
+        lo = 0 if from_ts is None else seq.position(from_ts, bisect_left, _stamp)
+        hi = (len(seq) if until_ts is None
+              else seq.position(until_ts, bisect_right, _stamp))
+        # an updated or purged record gets a newer datestamp, so it moves past
+        # the cursor: a harvester may see it twice, but never misses a record
+        start = lo if after is None else max(lo, seq.position(after, bisect_right))
+        records = seq.walk(start, hi)
+        if set_spec is not None:
+            records = (r for r in records if set_spec in r.set_specs)
+        page = list(islice(records, self.page_size + 1))
+        counted = set_spec is None
+        return Page(page[:self.page_size], len(page) > self.page_size,
+                    hi - lo if counted else None,
+                    start - lo if counted else None)
 
     def _list_verb(self, params, verb, with_metadata):
         token = params.get("resumptionToken")
@@ -373,32 +537,30 @@ class OaiProvider:
             raise _OaiError("badArgument" if token is None
                             else "badResumptionToken", str(exc)) from exc
 
-        selection = self.select(fmt, set_spec, from_ts, until_ts)
-        # an updated or purged record gets a newer datestamp, so it moves past
-        # the cursor: a harvester may see it twice, but never misses a record
-        start = 0 if after is None else bisect_right(
-            selection, after, key=lambda r: (r.datestamp, r.identifier))
-        page = selection[start : start + self.page_size]
-        if not page:
-            if fmt not in self.formats:
+        page = self.select(fmt, set_spec, from_ts, until_ts, after)
+        if not page.records:
+            if fmt not in self.sequences:
                 raise _OaiError("cannotDisseminateFormat", fmt)
             raise _OaiError("noRecordsMatch", "empty selection")
 
         body = ET.Element(verb)
-        for rec in page:
+        for rec in page.records:
             if with_metadata:
                 body.append(self._record_element(rec, with_metadata=True))
             else:
                 body.append(self._header_element(rec))
 
-        more = start + len(page) < len(selection)
-        if more or token is not None:
-            rt = ET.SubElement(body, "resumptionToken",
-                               completeListSize=str(len(selection)),
-                               cursor=str(start))
-            if more:
+        if page.more or token is not None:
+            # completeListSize and cursor are optional: sent where bisects
+            # give them, that is, on lists without a set
+            rt = ET.SubElement(body, "resumptionToken")
+            if page.size is not None:
+                rt.set("completeListSize", str(page.size))
+                rt.set("cursor", str(page.cursor))
+            if page.more:
+                last = page.records[-1]
                 rt.text = encode_token(fmt, set_spec, from_s, until_s,
-                                       (page[-1].datestamp, page[-1].identifier))
+                                       (last.datestamp, last.identifier))
         return self._respond(params, body)
 
     # element builders -------------------------------------------------------

@@ -90,8 +90,16 @@ class Service:
         self.provider = OaiProvider(self.repo,
                                     page_size=int(config.get("pageSize", "100")))
         self._cache_path = Path(config["dataDir"]) / "oai_cache.json"
+        loaded = False
         if self._cache_path.exists():
-            self.provider.load_cache(self._cache_path)
+            try:
+                self.provider.load_cache(self._cache_path)
+                loaded = True
+            except (ValueError, KeyError, TypeError) as exc:
+                logging.getLogger(__name__).warning(
+                    "unreadable %s (%s); rebuilding the OAI cache from the "
+                    "store, without its deleted records", self._cache_path, exc)
+        if loaded:
             self.provider.catch_up()
         else:
             self.provider.rebuild_cache()

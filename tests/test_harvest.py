@@ -8,12 +8,14 @@ from ino.errors import RemoteProtocolError
 from ino.harvest import Harvester
 from ino.index import TriplePattern, Var
 from ino.model import (
+    METADATA_FOR,
     OBJECT_TYPE,
     SOURCE_BASE_URL,
     SOURCE_RECORD_ID,
     SOURCE_SET,
     Term,
     VirtualClock,
+    local_id,
     type_iri,
 )
 from ino.oai import OaiProvider
@@ -104,6 +106,35 @@ def test_deleted_records_skipped(source, target):
     provider.catch_up()
     stats = h.harvest(BASE_URL, "nsdl_dc")
     assert stats.skipped == 1 and stats.unchanged == 8
+
+
+def test_upstream_deletion_purges_local_copy(source, target):
+    source_repo, provider = source
+    h = Harvester(target, fetch=loopback(provider))
+    h.harvest(BASE_URL, "nsdl_dc")
+    victim = next(
+        t.subject for t in source_repo.match(TriplePattern(
+            Var("?m"), Term.iri(OBJECT_TYPE), Term.iri(type_iri("Metadata"))))
+    )
+    oai_id = "oai:ndr.local:" + local_id(victim)
+    copy = next(t.subject for t in target.match(TriplePattern(
+        Var("?m"), Term.iri(SOURCE_RECORD_ID), Term.literal(oai_id))))
+    resource = next(t.object.value for t in target.get_object(copy).relationships
+                    if t.predicate == METADATA_FOR)
+    source_repo.purge_metadata(victim)
+    provider.catch_up()
+
+    stats = h.harvest(BASE_URL, "nsdl_dc")
+    assert (stats.deleted, stats.skipped, stats.unchanged) == (1, 1, 8)
+    assert stats.failures == []
+    assert not target.store.exists(copy)
+    assert target.store.exists(resource)
+    assert count_type(target, "Metadata") == 8
+    assert target.audit() == []
+    # the copy is gone, so the deleted record purges nothing the next time
+    stats = h.harvest(BASE_URL, "nsdl_dc")
+    assert (stats.deleted, stats.skipped, stats.unchanged) == (0, 1, 8)
+    assert target.store.exists(resource)
 
 
 def test_set_scoped_harvest(source, target):

@@ -9,9 +9,10 @@ from datetime import timedelta
 import pytest
 from xml.etree import ElementTree as ET
 
-from ino.api import MetadataSpec, ResourceSpec
+from ino import oai
+from ino.api import MetadataSpec, Repository, ResourceSpec
 from ino.errors import BadResumptionToken, EventOutOfOrder
-from ino.model import format_ts, local_id, parse_ts
+from ino.model import VirtualClock, format_ts, local_id, parse_ts
 from ino.oai import OaiProvider, decode_token, encode_token
 
 
@@ -533,3 +534,231 @@ def test_bad_argument_response_omits_request_attrs(setup):
     request = parse(raw).find("request")
     assert request.attrib == {}
     assert re.search(rb"<responseDate>\d{4}-", raw)
+
+
+# ------------------------------------------------- sequences against the scan
+
+def scan_select(provider, fmt, set_spec=None, from_ts=None, until_ts=None):
+    """The scan-and-sort selection the per-format sequences replaced: every
+    cached record of the list, in (datestamp, identifier) order."""
+    return sorted(
+        (r for r in provider.records.values()
+         if r.format == fmt
+         and (set_spec is None or set_spec in r.set_specs)
+         and (from_ts is None or r.datestamp >= from_ts)
+         and (until_ts is None or r.datestamp <= until_ts)),
+        key=lambda r: (r.datestamp, r.identifier))
+
+
+def header_tuple(h):
+    return (h.findtext("identifier"), h.findtext("datestamp"),
+            h.get("status") == "deleted")
+
+
+def harvest_pages(provider, verb, params, pages=None, counted=True):
+    """Page through a list from ``params``; return its headers and the next
+    request (``None`` once the list is done). Stop after ``pages`` pages if
+    given. Each token element has completeListSize and cursor on a list
+    without a set (``counted``) and neither with a set; on a whole list
+    begun here, where the list cannot change, check their values."""
+    headers, sizes = [], set()
+    fresh = "resumptionToken" not in params
+    while pages is None or pages > 0:
+        root = parse(provider.handle_request(params))
+        err = root.find("error")
+        if err is not None:
+            assert err.get("code") == "noRecordsMatch", ET.tostring(root)
+            return headers, None
+        body = root.find(verb)
+        rt = body.find("resumptionToken")
+        if rt is not None and counted:
+            assert not fresh or int(rt.get("cursor")) == len(headers)
+            sizes.add(int(rt.get("completeListSize")))
+        elif rt is not None:
+            assert "cursor" not in rt.attrib
+            assert "completeListSize" not in rt.attrib
+        headers += [header_tuple(h) for h in body.iter("header")]
+        if rt is None or not rt.text:
+            assert not (fresh and sizes) or sizes == {len(headers)}
+            return headers, None
+        params = {"verb": verb, "resumptionToken": rt.text}
+        pages = None if pages is None else pages - 1
+    return headers, params
+
+
+def random_window(rng, provider):
+    """List arguments ``from``/``until`` (``None`` when open) at a random
+    granularity, and the datetime bounds they mean."""
+    stamps = sorted({r.datestamp for r in provider.records.values()})
+    lo, hi = sorted(rng.choice(stamps) + timedelta(seconds=rng.randint(-1, 1))
+                    for _ in range(2))
+    if rng.random() < 0.5:
+        args = (format_ts(lo), format_ts(hi))
+        bounds = (lo, hi)
+    else:
+        args = (format_ts(lo)[:10], format_ts(hi)[:10])
+        bounds = (parse_ts(args[0] + "T00:00:00Z"),
+                  parse_ts(args[1] + "T23:59:59Z"))
+    keep = rng.choice(((0, 1), (0,), (1,)))  # from, until or both
+    return ({k: args[i] for i, k in enumerate(("from", "until")) if i in keep},
+            tuple(b if i in keep else None for i, b in enumerate(bounds)))
+
+
+def check_sequences(provider):
+    """Each per-format sequence is a fresh sort of ``records``, in chunks
+    of the sizes ``updated`` keeps."""
+    formats = {r.format for r in provider.records.values()}
+    assert formats <= set(provider.sequences)
+    for fmt, seq in provider.sequences.items():
+        assert list(seq.walk(0, len(seq))) == scan_select(provider, fmt), fmt
+        sizes = [len(c) for c in seq.chunks]
+        assert all(0 < n < 2 * oai.CHUNK_SIZE for n in sizes), sizes
+        assert all(n >= oai.CHUNK_SIZE // 2 for n in sizes[1:]), sizes
+        assert seq.lasts == tuple(c[-1] for c in seq.chunks)
+
+
+def churn(rng, repo, agent, aggs, live, batch, creates=0):
+    """A random batch of metadata creates, modifies, membership changes and
+    purges, after ``creates`` creates; ``live`` is updated in place."""
+    for op in range(creates + rng.randint(1, 6)):
+        roll = rng.random()
+        if op < creates or roll < 0.4 or not live:
+            r = repo.add_resource(ResourceSpec(
+                content_url=f"http://example.org/p{batch}-{op}"))
+            live.append(repo.add_metadata(MetadataSpec(
+                target=r, format_id="nsdl_dc", payload=doc(f"p{batch}"),
+                provider=agent, initial_aggregations=frozenset(
+                    rng.sample(aggs, rng.randint(0, 2))))))
+        elif roll < 0.65:
+            repo.update_metadata_payload(rng.choice(live), "nsdl_dc",
+                                         doc(f"u{batch}-{op}"))
+        elif roll < 0.8:
+            repo.set_aggregation_membership(rng.choice(aggs), set(
+                rng.sample(live, rng.randint(0, min(4, len(live))))))
+        else:
+            repo.purge_metadata(live.pop(rng.randrange(len(live))))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_paging_matches_scan_under_churn(tmp_path, monkeypatch, seed):
+    """After each seeded batch of writes and its catch_up, every list (each
+    format, with no set and with each aggregation, with no window and with a
+    random one) pages out exactly the scan-and-sort selection, and each
+    sequence equals a fresh sort. A harvest begun before a batch and
+    finished after it misses no record its list holds at both ends."""
+    monkeypatch.setattr(oai, "CHUNK_SIZE", 4)  # many chunks from few records
+    rng = random.Random(seed)
+    # a step of 5 hours spreads the records over days, for day windows
+    repo = Repository(tmp_path / "paging", clock=VirtualClock(step_seconds=18000))
+    try:
+        agent = repo.add_agent("pager", "Person")
+        aggs = [repo.create_aggregation(agent, ResourceSpec(
+            content_url=f"http://example.org/agg{i}")) for i in range(2)]
+        provider = OaiProvider(repo, page_size=3)
+        live: list[str] = []
+        churn(rng, repo, agent, aggs, live, "seed", creates=8)
+        provider.rebuild_cache()
+        for batch in range(10):
+            fmt = rng.choice(("nsdl_dc", "oai_dc"))
+            set_spec = rng.choice([None] + [local_id(a) for a in aggs])
+            window, bounds = (random_window(rng, provider) if rng.random() < 0.5
+                              else ({}, (None, None)))
+            start = {"verb": "ListIdentifiers", "metadataPrefix": fmt,
+                     **({"set": set_spec} if set_spec else {}), **window}
+            before = scan_select(provider, fmt, set_spec, *bounds)
+            seen, rest = harvest_pages(provider, "ListIdentifiers", start,
+                                       pages=rng.randint(1, 3),
+                                       counted=set_spec is None)
+
+            churn(rng, repo, agent, aggs, live, batch)
+            provider.catch_up()
+
+            if rest is not None:
+                seen += harvest_pages(provider, "ListIdentifiers", rest,
+                                      counted=set_spec is None)[0]
+            after = {r.identifier for r in scan_select(
+                provider, fmt, set_spec, *bounds)}
+            assert {r.identifier for r in before} & after <= \
+                {ident for ident, _stamp, _deleted in seen}, (seed, batch)
+
+            check_sequences(provider)
+            for fmt in ("nsdl_dc", "oai_dc"):
+                for set_spec in [None] + [local_id(a) for a in aggs]:
+                    for window, bounds in [({}, (None, None)),
+                                           random_window(rng, provider)]:
+                        verb = rng.choice(("ListIdentifiers", "ListRecords"))
+                        params = {"verb": verb, "metadataPrefix": fmt,
+                                  **({"set": set_spec} if set_spec else {}),
+                                  **window}
+                        got, _ = harvest_pages(provider, verb, params,
+                                               counted=set_spec is None)
+                        expected = [(r.identifier, format_ts(r.datestamp),
+                                     r.deleted) for r in scan_select(
+                                         provider, fmt, set_spec, *bounds)]
+                        assert got == expected, (seed, batch, params)
+        assert any(r.deleted for r in provider.records.values())
+        # a rebuild sorts afresh and reaches the same sequences
+        def flat(sequences):
+            return {fmt: [r for chunk in seq.chunks for r in chunk]
+                    for fmt, seq in sequences.items()}
+        kept = flat(provider.sequences)
+        provider.rebuild_cache()
+        assert flat(provider.sequences) == kept
+    finally:
+        repo.close()
+
+
+def test_get_record_never_misses_a_record_live_throughout(setup):
+    """A reader looks records up while the main thread modifies them and
+    catches up after each write: ``records`` is written in place, each
+    record over its key, so a record that stays live is never reported
+    missing. Most lookups are ListMetadataFormats by identifier, which takes
+    no lock, so they also land while a catch-up runs; every tenth is a
+    GetRecord."""
+    repo, provider, agg, mids = setup
+    repo.store.durable = False  # short writes: catch-ups fill more of the run
+    hot = mids[:2]
+    idents = ["oai:ndr.local:" + local_id(m) for m in hot]
+    rng = random.Random(7)
+    started, done, failures = threading.Event(), threading.Event(), []
+    lookups = [0]
+
+    def read():
+        try:
+            while not done.is_set():
+                k = lookups[0]
+                params = {"verb": "ListMetadataFormats",
+                          "identifier": idents[k % len(idents)]}
+                if k % 10 == 0:
+                    params = {**params, "verb": "GetRecord",
+                              "metadataPrefix": ("nsdl_dc", "oai_dc")[k // 10 % 2]}
+                err = parse(provider.handle_request(params)).find("error")
+                if err is not None:
+                    failures.append((params, err.get("code")))
+                lookups[0] += 1
+                started.set()
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+            started.set()
+
+    reader = threading.Thread(target=read)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader.start()
+        assert started.wait(timeout=30)
+        for i in range(600):
+            if i % 5 == 4:
+                repo.set_aggregation_membership(agg, set(
+                    rng.sample(mids, rng.randint(0, len(mids)))))
+            else:
+                repo.update_metadata_payload(hot[i % len(hot)], "nsdl_dc",
+                                             doc(f"e{i}"))
+            provider.catch_up()
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert failures == []
+    assert lookups[0] > 0

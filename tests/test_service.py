@@ -221,6 +221,30 @@ def test_restart_catches_up_on_missed_events(tmp_path):
         svc2.close()
 
 
+def test_torn_cache_file_is_rebuilt_at_start(tmp_path, caplog):
+    svc = Service(make_config(tmp_path), clock=VirtualClock())
+    _agent, _agg, _resource, metadata = populate(svc)
+    live = dict(svc.provider.records)
+    svc.close()
+    (tmp_path / "data" / "oai_cache.json").write_text('{"records": [')
+
+    with caplog.at_level(logging.WARNING, logger="ino.service"):
+        svc2 = Service(make_config(tmp_path), clock=VirtualClock())
+    try:
+        assert svc2.provider.records == live
+        assert any("oai_cache.json" in r.getMessage() for r in caplog.records)
+        status, _m, data = svc2.handle("GET", "/oai", {
+            "verb": "GetRecord", "identifier": f"oai:ndr.local:{metadata}",
+            "metadataPrefix": "oai_dc"}, b"", {})
+        assert status == 200 and b"<error" not in data
+    finally:
+        svc2.close()
+    # close() replaced the torn file with a whole one, and left no temporary
+    saved = json.loads((tmp_path / "data" / "oai_cache.json").read_text())
+    assert len(saved["records"]) == len(live)
+    assert not (tmp_path / "data" / "oai_cache.json.tmp").exists()
+
+
 # ------------------------------------------------------------ live http server
 
 @pytest.fixture
