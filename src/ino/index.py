@@ -3,11 +3,14 @@
 an oracle in tests.
 
 Each term is interned to an int id when a triple is indexed, and three maps
-on ids give the access orders SPO, POS and OSP. ``_choose_path`` picks
-the map that serves a pattern's known positions; ``match``, ``estimate`` and
-the join are built on it. A join runs on tuple rows with a fixed slot per
-variable, takes next the pattern with the fewest estimated matches given the
-variables already bound, and builds ``Term``s only at projection.
+on ids give the access orders SPO, POS and OSP. A leaf of one member is that
+bare id, a leaf of more a set, and each map keeps a triple count for each of
+its top-level keys, so a pattern's exact count is one lookup at any depth.
+``_choose_path`` picks the map that serves a pattern's known positions;
+``match``, ``estimate`` and the join are built on it. A join runs on tuple
+rows with a fixed slot per variable, takes next the pattern with the fewest
+estimated matches given the variables already bound, and builds ``Term``s
+only at projection.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import OracleTooLarge, QuerySyntaxError, QueryTooLarge
 from .model import (
@@ -108,8 +112,7 @@ class ConjunctiveQuery:
                 )
 
 
-@dataclass(frozen=True)
-class SolutionRow:
+class SolutionRow(NamedTuple):
     items: tuple[tuple[str, Term], ...]  # sorted by variable name
 
     @staticmethod
@@ -121,10 +124,7 @@ class SolutionRow:
         return dict(self.items)
 
     def __getitem__(self, var: str) -> Term:
-        for name, term in self.items:
-            if name == var:
-                return term
-        raise KeyError(var)
+        return self.bindings[var]
 
 
 def extract_triples(obj: DigitalObject) -> list[Triple]:
@@ -164,10 +164,14 @@ class TripleIndex:
         self._ids: dict[str | Term, int] = {}
         self._terms: list[Term | None] = []  # id -> Term; None while free
         self._free: list[int] = []  # ids of dropped terms, reused first
-        self._spo: dict[int, dict[int, set[int]]] = {}
-        self._pos: dict[int, dict[int, set[int]]] = {}
-        self._osp: dict[int, dict[int, set[int]]] = {}
+        # key -> key -> leaf: one id bare, or a set of two or more
+        self._spo: dict[int, dict[int, int | set[int]]] = {}
+        self._pos: dict[int, dict[int, int | set[int]]] = {}
+        self._osp: dict[int, dict[int, int | set[int]]] = {}
         self._maps = (self._spo, self._pos, self._osp)  # as _ORDERS
+        # the triples under each top-level key of each map, so map i's
+        # counts are by the terms in position i
+        self._counts: tuple[dict[int, int], ...] = ({}, {}, {})
         self._count = 0
 
     # ------------------------------------------------------------ maintenance
@@ -198,12 +202,20 @@ class TripleIndex:
         p = ids.get(t.predicate)
         if p is None:
             p = self._intern(t.predicate, Term.iri(t.predicate))
-        objs = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objs:
+        leaf = self._spo.get(s, {}).get(p)
+        if leaf is not None and _child(leaf, o, 2):
             return
-        objs.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        for m, counts, a, b, c in zip(self._maps, self._counts,
+                                      (s, p, o), (p, o, s), (o, s, p)):
+            counts[a] = counts.get(a, 0) + 1
+            inner = m.setdefault(a, {})
+            leaf = inner.get(b)
+            if leaf is None:
+                inner[b] = c
+            elif leaf.__class__ is int:
+                inner[b] = {leaf, c}
+            else:
+                leaf.add(c)
         self._count += 1
 
     def index_object(self, obj: DigitalObject) -> None:
@@ -220,17 +232,19 @@ class TripleIndex:
             return
         terms = self._terms
         subjects = [self._ids[object_id]]
-        subjects += [o for o in preds.get(self._ids.get(HAS_DATASTREAM), ())
+        subjects += [o for o in _leaf(preds.get(self._ids.get(HAS_DATASTREAM), ()))
                      if terms[o].value.startswith(object_id + "/")]
         touched = set(subjects)
         for s in subjects:
+            self._counts[0].pop(s, None)
             for p, objs in self._spo.pop(s, {}).items():
+                objs = _leaf(objs)
                 for o in objs:
-                    _unlink(self._pos, p, o, s)
-                    _unlink(self._osp, o, s, p)
+                    _unlink(self._pos, self._counts[1], p, o, s)
+                    _unlink(self._osp, self._counts[2], o, s, p)
                 self._count -= len(objs)
                 touched.add(p)
-                touched |= objs
+                touched.update(objs)
         # a term whose last triple went leaves the table, so it stays bounded
         for i in touched:
             if i not in self._spo and i not in self._pos and i not in self._osp:
@@ -243,9 +257,8 @@ class TripleIndex:
         self._ids.clear()
         self._terms.clear()
         self._free.clear()
-        self._spo.clear()
-        self._pos.clear()
-        self._osp.clear()
+        for m in self._maps + self._counts:
+            m.clear()
         self._count = 0
         for obj in objects:
             self.index_object(obj)
@@ -257,7 +270,7 @@ class TripleIndex:
         terms = self._terms
         return [Triple(terms[s].value, terms[p].value, terms[o])
                 for s, preds in self._spo.items()
-                for p, objs in preds.items() for o in objs]
+                for p, objs in preds.items() for o in _leaf(objs)]
 
     def triple_set(self) -> set[Triple]:
         return set(self.all_triples())
@@ -277,7 +290,7 @@ class TripleIndex:
         depth = 0
         while depth < 3 and key[order[depth]] is not None:
             node = _child(node, key[order[depth]], depth)
-            if not node:
+            if node is None:
                 return None, order, depth
             depth += 1
         return node, order, depth
@@ -289,15 +302,15 @@ class TripleIndex:
                 None if isinstance(o, Var) else self._id(o))
 
     def _matches(self, key) -> int:
-        node, _order, depth = self._lookup(key)
+        node, order, depth = self._lookup(key)
         if node is None:
             return 0
         if depth == 3:
             return 1
         if depth == 2:
-            return len(node)
+            return len(_leaf(node))
         if depth == 1:
-            return sum(map(len, node.values()))
+            return self._counts[order[0]][key[order[0]]]
         return self._count
 
     def estimate(self, p: TriplePattern) -> int:
@@ -403,16 +416,17 @@ class TripleIndex:
         # (None, id) for a constant after a variable
         first, *rest = [slot[atoms[pos].name] if key[pos] is None
                         else (None, key[pos]) for pos in order[depth:known]]
-        if not rest and not free:  # a check against one set
-            return [row for row in rows if row[first] in node]
+        if not rest and not free:  # a check against one leaf
+            members = _leaf(node)
+            return [row for row in rows if row[first] in members]
         get = node.get
         out: list[tuple] = []
         append = out.append
         if not rest and free == 1:  # the common shape: one new variable
             for row in rows:
                 n = get(row[first])
-                if n:
-                    for x in n:
+                if n is not None:
+                    for x in _leaf(n):
                         append(row + (x,))
                     if len(out) > cap:
                         raise QueryTooLarge(
@@ -420,18 +434,16 @@ class TripleIndex:
             return out
         for row in rows:
             n = get(row[first])
-            d = depth + 1
-            for k in rest:
-                if not n:
+            for d, k in enumerate(rest, depth + 1):
+                if n is None:
                     break
                 n = _child(n, k[1] if isinstance(k, tuple) else row[k], d)
-                d += 1
-            if not n:
+            if n is None:
                 continue
             if not free:
                 append(row)
             elif free == 1:
-                for x in n:
+                for x in _leaf(n):
                     append(row + (x,))
             else:
                 out += [row + e for e in _expand(n, free, names)]
@@ -447,14 +459,9 @@ class TripleIndex:
         all_triples = self.all_triples()
         rows: list[dict[str, Term]] = [{}]
         for pattern in q.patterns:
-            matching = [t for t in all_triples if _unifies(pattern, t)]
-            new_rows = []
-            for row in rows:
-                for t in matching:
-                    ext = _merge(pattern, t, row)
-                    if ext is not None:
-                        new_rows.append(ext)
-            rows = new_rows
+            matching = [t for t in all_triples if _merge(pattern, t, {}) is not None]
+            rows = [ext for row in rows for t in matching
+                    if (ext := _merge(pattern, t, row)) is not None]
         return {
             SolutionRow.of({v: row[v] for v in q.projected if v in row})
             for row in rows
@@ -467,8 +474,16 @@ def _atoms(p: TriplePattern) -> tuple[Atom, Atom, Atom]:
 
 def _child(node, key, depth):
     """One key down from ``node``, which lies ``depth`` keys under a map's
-    root: a dict, a set, or for the third key whether the set holds it."""
-    return key in node if depth == 2 else node.get(key)
+    root: a dict or a leaf, or for the third key True if the leaf holds it;
+    None where absent (test ``is None``: a bare leaf may be the falsy 0)."""
+    if depth < 2:
+        return node.get(key)
+    return True if (node == key if node.__class__ is int else key in node) else None
+
+
+def _leaf(leaf):
+    """The members of a leaf: a bare id stands for a leaf of one."""
+    return (leaf,) if leaf.__class__ is int else leaf
 
 
 def _expand(node, free: int, names=()) -> list[tuple]:
@@ -478,12 +493,12 @@ def _expand(node, free: int, names=()) -> list[tuple]:
     if free == 0:
         return [()]
     if free == 1:
-        return [(x,) for x in node]
+        return [(x,) for x in _leaf(node)]
     if free == 2:
-        ext = [(x, y) for x, leaf in node.items() for y in leaf]
+        ext = [(x, y) for x, leaf in node.items() for y in _leaf(leaf)]
     else:
         ext = [(x, y, z) for x, mid in node.items()
-               for y, leaf in mid.items() for z in leaf]
+               for y, leaf in mid.items() for z in _leaf(leaf)]
     first = [names.index(n) for n in names]
     if first == list(range(len(names))):
         return ext
@@ -492,14 +507,21 @@ def _expand(node, free: int, names=()) -> list[tuple]:
             if all(e[j] == e[f] for j, f in enumerate(first))]
 
 
-def _unlink(m, a: int, b: int, c: int) -> None:
+def _unlink(m, counts, a: int, b: int, c: int) -> None:
+    """Remove the triple ``(a, b, c)`` in ``m``'s key order; a leaf left
+    with one member becomes that bare id."""
     inner = m[a]
     leaf = inner[b]
-    leaf.discard(c)
-    if not leaf:
+    if leaf.__class__ is not int:  # a set of two or more
+        leaf.discard(c)
+        if len(leaf) == 1:
+            inner[b] = leaf.pop()
+    elif len(inner) > 1:  # the bare id ``c``
         del inner[b]
-        if not inner:
-            del m[a]
+    else:  # ``a``'s last triple
+        del m[a], counts[a]
+        return
+    counts[a] -= 1
 
 
 def _render(p: TriplePattern) -> str:
@@ -512,26 +534,10 @@ def _render(p: TriplePattern) -> str:
     return " ".join(atom(a) for a in _atoms(p))
 
 
-def _unifies(p: TriplePattern, t: Triple) -> bool:
-    # ignores cross-variable consistency within one pattern only if names repeat
-    binding: dict[str, Term] = {}
-    for atom, value in (
-        (p.subject, Term.iri(t.subject)),
-        (p.predicate, Term.iri(t.predicate)),
-        (p.object, t.object),
-    ):
-        if isinstance(atom, Var):
-            if atom.name in binding and binding[atom.name] != value:
-                return False
-            binding[atom.name] = value
-        elif atom != value:
-            return False
-    return True
-
-
 def _merge(p: TriplePattern, t: Triple, row: dict[str, Term]):
-    # check compatibility before paying for the row copy; `t` is already
-    # known to unify with the pattern's ground slots
+    """``row`` extended by the bindings that make ``p`` match ``t``, or None
+    where a constant or an earlier binding disagrees."""
+    # check compatibility before paying for the row copy
     pairs: dict[str, Term] = {}
     for atom, value in (
         (p.subject, Term.iri(t.subject)),
@@ -543,6 +549,8 @@ def _merge(p: TriplePattern, t: Triple, row: dict[str, Term]):
             if existing is not None and existing != value:
                 return None
             pairs[atom.name] = value
+        elif atom != value:
+            return None
     ext = dict(row)
     ext.update(pairs)
     return ext
@@ -597,23 +605,15 @@ def parse_query(text: str) -> ConjunctiveQuery:
 
     patterns: list[TriplePattern] = []
     current: list[str] = []
-
-    def flush():
-        if not current:
-            return
-        if len(current) != 3:
-            raise QuerySyntaxError(
-                f"pattern needs exactly three terms, got {current!r}"
-            )
-        patterns.append(TriplePattern(*(_parse_atom(t) for t in current)))
-        current.clear()
-
-    for tok in tokens:
-        if tok == ";":
-            flush()
-        else:
+    for tok in tokens + [";"]:
+        if tok != ";":
             current.append(tok)
-    flush()
+        elif len(current) == 3:
+            patterns.append(TriplePattern(*map(_parse_atom, current)))
+            current = []
+        elif current:
+            raise QuerySyntaxError(
+                f"pattern needs exactly three terms, got {current!r}")
     if not patterns:
         raise QuerySyntaxError("query has no patterns")
     return ConjunctiveQuery(tuple(patterns), projected)

@@ -13,6 +13,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
@@ -120,9 +121,12 @@ class VirtualClock(Clock):
         return self._current
 
 
-@dataclass(frozen=True)
-class Term:
-    """An IRI or a literal. Equal bytes in different kinds are different terms."""
+class Term(NamedTuple):
+    """An IRI or a literal. Equal bytes in different kinds are different terms.
+
+    A tuple, so building, hashing and comparing run in C; it orders by kind,
+    then value, and equals a plain ``(kind, value)`` tuple, so the two must
+    not be mixed in one set or map."""
 
     kind: str  # "iri" | "literal"
     value: str
@@ -140,8 +144,7 @@ class Term:
         return self.kind == "iri"
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str  # IRI
     predicate: str  # IRI
     object: Term

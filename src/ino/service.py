@@ -166,10 +166,7 @@ class Service:
             out = [
                 {var: {"kind": term.kind, "value": term.value}
                  for var, term in row.items}
-                for row in sorted(
-                    rows,
-                    key=lambda r: [(v, t.kind, t.value) for v, t in r.items],
-                )
+                for row in sorted(rows, key=lambda r: r.items)
             ]
             return 200, "application/json", json.dumps({"rows": out}).encode()
 

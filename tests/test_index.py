@@ -504,3 +504,138 @@ def test_solution_row_getitem():
     assert row["?b"] == Term.literal("y") and row["?a"] == Term.iri("x")
     with pytest.raises(KeyError):
         row["?c"]
+
+
+# ------------------------------------------------------ leaves and counts
+
+def _bare_zero_store(position):
+    """An index whose term id 0, the object of the first triple indexed, is
+    the only match of a pattern in ``position``: it sits there as a bare
+    leaf. Returns the index and that pattern's atoms, the variable ``?x``
+    where id 0 is."""
+    first = obj("a", types=("Thing",))  # id 0 is the IRI of type Thing
+    zero = Term.iri(type_iri("Thing"))
+    if position == 0:
+        other = make_draft(zero.value, ("Class",))
+        atoms = (Var("?x"), Term.iri(OBJECT_TYPE), Term.iri(type_iri("Class")))
+    elif position == 1:
+        other = obj("b", relationships=[
+            Triple("info:ino/b", zero.value, Term.literal("v"))])
+        atoms = (Term.iri("info:ino/b"), Var("?x"), Term.literal("v"))
+    else:
+        other = obj("b", types=("Agent",))
+        atoms = (Term.iri("info:ino/a"), Term.iri(OBJECT_TYPE), Var("?x"))
+    idx = TripleIndex()
+    for o in (first, other):
+        idx.index_object(o)
+    assert idx._terms[0] == zero
+    return idx, atoms
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_term_id_zero_as_a_bare_leaf(position):
+    idx, atoms = _bare_zero_store(position)
+    pattern = TriplePattern(*atoms)
+    found = idx.match(pattern)
+    assert len(found) == 1 and idx.estimate(pattern) == 1
+    assert found == {t for t in idx.all_triples()
+                     if index_mod._merge(pattern, t, {}) is not None}
+    (t,) = found
+    ground = (Term.iri(t.subject), Term.iri(t.predicate), t.object)
+    # through the leaf on the pattern's own path, then reached from a
+    # variable ?k bound before it in each of the other two positions
+    other = [Var("?s"), Var("?p"), Var("?o")]
+    other[position] = Var("?x")
+    queries = [(pattern, TriplePattern(*other))]
+    for k in {0, 1, 2} - {position}:
+        pin, open_ = list(ground), list(atoms)
+        pin[k] = open_[k] = Var("?k")
+        queries.append((TriplePattern(*pin), TriplePattern(*open_)))
+    for patterns in queries:
+        expected = idx.evaluate_brute_force(ConjunctiveQuery(patterns, ("?x",)))
+        assert expected == {SolutionRow.of({"?x": Term.iri(type_iri("Thing"))})}
+        for perm in itertools.permutations(patterns):
+            assert idx.evaluate(ConjunctiveQuery(perm, ("?x",))) == expected
+
+
+def _churned_index(seed):
+    """An index after 300 seeded creates, modifies and purges, and the
+    objects left live."""
+    rng = random.Random(seed)
+    idx = TripleIndex()
+    live = {}
+    for i in range(300):
+        roll = rng.random()
+        if roll < 0.4 or not live:
+            o = random_object(rng, object_id=f"info:ino/o{i}")
+        elif roll < 0.85:
+            old = live[rng.choice(sorted(live))]
+            fresh = random_object(rng, object_id=old.id)
+            o = replace(old, modified=old.modified + timedelta(seconds=i),
+                        datastreams=fresh.datastreams,
+                        relationships=fresh.relationships)
+        else:
+            oid = rng.choice(sorted(live))
+            idx.deindex_object(oid)
+            del live[oid]
+            continue
+        idx.index_object(o)
+        live[o.id] = o
+    return idx, live
+
+
+def _by_term(idx):
+    """The maps and per-key counts with every id turned into its term, a
+    leaf kept as its shape: a bare term, or a set of them."""
+    terms = idx._terms
+
+    def leaf(x):
+        return terms[x] if isinstance(x, int) else {terms[i] for i in x}
+    maps = [{terms[a]: {terms[b]: leaf(c) for b, c in inner.items()}
+             for a, inner in m.items()} for m in idx._maps]
+    counts = [{terms[a]: n for a, n in c.items()} for c in idx._counts]
+    return maps, counts
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_leaves_and_counts_hold_after_churn(seed):
+    idx, live = _churned_index(seed)
+    for i, m in enumerate(idx._maps):
+        for inner in m.values():
+            assert inner
+            for leaf in inner.values():
+                assert isinstance(leaf, int) or len(leaf) >= 2
+        assert idx._counts[i] == {
+            a: sum(1 if isinstance(x, int) else len(x) for x in inner.values())
+            for a, inner in m.items()}
+    fresh = TripleIndex()
+    fresh.rebuild(live.values())
+    assert _by_term(idx) == _by_term(fresh)
+    assert _term_table(idx) == _term_table(fresh)
+
+
+# ------------------------------------------------------------- tuple types
+
+def test_term_kinds_stay_distinct_and_hash_by_value():
+    iri, lit = Term.iri("info:ino/x"), Term.literal("info:ino/x")
+    assert iri != lit and iri == Term("iri", "info:ino/x")
+    assert hash(iri) == hash(Term("iri", "info:ino/x"))
+    assert len({iri, lit, Term.iri("info:ino/x")}) == 2
+    idx = TripleIndex()
+    idx.index_object(obj("a", relationships=[
+        Triple("info:ino/a", RELATED_TO, iri), Triple("info:ino/a", RELATED_TO, lit)]))
+    assert idx.estimate(TriplePattern(Var("?s"), Term.iri(RELATED_TO), lit)) == 1
+    q = ConjunctiveQuery((TriplePattern(Var("?s"), Term.iri(RELATED_TO), Var("?o")),),
+                         ("?o",))
+    assert idx.evaluate(q) == {SolutionRow.of({"?o": iri}), SolutionRow.of({"?o": lit})}
+
+
+def test_solution_row_accessors():
+    a, b = Term.iri("info:ino/a"), Term.literal("b")
+    row = SolutionRow.of({"?b": b, "?a": a})
+    assert row.items == (("?a", a), ("?b", b))
+    assert row.bindings == {"?a": a, "?b": b}
+    assert row["?a"] == a and row["?b"] == b
+    assert row == SolutionRow.of({"?a": a, "?b": b})
+    assert hash(row) == hash(SolutionRow.of({"?a": a, "?b": b}))
+    assert SolutionRow.of({}).items == ()

@@ -4,10 +4,12 @@ import logging
 import socket
 import threading
 import urllib.parse
+from pathlib import Path
 
 import pytest
 
 from ino import service as service_module
+from ino.corpus import CorpusProfile, generate_corpus
 from ino.errors import ConfigError, StoreLocked
 from ino.model import VirtualClock
 from ino.service import Service, load_config
@@ -111,6 +113,18 @@ def test_query_route(service):
     rows = json.loads(data)["rows"]
     assert {r["?s"]["value"] for r in rows} == {f"info:ino/{resource}",
                                                 f"info:ino/{_metadata}"}
+
+
+GOLDEN_QUERY = Path(__file__).parent / "data" / "query_rows.json"
+
+
+def test_query_route_body_matches_golden(service):
+    """A fixed seeded store answers a query over IRIs and literals with the
+    same bytes, rows in the same order, as when the file was captured."""
+    generate_corpus(service.repo, CorpusProfile(resources=4, seed=7))
+    q = b"SELECT ?m ?p ?o ?r WHERE ?m <info:ino/def#metadataFor> ?r ; ?m ?p ?o"
+    status, _media, data = service.handle("POST", "/query", {}, q, {})
+    assert status == 200 and data == GOLDEN_QUERY.read_bytes()
 
 
 def test_query_explain_route(service):
