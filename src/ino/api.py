@@ -65,7 +65,8 @@ class ResourceSpec:
 
 @dataclass(frozen=True)
 class MetadataSpec:
-    target: str
+    # a resource id, or a ResourceSpec found by URL or made in the same commit
+    target: str | ResourceSpec
     format_id: str
     payload: bytes
     provider: str
@@ -197,18 +198,21 @@ class Repository:
 
     def add_resource(self, spec: ResourceSpec) -> str:
         with self._lock:
-            for agg in spec.initial_aggregations:
-                self._require_type(agg, "Aggregation", UnknownAggregation)
-            if spec.content_url is not None:
-                existing = self.find_resource_by_url(spec.content_url)
-                if existing is not None:
-                    return existing
-            oid = self._new_id("resource")
-            draft = self._resource_draft(oid, spec)
-            self._commit([BatchOp("create", oid, draft=draft)])
+            oid, ops = self._resource_ops(spec)
+            if ops:
+                self._commit(ops)
             return oid
 
-    def _resource_draft(self, oid: str, spec: ResourceSpec) -> DigitalObject:
+    def _resource_ops(self, spec: ResourceSpec) -> tuple[str, list[BatchOp]]:
+        """The live resource at ``spec``'s URL and no ops, else a new id
+        and the op that creates the resource."""
+        for agg in spec.initial_aggregations:
+            self._require_type(agg, "Aggregation", UnknownAggregation)
+        if spec.content_url is not None:
+            existing = self.find_resource_by_url(spec.content_url)
+            if existing is not None:
+                return existing, []
+        oid = self._new_id("resource")
         if spec.content_url is not None:
             ds = Datastream("content", "application/octet-stream",
                             surrogate=normalize_url(spec.content_url))
@@ -218,11 +222,15 @@ class Repository:
             Triple(oid, MEMBER_OF, Term.iri(a))
             for a in sorted(spec.initial_aggregations)
         )
-        return make_draft(oid, ("Resource",), datastreams=[ds], relationships=rels)
+        draft = make_draft(oid, ("Resource",), datastreams=[ds], relationships=rels)
+        return oid, [BatchOp("create", oid, draft=draft)]
 
     def add_metadata(self, spec: MetadataSpec, extra_relationships=()) -> str:
+        """One commit: the metadata object and, when ``spec.target`` is a
+        ResourceSpec with no live resource at its URL, that resource."""
         with self._lock:
-            self._require_type(spec.target, "Resource", UnknownResource)
+            if isinstance(spec.target, str):
+                self._require_type(spec.target, "Resource", UnknownResource)
             self._require_type(spec.provider, "Agent", UnknownAgent)
             for agg in spec.initial_aggregations:
                 self._require_type(agg, "Aggregation", UnknownAggregation)
@@ -230,9 +238,11 @@ class Repository:
                 raise InvalidObject("payload: must be non-empty")
             if not is_format_id(spec.format_id):
                 raise InvalidObject(f"formatId: malformed {spec.format_id!r}")
+            target, ops = ((spec.target, []) if isinstance(spec.target, str)
+                           else self._resource_ops(spec.target))
             oid = self._new_id("metadata")
             rels = [
-                Triple(oid, METADATA_FOR, Term.iri(spec.target)),
+                Triple(oid, METADATA_FOR, Term.iri(target)),
                 Triple(oid, PROVIDED_BY, Term.iri(spec.provider)),
             ]
             rels += [
@@ -248,7 +258,7 @@ class Repository:
                 ],
                 relationships=rels,
             )
-            self._commit([BatchOp("create", oid, draft=draft)])
+            self._commit(ops + [BatchOp("create", oid, draft=draft)])
             return oid
 
     def update_metadata_payload(self, object_id: str, format_id: str,
@@ -276,17 +286,7 @@ class Repository:
                            extra_relationships=()) -> str:
         with self._lock:
             self._require_type(agent, "Agent", UnknownAgent)
-            ops = []
-            if proxy.content_url is not None:
-                proxy_id = self.find_resource_by_url(proxy.content_url)
-            else:
-                proxy_id = None
-            if proxy_id is None:
-                proxy_id = self._new_id("resource")
-                proxy_draft = self._resource_draft(proxy_id, proxy)
-                for agg in proxy.initial_aggregations:
-                    self._require_type(agg, "Aggregation", UnknownAggregation)
-                ops.append(BatchOp("create", proxy_id, draft=proxy_draft))
+            proxy_id, ops = self._resource_ops(proxy)
             agg_id = self._new_id("agg")
             rels = [Triple(agg_id, REPRESENTED_BY, Term.iri(proxy_id))]
             rels += [Triple(agg_id, p, o) for p, o in extra_relationships]

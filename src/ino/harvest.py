@@ -1,10 +1,11 @@
 """OAI-PMH 2.0 harvester client: ingests an external provider's records into
 the repository through the high-level API, following resumption tokens.
 
-Each harvested record maps to addResource (first http(s) dc:identifier) plus
-addMetadata; provenance triples (sourceRecordId, sourceBaseUrl, sourceSet)
-make re-harvests idempotent. A record deleted upstream purges the live
-metadata object harvested from it, and leaves its resource in place.
+Each harvested record is one addMetadata commit, its target the resource at
+its first http(s) dc:identifier, found by URL or created in that commit;
+provenance triples (sourceRecordId, sourceBaseUrl, sourceSet) make re-harvests
+idempotent. A record deleted upstream purges the live metadata object
+harvested from it, and leaves its resource in place.
 """
 
 from __future__ import annotations
@@ -141,15 +142,10 @@ class Harvester:
                     stats.updated += 1
                 return
             before = self.repo.store.count()
-            resource = self.repo.add_resource(
-                ResourceSpec(content_url=content_url,
-                             initial_aggregations=frozenset({agg}))
-            )
-            if self.repo.store.count() > before:
-                stats.created_resources += 1
             self.repo.add_metadata(
                 MetadataSpec(
-                    target=resource,
+                    target=ResourceSpec(content_url=content_url,
+                                        initial_aggregations=frozenset({agg})),
                     format_id=metadata_prefix,
                     payload=payload,
                     provider=agent,
@@ -158,6 +154,8 @@ class Harvester:
                 extra_relationships=[(SOURCE_RECORD_ID, Term.literal(oai_id))],
             )
             stats.created_metadata += 1
+            if self.repo.store.count() - before == 2:  # the resource is new
+                stats.created_resources += 1
         except InoError as exc:
             stats.failures.append(f"{oai_id}: {exc}")
 

@@ -160,6 +160,67 @@ def test_add_metadata_invalid(fixture):
         ))
 
 
+def count_commits(repo):
+    commit = repo.store.commit_batch
+    calls = []
+
+    def counting(ops):
+        calls.append(ops)
+        return commit(ops)
+    repo.store.commit_batch = counting
+    return calls
+
+
+def test_add_metadata_creates_resource_target_in_one_commit(fixture):
+    repo, agent, agg, _resource = fixture
+    calls = count_commits(repo)
+    seq = repo.store.current_seq
+    m = repo.add_metadata(MetadataSpec(
+        target=ResourceSpec(content_url="http://example.org/new",
+                            initial_aggregations=frozenset({agg})),
+        format_id="nsdl_dc", payload=PAYLOAD, provider=agent,
+    ))
+    assert len(calls) == 1
+    events = repo.changes_since(seq)
+    assert [e.seq for e in events] == [seq + 1, seq + 2]
+    resource = repo.find_resource_by_url("http://example.org/new")
+    assert [e.object_id for e in events] == [resource, m]
+    assert [t.object for t in repo.get_object(m).relationships
+            if t.predicate == METADATA_FOR] == [Term.iri(resource)]
+    assert repo.members_of(agg) >= {resource}
+    assert repo.audit() == []
+
+
+def test_add_metadata_resource_target_reuses_url(fixture):
+    repo, agent, _agg, resource = fixture
+    count = repo.store.count()
+    m = repo.add_metadata(MetadataSpec(
+        target=ResourceSpec(content_url="http://EXAMPLE.org:80/a"),
+        format_id="nsdl_dc", payload=PAYLOAD, provider=agent,
+    ))
+    assert repo.store.count() == count + 1
+    assert [t.object for t in repo.get_object(m).relationships
+            if t.predicate == METADATA_FOR] == [Term.iri(resource)]
+
+
+def test_rejected_metadata_leaves_no_resource_target(fixture):
+    repo, agent, _agg, resource = fixture
+    before = snapshot(repo)
+    url = "http://example.org/never"
+    with pytest.raises(InvalidObject):
+        repo.add_metadata(MetadataSpec(
+            target=ResourceSpec(content_url=url),
+            format_id="nsdl_dc", payload=b"", provider=agent,
+        ))
+    with pytest.raises(UnknownAgent):
+        repo.add_metadata(MetadataSpec(
+            target=ResourceSpec(content_url=url),
+            format_id="nsdl_dc", payload=PAYLOAD, provider=resource,
+        ))
+    assert snapshot(repo) == before
+    assert repo.find_resource_by_url(url) is None
+
+
 # -------------------------------------------------------------- aggregations
 
 def test_create_aggregation(fixture):
@@ -193,6 +254,21 @@ def test_aggregations_may_share_proxy(fixture):
         if t.predicate == REPRESENTED_BY
     }
     assert len(targets) == 1
+
+
+def test_create_aggregation_checks_proxy_aggregations_first(fixture):
+    # an existing proxy URL does not let an unknown aggregation through,
+    # and the rejected proxy takes no id
+    repo, agent, _agg, _resource = fixture
+    before = snapshot(repo)
+    for url in ("http://example.org/collection-home", "http://example.org/p"):
+        with pytest.raises(UnknownAggregation):
+            repo.create_aggregation(agent, ResourceSpec(
+                content_url=url,
+                initial_aggregations=frozenset({"info:ino/nope"})))
+    assert snapshot(repo) == before
+    assert repo.add_resource(ResourceSpec(content_url="http://example.org/q")) \
+        == "info:ino/resource-5"
 
 
 # ---------------------------------------------------------------- membership

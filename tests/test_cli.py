@@ -5,6 +5,7 @@ import pytest
 
 from ino.api import Repository
 from ino.cli import main
+from ino.index import TripleIndex
 from ino.model import METADATA_FOR, Term, Triple, VirtualClock
 from ino.oai import OaiProvider
 from ino.service import Service
@@ -33,6 +34,22 @@ def test_generate_then_audit_and_rebuild(tmp_path, capsys):
     code, out = run(capsys, "rebuild-oai-cache", "--data-dir", data)
     assert code == 0 and out.startswith("30 records")
     assert (tmp_path / "d" / "oai_cache.json").exists()
+
+
+def test_rebuild_index_reports_an_index_that_misses_triples(
+        tmp_path, capsys, monkeypatch):
+    data = str(tmp_path / "d")
+    assert run(capsys, "generate", "--data-dir", data,
+               "--resources", "20", "--seed", "3")[0] == 0
+    add = TripleIndex._add
+
+    def drop_metadata_for(self, t):
+        if t.predicate != METADATA_FOR:
+            add(self, t)
+
+    monkeypatch.setattr(TripleIndex, "_add", drop_metadata_for)
+    code, out = run(capsys, "rebuild-index", "--data-dir", data)
+    assert code == 2 and "DIVERGED" in out
 
 
 def test_rebuild_oai_cache_keeps_deleted_records(tmp_path, capsys):

@@ -268,3 +268,65 @@ def test_crash_between_provenance_commits_keeps_one_agent(source, tmp_path):
         assert repo.audit() == []
     finally:
         repo.close()
+
+
+def creates_metadata(ops):
+    return any(op.kind == "create" and "Metadata" in op.draft.types
+               for op in ops)
+
+
+def test_harvest_commits_once_per_record(source, target):
+    _repo, provider = source
+    commit = target.store.commit_batch
+    calls = []
+
+    def counting(ops):
+        calls.append(ops)
+        return commit(ops)
+
+    target.store.commit_batch = counting
+    stats = Harvester(target, fetch=loopback(provider)).harvest(
+        BASE_URL, "nsdl_dc")
+    assert stats.created_metadata == stats.created_resources == 9
+    # the source agent, the source aggregation, then one per record
+    assert len(calls) == 11
+    assert sum(map(creates_metadata, calls)) == 9
+
+
+def test_crash_mid_harvest_leaves_whole_records(source, tmp_path):
+    _repo, provider = source
+    clock = VirtualClock()
+    repo = Repository(tmp_path / "crashy", clock=clock)
+    commit = repo.store.commit_batch
+    records = []
+
+    def crash_on_fifth_record(ops):
+        if creates_metadata(ops):
+            records.append(ops)
+            if len(records) == 5:
+                raise RuntimeError("simulated crash")
+        return commit(ops)
+
+    repo.store.commit_batch = crash_on_fifth_record
+    with pytest.raises(RuntimeError):
+        Harvester(repo, fetch=loopback(provider)).harvest(BASE_URL, "nsdl_dc")
+    repo.store.abandon()
+
+    repo = Repository(tmp_path / "crashy", clock=clock)
+    try:
+        proxy = repo.find_resource_by_url(BASE_URL)
+        described = {t.object.value for t in repo.match(TriplePattern(
+            Var("?m"), Term.iri(METADATA_FOR), Var("?r")))
+            if repo.store.exists(t.subject)}
+        resources = {t.subject for t in repo.match(TriplePattern(
+            Var("?s"), Term.iri(OBJECT_TYPE), Term.iri(type_iri("Resource"))))}
+        assert len(described) == 4
+        assert resources - {proxy} == described
+        stats = Harvester(repo, fetch=loopback(provider)).harvest(
+            BASE_URL, "nsdl_dc")
+        assert (stats.created_metadata, stats.unchanged) == (5, 4)
+        assert count_type(repo, "Metadata") == 9
+        assert count_type(repo, "Resource") == 10
+        assert repo.audit() == []
+    finally:
+        repo.close()
