@@ -9,11 +9,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from urllib.parse import urlsplit, urlunsplit
+from xml.parsers.expat import ExpatError
 
 from .dissemination import (
     FORMAT_DS_PREFIX,
     CrosswalkRegistry,
     Disseminator,
+    check_xml,
     is_format_id,
 )
 from .errors import (
@@ -47,6 +49,16 @@ from .store import BatchOp, ObjectStore
 AGENT_KINDS = ("Person", "Organization", "Service")
 
 _ID_SUFFIX_RE = re.compile(r"^[a-z]+-(\d+)$")
+
+
+def _check_payload(payload: bytes) -> None:
+    """``InvalidObject`` unless ``payload`` is a well-formed XML document."""
+    if not payload:
+        raise InvalidObject("payload: must be non-empty")
+    try:
+        check_xml(payload)
+    except ExpatError as exc:
+        raise InvalidObject(f"payload: not well-formed XML ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -234,8 +246,7 @@ class Repository:
             self._require_type(spec.provider, "Agent", UnknownAgent)
             for agg in spec.initial_aggregations:
                 self._require_type(agg, "Aggregation", UnknownAggregation)
-            if not spec.payload:
-                raise InvalidObject("payload: must be non-empty")
+            _check_payload(spec.payload)
             if not is_format_id(spec.format_id):
                 raise InvalidObject(f"formatId: malformed {spec.format_id!r}")
             target, ops = ((spec.target, []) if isinstance(spec.target, str)
@@ -267,8 +278,7 @@ class Repository:
             obj = self.store.get(object_id)
             if "Metadata" not in obj.types:
                 raise UnknownResource(f"{object_id} is not a Metadata object")
-            if not payload:
-                raise InvalidObject("payload: must be non-empty")
+            _check_payload(payload)
             ds_id = FORMAT_DS_PREFIX + format_id
             replaced = False
             streams = []

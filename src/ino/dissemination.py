@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 from xml.etree import ElementTree as ET
+from xml.parsers import expat
 from xml.sax.saxutils import escape
 
 from .errors import FormatUnavailable, InvalidRule, TransformError
@@ -38,6 +39,18 @@ DC_NS = "http://purl.org/dc/elements/1.1/"
 
 def is_format_id(value: str) -> bool:
     return bool(_FORMAT_ID_RE.match(value))
+
+
+def check_xml(payload: bytes) -> bool:
+    """Raise ``expat.ExpatError`` unless ``payload`` is a well-formed XML
+    document with every prefix bound. Return whether it can be written into
+    a UTF-8 document as it is: it starts with ``<`` past any whitespace, has
+    no XML declaration and no DOCTYPE, and is UTF-8."""
+    expat.ParserCreate(namespace_separator=" ").Parse(payload, True)
+    # a declaration or a DOCTYPE may only open a document; a byte order mark
+    # or a NUL byte (never in well-formed UTF-8 XML) means another encoding
+    return (payload.lstrip()[:1] == b"<" and not payload.startswith(b"<?xml")
+            and b"<!DOCTYPE" not in payload and b"\0" not in payload)
 
 
 def stored_formats(obj: DigitalObject) -> set[str]:

@@ -19,6 +19,12 @@ ListMetadataFormats read only the sequences, so no request iterates
 ``records`` and none takes a lock. A list page is a bisect plus a slice;
 resumption tokens are stateless cursors over the sequences. Record payloads
 are disseminated at response time.
+
+A response is written as text: a verb returns its body as strings, joined
+once with the envelope. A payload passes a namespace-aware expat parse
+(``check_xml``) and is spliced in as it is; only one with a declaration, a
+DOCTYPE or another encoding is re-serialized by ElementTree. A payload that
+is not XML gives ``cannotDisseminateFormat`` for its record.
 """
 
 from __future__ import annotations
@@ -33,9 +39,11 @@ from datetime import datetime, timedelta, timezone
 from itertools import accumulate, islice
 from operator import attrgetter, itemgetter
 from xml.etree import ElementTree as ET
+from xml.parsers.expat import ExpatError
 
-from .dissemination import OAI_DC_NS
-from .errors import BadResumptionToken, EventOutOfOrder, FormatUnavailable, NotFound
+from .dissemination import OAI_DC_NS, check_xml
+from .errors import (BadResumptionToken, EventOutOfOrder, FormatUnavailable,
+                     NotFound, TransformError)
 from .index import ConjunctiveQuery, TriplePattern, Var
 from .model import (
     MEMBER_OF,
@@ -391,30 +399,33 @@ class OaiProvider:
         verb = params.get("verb")
         try:
             if verb not in VERBS:
-                return self._error_response(params, "badVerb",
-                                            f"unknown verb {verb!r}")
-            handler = getattr(self, "_verb_" + verb)
-            return handler(dict(params))
+                raise _OaiError("badVerb", f"unknown verb {verb!r}")
+            body = getattr(self, "_verb_" + verb)(dict(params))
         except _OaiError as exc:
-            return self._error_response(params, exc.code, exc.message)
+            # badVerb/badArgument responses must not echo illegal request attrs
+            echo = exc.code not in ("badVerb", "badArgument")
+            return self._respond(params if echo else {}, [
+                f'<error code="{exc.code}">{_text(exc.message)}</error>'])
+        return self._respond(params, [f"<{verb}>", *body, f"</{verb}>"])
 
-    # verb handlers ----------------------------------------------------------
+    # verb handlers return their body as XML strings; each checks its
+    # arguments first, so the request element echoes only OAI argument names
 
     def _verb_Identify(self, params):
         self._reject_extra_args(params, set())
         earliest = min((seq.chunks[0][0].datestamp
                         for seq in self.sequences.values() if seq.chunks),
                        default=None)
-        body = ET.Element("Identify")
-        _text(body, "repositoryName", REPOSITORY_NAME)
-        _text(body, "baseURL", self.base_url)
-        _text(body, "protocolVersion", "2.0")
-        _text(body, "adminEmail", "admin@ndr.local")
-        _text(body, "earliestDatestamp",
-              format_ts(earliest) if earliest else "1970-01-01T00:00:00Z")
-        _text(body, "deletedRecord", "persistent")
-        _text(body, "granularity", "YYYY-MM-DDThh:mm:ssZ")
-        return self._respond(params, body)
+        return [_el(tag, value) for tag, value in (
+            ("repositoryName", REPOSITORY_NAME),
+            ("baseURL", self.base_url),
+            ("protocolVersion", "2.0"),
+            ("adminEmail", "admin@ndr.local"),
+            ("earliestDatestamp",
+             format_ts(earliest) if earliest else "1970-01-01T00:00:00Z"),
+            ("deletedRecord", "persistent"),
+            ("granularity", "YYYY-MM-DDThh:mm:ssZ"),
+        )]
 
     def _verb_ListMetadataFormats(self, params):
         self._reject_extra_args(params, {"identifier"})
@@ -426,28 +437,27 @@ class OaiProvider:
                 raise _OaiError("idDoesNotExist", identifier)
         else:
             formats = sorted(f for f, seq in self.sequences.items() if seq)
-        body = ET.Element("ListMetadataFormats")
+        out = []
         for f in formats:
             ns, schema = _FORMAT_NAMESPACES.get(
                 f, (f"http://ndr.local/format/{f}#",
                     f"http://ndr.local/format/{f}.xsd"))
-            mf = ET.SubElement(body, "metadataFormat")
-            _text(mf, "metadataPrefix", f)
-            _text(mf, "schema", schema)
-            _text(mf, "metadataNamespace", ns)
-        return self._respond(params, body)
+            out.append(f"<metadataFormat>{_el('metadataPrefix', f)}"
+                       f"{_el('schema', schema)}"
+                       f"{_el('metadataNamespace', ns)}</metadataFormat>")
+        return out
 
     def _verb_ListSets(self, params):
+        self._reject_extra_args(params, {"resumptionToken"})
         if "resumptionToken" in params:  # ListSets is never paged
             raise _OaiError("badResumptionToken", "ListSets issues no tokens")
-        self._reject_extra_args(params, set())
-        body = ET.Element("ListSets")
         q = ConjunctiveQuery(
             (TriplePattern(Var("?a"), Term.iri(OBJECT_TYPE),
                            Term.iri(type_iri("Aggregation"))),),
             ("?a",),
         )
         aggs = sorted(row["?a"].value for row in self.repo.query(q))
+        out = []
         for agg in aggs:
             name = agg
             try:
@@ -460,10 +470,9 @@ class OaiProvider:
                             name = ds.surrogate
             except NotFound:
                 pass
-            s = ET.SubElement(body, "set")
-            _text(s, "setSpec", local_id(agg))
-            _text(s, "setName", name)
-        return self._respond(params, body)
+            out.append(f"<set>{_el('setSpec', local_id(agg))}"
+                       f"{_el('setName', name)}</set>")
+        return out
 
     def _verb_GetRecord(self, params):
         self._reject_extra_args(params, {"identifier", "metadataPrefix"},
@@ -476,15 +485,13 @@ class OaiProvider:
             if any((identifier, f) in records for f in self.sequences):
                 raise _OaiError("cannotDisseminateFormat", prefix)
             raise _OaiError("idDoesNotExist", identifier)
-        body = ET.Element("GetRecord")
-        body.append(self._record_element(rec, with_metadata=True))
-        return self._respond(params, body)
+        return [self._record(rec)]
 
     def _verb_ListIdentifiers(self, params):
-        return self._list_verb(params, "ListIdentifiers", with_metadata=False)
+        return self._list_verb(params, _header)
 
     def _verb_ListRecords(self, params):
-        return self._list_verb(params, "ListRecords", with_metadata=True)
+        return self._list_verb(params, self._record)
 
     # list machinery ---------------------------------------------------------
 
@@ -513,7 +520,8 @@ class OaiProvider:
                     hi - lo if counted else None,
                     start - lo if counted else None)
 
-    def _list_verb(self, params, verb, with_metadata):
+    def _list_verb(self, params, write):
+        """A list page with each record written by ``write``."""
         token = params.get("resumptionToken")
         if token is not None:
             if set(params) - {"verb", "resumptionToken"}:
@@ -543,53 +551,42 @@ class OaiProvider:
                 raise _OaiError("cannotDisseminateFormat", fmt)
             raise _OaiError("noRecordsMatch", "empty selection")
 
-        body = ET.Element(verb)
-        for rec in page.records:
-            if with_metadata:
-                body.append(self._record_element(rec, with_metadata=True))
-            else:
-                body.append(self._header_element(rec))
-
+        out = [write(rec) for rec in page.records]
         if page.more or token is not None:
             # completeListSize and cursor are optional: sent where bisects
             # give them, that is, on lists without a set
-            rt = ET.SubElement(body, "resumptionToken")
-            if page.size is not None:
-                rt.set("completeListSize", str(page.size))
-                rt.set("cursor", str(page.cursor))
-            if page.more:
-                last = page.records[-1]
-                rt.text = encode_token(fmt, set_spec, from_s, until_s,
-                                       (last.datestamp, last.identifier))
-        return self._respond(params, body)
+            counts = ("" if page.size is None else
+                      f' completeListSize="{page.size}" cursor="{page.cursor}"')
+            last = page.records[-1]
+            text = (encode_token(fmt, set_spec, from_s, until_s,
+                                 (last.datestamp, last.identifier))
+                    if page.more else "")
+            out.append(f"<resumptionToken{counts}>{text}</resumptionToken>")
+        return out
 
-    # element builders -------------------------------------------------------
+    # writers ----------------------------------------------------------------
 
-    def _header_element(self, rec: OaiRecord) -> ET.Element:
-        header = ET.Element("header")
-        if rec.deleted:
-            header.set("status", "deleted")
-        _text(header, "identifier", rec.identifier)
-        _text(header, "datestamp", format_ts(rec.datestamp))
-        for s in sorted(rec.set_specs):
-            _text(header, "setSpec", s)
-        return header
+    def _record(self, rec: OaiRecord) -> str:
+        metadata = "" if rec.deleted else f"<metadata>{self._metadata(rec)}</metadata>"
+        return f"<record>{_header(rec)}{metadata}</record>"
 
-    def _record_element(self, rec: OaiRecord, with_metadata: bool) -> ET.Element:
-        record = ET.Element("record")
-        record.append(self._header_element(rec))
-        if with_metadata and not rec.deleted:
-            try:
-                payload, _media, _path = self.repo.get_dissemination(
-                    rec.source_object, rec.format
-                )
-            except (NotFound, FormatUnavailable) as exc:
-                raise _OaiError("cannotDisseminateFormat", str(exc)) from exc
-            metadata = ET.SubElement(record, "metadata")
-            metadata.append(ET.fromstring(payload))
-        return record
-
-    # response plumbing ------------------------------------------------------
+    def _metadata(self, rec: OaiRecord) -> str:
+        """The payload of ``rec`` as text: spliced in as it is when
+        ``check_xml`` allows it, else re-serialized by ElementTree (which
+        reads a declaration's encoding and expands a DOCTYPE's entities).
+        ``cannotDisseminateFormat`` when it cannot be had or is not XML."""
+        try:
+            payload = self.repo.get_dissemination(rec.source_object,
+                                                  rec.format)[0]
+        except (NotFound, FormatUnavailable, TransformError) as exc:
+            raise _OaiError("cannotDisseminateFormat", str(exc)) from exc
+        try:
+            if check_xml(payload):
+                return payload.decode().strip()
+            return ET.tostring(ET.fromstring(payload), encoding="unicode")
+        except (ExpatError, ET.ParseError) as exc:
+            raise _OaiError("cannotDisseminateFormat", f"{rec.identifier}: "
+                            f"payload not well-formed XML ({exc})") from exc
 
     def _reject_extra_args(self, params, allowed: set, required: set = frozenset()):
         extra = set(params) - allowed - {"verb"}
@@ -599,30 +596,14 @@ class OaiProvider:
         if missing:
             raise _OaiError("badArgument", f"missing arguments {sorted(missing)}")
 
-    def _envelope(self, params, include_attrs=True) -> ET.Element:
-        root = ET.Element("OAI-PMH", xmlns=OAI_NS)
-        root.set("xmlns:xsi", XSI_NS)
-        root.set("xsi:schemaLocation", f"{OAI_NS} {OAI_SCHEMA}")
-        _text(root, "responseDate", format_ts(self.repo.store.clock.now()))
-        request = ET.SubElement(root, "request")
-        if include_attrs:
-            for k, v in params.items():
-                request.set(k, v)
-        request.text = self.base_url
-        return root
-
-    def _respond(self, params, body: ET.Element) -> bytes:
-        root = self._envelope(params)
-        root.append(body)
-        return _serialize(root)
-
-    def _error_response(self, params, code, message) -> bytes:
-        # badVerb/badArgument responses must not echo illegal request attrs
-        root = self._envelope(params,
-                              include_attrs=code not in ("badVerb", "badArgument"))
-        err = ET.SubElement(root, "error", code=code)
-        err.text = message
-        return _serialize(root)
+    def _respond(self, params, body: list[str]) -> bytes:
+        """``body`` in the envelope, ``params`` the request's attributes."""
+        attrs = "".join(f' {k}="{_attr(v)}"' for k, v in params.items())
+        return "".join([
+            _HEAD, "<responseDate>", format_ts(self.repo.store.clock.now()),
+            f"</responseDate><request{attrs}>{_text(self.base_url)}</request>",
+            *body, "</OAI-PMH>",
+        ]).encode()
 
 
 class _OaiError(Exception):
@@ -632,13 +613,29 @@ class _OaiError(Exception):
         self.message = message
 
 
-def _text(parent, tag, value):
-    el = ET.SubElement(parent, tag)
-    el.text = value
-    return el
+_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+         f'<OAI-PMH xmlns="{OAI_NS}" xmlns:xsi="{XSI_NS}" '
+         f'xsi:schemaLocation="{OAI_NS} {OAI_SCHEMA}">')
 
 
-def _serialize(root: ET.Element) -> bytes:
-    return b'<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(
-        root, encoding="unicode"
-    ).encode("utf-8")
+def _text(value: str) -> str:
+    """``value`` escaped for element content, as ElementTree escapes it."""
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _attr(value: str) -> str:
+    """``value`` escaped for a double-quoted attribute, as ElementTree
+    escapes it."""
+    return (_text(value).replace('"', "&quot;").replace("\r", "&#13;")
+            .replace("\n", "&#10;").replace("\t", "&#09;"))
+
+
+def _el(tag: str, value: str) -> str:
+    return f"<{tag}>{_text(value)}</{tag}>"
+
+
+def _header(rec: OaiRecord) -> str:
+    sets = "".join([_el("setSpec", s) for s in sorted(rec.set_specs)])
+    status = ' status="deleted"' if rec.deleted else ""
+    return (f"<header{status}>{_el('identifier', rec.identifier)}"
+            f"<datestamp>{format_ts(rec.datestamp)}</datestamp>{sets}</header>")

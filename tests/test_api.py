@@ -160,6 +160,28 @@ def test_add_metadata_invalid(fixture):
         ))
 
 
+@pytest.mark.parametrize("payload", [
+    b"not xml at all",
+    b"<nsdl_dc><title>T</nsdl_dc>",
+    b"<dc:title>unbound prefix</dc:title>",
+])
+def test_malformed_payload_rejected(fixture, payload):
+    """A payload that is not well-formed XML is refused on create and on
+    update, and leaves the store as it was."""
+    repo, agent, _agg, resource = fixture
+    mid = repo.add_metadata(MetadataSpec(
+        target=resource, format_id="nsdl_dc", payload=PAYLOAD, provider=agent))
+    before = snapshot(repo)
+    with pytest.raises(InvalidObject, match="payload: not well-formed XML"):
+        repo.add_metadata(MetadataSpec(
+            target=resource, format_id="nsdl_dc", payload=payload,
+            provider=agent))
+    with pytest.raises(InvalidObject, match="payload: not well-formed XML"):
+        repo.update_metadata_payload(mid, "nsdl_dc", payload)
+    assert snapshot(repo) == before
+    assert repo.get_dissemination(mid, "nsdl_dc")[0] == PAYLOAD
+
+
 def count_commits(repo):
     commit = repo.store.commit_batch
     calls = []

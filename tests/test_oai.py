@@ -12,8 +12,9 @@ from xml.etree import ElementTree as ET
 from ino import oai
 from ino.api import MetadataSpec, Repository, ResourceSpec
 from ino.errors import BadResumptionToken, EventOutOfOrder
-from ino.model import VirtualClock, format_ts, local_id, parse_ts
+from ino.model import Datastream, VirtualClock, format_ts, local_id, parse_ts
 from ino.oai import OaiProvider, decode_token, encode_token
+from oai_reference import assert_same_tree, render
 
 
 def parse(xml_bytes):
@@ -534,6 +535,130 @@ def test_bad_argument_response_omits_request_attrs(setup):
     request = parse(raw).find("request")
     assert request.attrib == {}
     assert re.search(rb"<responseDate>\d{4}-", raw)
+
+
+# ------------------------------------------ writer against the ElementTree oracle
+
+def list_requests(provider, params):
+    """Every request of a whole list, following its tokens."""
+    out = []
+    while params is not None:
+        out.append(params)
+        token = parse(provider.handle_request(params)).findtext(
+            f"{params['verb']}/resumptionToken")
+        params = ({"verb": params["verb"], "resumptionToken": token}
+                  if token else None)
+    return out
+
+
+def assert_renders_as_reference(provider, params, error=None):
+    """The response to ``params`` has the reference's tree; ``error`` is the
+    (code, message) it should answer, ``None`` for a response without one."""
+    body = provider.handle_request(params)
+    assert parse(body).find("error") is None or error, (params, body)
+    assert_same_tree(body, render(provider, params, error))
+
+
+def test_writer_matches_elementtree_reference(setup):
+    repo, provider, agg, mids = setup
+    repo.purge_metadata(mids[1])
+    provider.catch_up()
+    deleted = "oai:ndr.local:" + local_id(mids[1])
+    ident = "oai:ndr.local:" + local_id(mids[0])
+    stamps = sorted(r.datestamp for r in provider.records.values())
+    odd = 'x" < & \n \t y'
+    requests = [
+        {"verb": "Identify"},
+        {"verb": "ListMetadataFormats"},
+        {"verb": "ListMetadataFormats", "identifier": ident},
+        {"verb": "ListSets"},
+        {"verb": "GetRecord", "identifier": ident, "metadataPrefix": "oai_dc"},
+        {"verb": "GetRecord", "identifier": ident, "metadataPrefix": "nsdl_dc"},
+        {"verb": "GetRecord", "identifier": deleted, "metadataPrefix": "oai_dc"},
+    ]
+    for fmt in ("oai_dc", "nsdl_dc"):
+        requests += list_requests(
+            provider, {"verb": "ListRecords", "metadataPrefix": fmt})
+    requests += list_requests(provider, {
+        "verb": "ListIdentifiers", "metadataPrefix": "nsdl_dc",
+        "set": local_id(agg)})
+    requests += list_requests(provider, {
+        "verb": "ListRecords", "metadataPrefix": "oai_dc",
+        "from": format_ts(stamps[2]), "until": format_ts(stamps[-2])})
+    for params in requests:
+        assert_renders_as_reference(provider, params)
+    errors = [
+        ({"verb": "Bogus", "x": odd}, ("badVerb", "unknown verb 'Bogus'")),
+        ({"verb": "Identify", "set": odd},
+         ("badArgument", "illegal arguments ['set']")),
+        ({"verb": "GetRecord", "identifier": odd, "metadataPrefix": "oai_dc"},
+         ("idDoesNotExist", odd)),
+        ({"verb": "ListRecords", "metadataPrefix": odd},
+         ("cannotDisseminateFormat", odd)),
+        ({"verb": "ListRecords", "resumptionToken": odd},
+         ("badResumptionToken", "malformed token")),
+        ({"verb": "ListSets", "resumptionToken": odd},
+         ("badResumptionToken", "ListSets issues no tokens")),
+        ({"verb": "ListIdentifiers", "metadataPrefix": "oai_dc",
+          "set": "no-such-set"}, ("noRecordsMatch", "empty selection")),
+    ]
+    for params, error in errors:
+        assert_renders_as_reference(provider, params, error)
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param('<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+                 '<nsdl_dc><title>café</title>'
+                 '<identifier>http://example.org/café</identifier></nsdl_dc>'
+                 .encode("latin-1"), id="latin-1-declaration"),
+    pytest.param(b'<!DOCTYPE nsdl_dc [<!ENTITY t "caf\xc3\xa9">]>'
+                 b'<nsdl_dc xmlns:dc="http://purl.org/dc/elements/1.1/">'
+                 b'<dc:title>&t;</dc:title></nsdl_dc>', id="doctype-entity"),
+])
+def test_payload_with_a_prolog_renders_as_reference(setup, payload):
+    """A payload that cannot stand inside a response as it is is written
+    through ElementTree, in UTF-8, with the tree it had."""
+    repo, provider, _agg, mids = setup
+    repo.update_metadata_payload(mids[0], "nsdl_dc", payload)
+    provider.catch_up()
+    ident = "oai:ndr.local:" + local_id(mids[0])
+    for fmt in ("nsdl_dc", "oai_dc"):
+        get = {"verb": "GetRecord", "identifier": ident, "metadataPrefix": fmt}
+        for params in [get, *list_requests(
+                provider, {"verb": "ListRecords", "metadataPrefix": fmt})]:
+            assert_renders_as_reference(provider, params)
+        body = provider.handle_request(get)
+        title = next(el.text for el in parse(body).iter("title"))
+        assert title == "café" and "café".encode() in body
+
+
+@pytest.mark.parametrize("payload", [
+    b"not xml at all",
+    # passes expat, which skips an entity an external DTD may declare, but
+    # not ElementTree, which re-serializes a payload with a DOCTYPE
+    b'<!DOCTYPE nsdl_dc SYSTEM "nsdl.dtd"><nsdl_dc>&ext;</nsdl_dc>',
+])
+def test_malformed_stored_payload_is_cannot_disseminate(setup, payload):
+    """A stored payload that is not XML (written past the API's check) gives
+    cannotDisseminateFormat on every page and record that holds it, in both
+    formats, and leaves the other records servable."""
+    repo, provider, _agg, mids = setup
+    provider.page_size = 10  # one page holds every record
+    bad, good = ("oai:ndr.local:" + local_id(m) for m in mids[:2])
+    repo.store.modify(mids[0], datastreams=[
+        Datastream("format_nsdl_dc", "text/xml", content=payload)])
+    provider.catch_up()
+    for fmt in ("nsdl_dc", "oai_dc"):
+        errors = [parse(provider.handle_request(p)).find("error")
+                  for p in ({"verb": "GetRecord", "identifier": bad,
+                             "metadataPrefix": fmt},
+                            {"verb": "ListRecords", "metadataPrefix": fmt})]
+        assert [e.get("code") for e in errors] == ["cannotDisseminateFormat"] * 2
+        root = parse(provider.handle_request(
+            {"verb": "GetRecord", "identifier": good, "metadataPrefix": fmt}))
+        assert root.find("error") is None
+        assert parse(provider.handle_request(
+            {"verb": "ListIdentifiers", "metadataPrefix": fmt})).find("error") is None
 
 
 # ------------------------------------------------- sequences against the scan

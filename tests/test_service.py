@@ -355,6 +355,19 @@ def test_malformed_requests_get_a_response(live, method, path, body, status):
     assert "error" in json.loads(data)
 
 
+def test_malformed_metadata_payload_is_400(live):
+    svc, port = live
+    agent, _agg, resource, _metadata = populate(svc)
+    objects = svc.repo.store.count()
+    got, _headers, data = request(port, "POST", "/objects/metadata", json.dumps({
+        "target": resource, "formatId": "nsdl_dc", "payload": "not xml at all",
+        "provider": agent}), {"X-INO-Key": KEY})
+    assert got == 400
+    assert json.loads(data)["error"] == "InvalidObject"
+    assert "not well-formed XML" in json.loads(data)["message"]
+    assert svc.repo.store.count() == objects
+
+
 def test_unexpected_failure_is_a_500(live, monkeypatch, caplog):
     svc, port = live
 
