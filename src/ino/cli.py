@@ -8,7 +8,7 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
+from itertools import chain
 
 from .api import Repository
 from .bench import bench_all
@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rebuild-index", help="check the index against the object files")
     _add_data_dir(p)
 
-    p = sub.add_parser("rebuild-oai-cache", help="batch-rebuild the OAI record cache")
+    p = sub.add_parser("rebuild-oai-cache",
+                       help="check the OAI record cache against an event replay")
     _add_data_dir(p)
     return parser
 
@@ -142,22 +143,20 @@ def _run(args) -> int:
     if args.command == "rebuild-oai-cache":
         repo = Repository(args.data_dir)
         try:
-            provider = OaiProvider(repo)
-            path = Path(args.data_dir) / "oai_cache.json"
-            if path.exists():  # its deleted records carry forward
-                try:
-                    provider.load_cache(path)
-                except (ValueError, KeyError, TypeError) as exc:
-                    print(f"warning: unreadable {path} ({exc}); its deleted "
-                          "records are lost", file=sys.stderr)
+            # the cache a start builds, against one that replays every event
+            provider, replay = OaiProvider(repo), OaiProvider(repo)
             stats = provider.rebuild_cache()
-            provider.save_cache(path)
+            replay.catch_up()
+            listed = [{f: [*chain.from_iterable(seq.chunks)]
+                       for f, seq in p.sequences.items() if seq}
+                      for p in (provider, replay)]
+            same = provider.records == replay.records and listed[0] == listed[1]
             deleted = sum(r.deleted for r in provider.records.values())
-            print(f"{stats.records} records ({deleted} deleted) "
-                  f"in {stats.elapsed:.2f}s")
+            status = "identical" if same else "DIVERGED"
+            print(f"{stats.records} records ({deleted} deleted) ({status})")
+            return 0 if same else 2
         finally:
             repo.close()
-        return 0
 
     raise AssertionError(f"unhandled command {args.command}")
 

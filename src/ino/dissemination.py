@@ -133,7 +133,10 @@ class Disseminator:
         }
 
     def list_formats(self, object_id: str) -> set[str]:
-        obj = self._get_object(object_id)  # raises NotFound
+        return self.formats_of(self._get_object(object_id))  # raises NotFound
+
+    def formats_of(self, obj: DigitalObject) -> set[str]:
+        """``obj``'s stored formats and their crosswalks' targets."""
         stored = stored_formats(obj)
         reachable = set()
         for f in stored:

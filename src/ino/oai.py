@@ -1,12 +1,12 @@
 """OAI-PMH 2.0 data provider over a materialized record cache.
 
-One rule, ``_derive``, gives each object its records: a live object typed
-Metadata has one live record per format it can be disseminated in, in the sets
-its own memberOf relationships name; a purged object keeps the records it had,
-marked deleted at its purge time (``deletedRecord=persistent``); any other
-object has none. ``_reconcile`` writes what the rule gives; ``rebuild_cache``
-applies it to every live Metadata object and every object the cache holds
-records of, ``catch_up`` to each object the new change events touch.
+One rule, ``_derive``, gives an object its records from the store alone, from
+its live version or, once purged, its tombstone: if typed Metadata, one per
+format it has, in the sets its memberOf relationships name, dated
+``modified``, and deleted exactly when the object is, so deleted records
+persist with the store (``deletedRecord=persistent``); else none.
+``rebuild_cache`` applies it to every live object and tombstone,
+``catch_up`` to each object the new change events touch.
 
 The cache is two views of the same records. ``records`` maps (identifier,
 format) to a record for GetRecord; ``catch_up`` writes it one key at a time
@@ -32,11 +32,11 @@ from __future__ import annotations
 import base64
 import json
 import os
-import time
+import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
 from xml.etree import ElementTree as ET
 from xml.parsers.expat import ExpatError
@@ -46,6 +46,7 @@ from .errors import (BadResumptionToken, EventOutOfOrder, FormatUnavailable,
                      NotFound, TransformError)
 from .index import ConjunctiveQuery, TriplePattern, Var
 from .model import (
+    DELETED,
     MEMBER_OF,
     OBJECT_TYPE,
     Term,
@@ -77,6 +78,14 @@ VERBS = {
     "ListIdentifiers", "ListRecords", "GetRecord",
 }
 
+# the characters XML 1.0 forbids that a request argument can hold
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+# a payload's root element name, past any comments and processing
+# instructions, then its attributes up to a default namespace declaration
+_ROOT_NAME = re.compile(r"""(?:\s|<!--.*?-->|<\?.*?\?>)*<([^\s/>]+)(?:\s+(?!xmlns\s*=)"""
+                        r"""[^\s=]+\s*=\s*(?:"[^"]*"|'[^']*'))*(\s+xmlns\s*=)?""", re.S)
+
 
 @dataclass(frozen=True)
 class OaiRecord:
@@ -91,7 +100,6 @@ class OaiRecord:
 @dataclass(frozen=True)
 class CacheStats:
     records: int
-    elapsed: float
 
 
 # the sort key of a sequence, and its datestamp part, for bisect's ``key``
@@ -248,39 +256,32 @@ class OaiProvider:
 
     # ----------------------------------------------------------- cache build
 
-    def _reconcile(self, records: dict, object_id: str):
+    def _reconcile(self, object_id: str):
         """Give ``object_id`` in ``records`` the records the module's rule
-        assigns it, derived from those the cache holds for it, and return
-        both, each by format. Each record is assigned over its key, and only
-        a key that goes is popped, so a lookup never misses one that stays."""
+        assigns it, and return those it had and those it has, each by
+        format. Each record is assigned over its key, and only a key that
+        goes is popped, so a lookup never misses one that stays."""
         identifier = IDENTIFIER_PREFIX + local_id(object_id)
         old = {f: self.records[(identifier, f)] for f in self.sequences
                if (identifier, f) in self.records}
-        new = self._derive(object_id, identifier, old)
+        new = self._derive(self.repo.store.latest(object_id))
         for fmt, rec in new.items():
-            records[(identifier, fmt)] = rec
+            self.records[(identifier, fmt)] = rec
         for fmt in old.keys() - new.keys():
-            records.pop((identifier, fmt), None)
+            self.records.pop((identifier, fmt), None)
         return old, new
 
-    def _derive(self, object_id: str, identifier: str, old: dict) -> dict:
-        """The module's rule: ``object_id``'s records by format, given the
-        records ``old`` the cache holds for it."""
-        purged = self.repo.store.purged_at(object_id)
-        if purged is not None:
-            return {f: replace(rec, deleted=True, datestamp=purged)
-                    for f, rec in old.items()}
-        try:
-            obj = self.repo.get_object(object_id)
-        except NotFound:
+    def _derive(self, obj) -> dict[str, OaiRecord]:
+        """The module's rule: the records, by format, of ``obj``, a live
+        object, a tombstone or None."""
+        if obj is None or "Metadata" not in obj.types:
             return {}
-        if "Metadata" not in obj.types:
-            return {}
+        identifier = IDENTIFIER_PREFIX + local_id(obj.id)
         sets = frozenset(local_id(t.object.value) for t in obj.relationships
                          if t.predicate == MEMBER_OF)
-        return {fmt: OaiRecord(identifier, fmt, obj.modified, sets, False,
-                               object_id)
-                for fmt in sorted(self.repo.list_formats(object_id))}
+        return {fmt: OaiRecord(identifier, fmt, obj.modified, sets,
+                               obj.state == DELETED, obj.id)
+                for fmt in self.repo.disseminator.formats_of(obj)}
 
     def _publish(self, records: dict, seq: int) -> None:
         """Publish ``records`` whole, with one sort per format."""
@@ -293,20 +294,15 @@ class OaiProvider:
         self.last_applied_seq = seq
 
     def rebuild_cache(self) -> CacheStats:
-        """Reconcile every live Metadata object and every object the cache
-        holds records of, so deleted records carry forward, into new maps."""
-        start = time.perf_counter()
+        """Apply the module's rule to every live object and every tombstone,
+        into new maps; the cache this replaces is not read."""
         with self.repo._lock:
-            objects = dict.fromkeys(rec.source_object
-                                    for rec in self.records.values())
-            objects.update(dict.fromkeys(t.subject for t in self.repo.match(
-                TriplePattern(Var("?m"), Term.iri(OBJECT_TYPE),
-                              Term.iri(type_iri("Metadata"))))))
-            records: dict[tuple[str, str], OaiRecord] = {}
-            for object_id in objects:
-                self._reconcile(records, object_id)
-            self._publish(records, self.repo.store.current_seq)
-        return CacheStats(len(records), time.perf_counter() - start)
+            store = self.repo.store
+            records = {(rec.identifier, rec.format): rec
+                       for obj in chain(store.objects(), store.tombstones())
+                       for rec in self._derive(obj).values()}
+            self._publish(records, store.current_seq)
+        return CacheStats(len(records))
 
     # ------------------------------------------------------------ incremental
 
@@ -336,7 +332,7 @@ class OaiProvider:
         added: dict[str, list[OaiRecord]] = {}
         try:
             for object_id in dict.fromkeys(event.object_id for event in events):
-                old, new = self._reconcile(self.records, object_id)
+                old, new = self._reconcile(object_id)
                 for fmt in old.keys() | new.keys():
                     if old.get(fmt) != new.get(fmt):
                         if fmt in old:
@@ -398,6 +394,9 @@ class OaiProvider:
     def handle_request(self, params: dict[str, str]) -> bytes:
         verb = params.get("verb")
         try:
+            if _NOT_XML_CHAR.search("".join(chain.from_iterable(params.items()))):
+                # a response that names it would not parse
+                raise _OaiError("badArgument", "a character XML forbids")
             if verb not in VERBS:
                 raise _OaiError("badVerb", f"unknown verb {verb!r}")
             body = getattr(self, "_verb_" + verb)(dict(params))
@@ -582,11 +581,18 @@ class OaiProvider:
             raise _OaiError("cannotDisseminateFormat", str(exc)) from exc
         try:
             if check_xml(payload):
-                return payload.decode().strip()
-            return ET.tostring(ET.fromstring(payload), encoding="unicode")
+                text = payload.decode().strip()
+            else:
+                text = ET.tostring(ET.fromstring(payload), encoding="unicode")
         except (ExpatError, ET.ParseError) as exc:
             raise _OaiError("cannotDisseminateFormat", f"{rec.identifier}: "
                             f"payload not well-formed XML ({exc})") from exc
+        # in <metadata> the OAI namespace is the default, so an unprefixed
+        # element would take it unless the payload's root sets its own
+        root = _ROOT_NAME.match(text)
+        if root.group(2) is None:
+            text = f'{text[:root.end(1)]} xmlns=""{text[root.end(1):]}'
+        return text
 
     def _reject_extra_args(self, params, allowed: set, required: set = frozenset()):
         extra = set(params) - allowed - {"verb"}

@@ -89,24 +89,10 @@ class Service:
         self.api_key = config.get("apiKey", "")
         self.provider = OaiProvider(self.repo,
                                     page_size=int(config.get("pageSize", "100")))
-        self._cache_path = Path(config["dataDir"]) / "oai_cache.json"
-        loaded = False
-        if self._cache_path.exists():
-            try:
-                self.provider.load_cache(self._cache_path)
-                loaded = True
-            except (ValueError, KeyError, TypeError) as exc:
-                logging.getLogger(__name__).warning(
-                    "unreadable %s (%s); rebuilding the OAI cache from the "
-                    "store, without its deleted records", self._cache_path, exc)
-        if loaded:
-            self.provider.catch_up()
-        else:
-            self.provider.rebuild_cache()
+        self.provider.rebuild_cache()
         self._server: ThreadingHTTPServer | None = None
 
     def close(self) -> None:
-        self.provider.save_cache(self._cache_path)
         self.repo.close()
 
     # ------------------------------------------------------------- http glue

@@ -2,6 +2,10 @@
 a redo journal for atomic multi-object commits, and a gap-free change-event
 feed.
 
+A purge writes a tombstone as the object's last version, in Fedora's Deleted
+state: ``modified`` is the purge time, inline datastream bytes are emptied,
+and the rest is kept, so what the object was can be derived from the store.
+
 Commit protocol: frame one redo record (the new file bytes and the events)
 into the journal and fsync it; then replace the object files and append the
 events, with no fsync. Recovery redoes every complete record in the journal
@@ -110,7 +114,7 @@ class ObjectStore:
         self.durable = durable
         self._lock = threading.RLock()
         self._objects: dict[str, DigitalObject] = {}
-        self._tombstones: dict[str, datetime] = {}  # purged id -> purge time
+        self._tombstones: dict[str, DigitalObject] = {}  # purged id -> last version
         self._events: list[ChangeEvent] = []
         self._crash_point: Callable[[str], None] = lambda name: None
         self._commit_listeners: list[Callable[[list], None]] = []
@@ -207,7 +211,7 @@ class ObjectStore:
             obj = deserialize_object(path.read_bytes())
             obj = obj.with_seq(obj_seq.get(obj.id, 0))
             if obj.state == DELETED:
-                self._tombstones[obj.id] = obj.modified
+                self._tombstones[obj.id] = obj
             else:
                 self._objects[obj.id] = obj
 
@@ -302,10 +306,10 @@ class ObjectStore:
         with self._lock:
             return object_id in self._objects
 
-    def purged_at(self, object_id: str) -> datetime | None:
-        """When ``object_id`` was purged; None if it never was."""
+    def latest(self, object_id: str) -> DigitalObject | None:
+        """The live object or, once purged, its tombstone; else None."""
         with self._lock:
-            return self._tombstones.get(object_id)
+            return self._objects.get(object_id) or self._tombstones.get(object_id)
 
     def ids(self) -> list[str]:
         with self._lock:
@@ -314,6 +318,11 @@ class ObjectStore:
     def objects(self) -> Iterator[DigitalObject]:
         with self._lock:
             snapshot = list(self._objects.values())
+        return iter(snapshot)
+
+    def tombstones(self) -> Iterator[DigitalObject]:
+        with self._lock:
+            snapshot = list(self._tombstones.values())
         return iter(snapshot)
 
     def count(self) -> int:
@@ -381,14 +390,10 @@ class ObjectStore:
                         seq=seq,
                     )
                 else:
-                    obj = DigitalObject(
-                        id=oid,
-                        types=(),
-                        state=DELETED,
-                        created=old.created,
-                        modified=now,
-                        seq=seq,
-                    )
+                    streams = tuple(ds if ds.is_surrogate else replace(ds, content=b"")
+                                    for ds in old.datastreams)
+                    obj = replace(old, state=DELETED, datastreams=streams,
+                                  modified=now, seq=seq)
                 validate_object(obj)
                 staged[oid] = obj
                 applied.append((op.kind, old, obj))
@@ -433,7 +438,7 @@ class ObjectStore:
             for oid, obj in staged.items():
                 if obj.state == DELETED:
                     self._objects.pop(oid, None)
-                    self._tombstones[oid] = obj.modified
+                    self._tombstones[oid] = obj
                 else:
                     self._objects[oid] = obj
             self._events.extend(events)

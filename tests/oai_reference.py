@@ -140,8 +140,12 @@ def _record(repo, rec, with_metadata):
     record = ET.Element("record")
     record.append(_header(rec))
     if with_metadata and not rec.deleted:
-        payload = repo.get_dissemination(rec.source_object, rec.format)[0]
-        _sub(record, "metadata").append(ET.fromstring(payload))
+        payload = ET.fromstring(
+            repo.get_dissemination(rec.source_object, rec.format)[0])
+        # the envelope's default namespace is written as a plain attribute, so
+        # undo it here: an element ElementTree holds unqualified is in none
+        payload.set("xmlns", "")
+        _sub(record, "metadata").append(payload)
     return record
 
 

@@ -7,7 +7,7 @@ from ino.api import Repository
 from ino.cli import main
 from ino.index import TripleIndex
 from ino.model import METADATA_FOR, Term, Triple, VirtualClock
-from ino.oai import OaiProvider
+from ino.oai import RecordSequence
 from ino.service import Service
 
 
@@ -32,8 +32,8 @@ def test_generate_then_audit_and_rebuild(tmp_path, capsys):
     assert code == 0 and "identical" in out
 
     code, out = run(capsys, "rebuild-oai-cache", "--data-dir", data)
-    assert code == 0 and out.startswith("30 records")
-    assert (tmp_path / "d" / "oai_cache.json").exists()
+    assert code == 0 and out == "30 records (0 deleted) (identical)\n"
+    assert not (tmp_path / "d" / "oai_cache.json").exists()
 
 
 def test_rebuild_index_reports_an_index_that_misses_triples(
@@ -58,22 +58,35 @@ def test_rebuild_oai_cache_keeps_deleted_records(tmp_path, capsys):
                "--resources", "20", "--seed", "3")[0] == 0
     repo = Repository(data)
     try:
-        provider = OaiProvider(repo)
-        provider.rebuild_cache()
-        repo.purge_metadata(next(iter(provider.records.values())).source_object)
-        provider.catch_up()
-        provider.save_cache(data / "oai_cache.json")
+        metadata = next(o.id for o in repo.store.objects()
+                        if "Metadata" in o.types)
+        repo.purge_metadata(metadata)
     finally:
         repo.close()
     code, out = run(capsys, "rebuild-oai-cache", "--data-dir", str(data))
-    assert code == 0 and out.startswith("30 records (2 deleted)")
-    saved = json.loads((data / "oai_cache.json").read_text())
-    assert sum(r["deleted"] for r in saved["records"]) == 2
+    assert code == 0 and out == "30 records (2 deleted) (identical)\n"
 
-    # a torn cache file is rebuilt from the store, without its deleted records
+    # a cache file of an older version, torn or not, is neither read nor written
     (data / "oai_cache.json").write_text('{"records": [')
     code, out = run(capsys, "rebuild-oai-cache", "--data-dir", str(data))
-    assert code == 0 and out.startswith("28 records (0 deleted)")
+    assert code == 0 and out == "30 records (2 deleted) (identical)\n"
+    assert (data / "oai_cache.json").read_text() == '{"records": ['
+
+
+def test_rebuild_oai_cache_reports_a_replay_that_differs(
+        tmp_path, capsys, monkeypatch):
+    data = str(tmp_path / "d")
+    assert run(capsys, "generate", "--data-dir", data,
+               "--resources", "20", "--seed", "3")[0] == 0
+    updated = RecordSequence.updated
+
+    def drop_one(self, removed, added):
+        return updated(self, removed, added[1:])
+
+    # the replay's lists lose a record that its record map keeps
+    monkeypatch.setattr(RecordSequence, "updated", drop_one)
+    code, out = run(capsys, "rebuild-oai-cache", "--data-dir", data)
+    assert code == 2 and out == "30 records (0 deleted) (DIVERGED)\n"
 
 
 def test_generate_into_nonempty_store_fails(tmp_path, capsys):

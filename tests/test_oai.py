@@ -149,10 +149,8 @@ def test_incremental_equals_batch(setup):
 
     fresh = OaiProvider(repo, page_size=2)
     fresh.rebuild_cache()
-    # batch rebuild has no tombstone to carry (provider was fresh), so compare
-    # on the live subset plus explicit deleted flags on the incremental side
-    live = {k: v for k, v in provider.records.items() if not v.deleted}
-    assert live == {k: v for k, v in fresh.records.items() if not v.deleted}
+    # the fresh rebuild reads the purged object's tombstone
+    assert fresh.records == provider.records
     deleted = [k for k, v in provider.records.items() if v.deleted]
     assert sorted(deleted) == sorted(
         [("oai:ndr.local:" + local_id(mids[1]), f) for f in ("nsdl_dc", "oai_dc")]
@@ -169,7 +167,8 @@ def test_rebuild_carries_deleted_forward(setup):
 
 
 def test_catch_up_over_purges_in_one_backlog(setup):
-    """Objects created or modified, then purged, before catch_up runs."""
+    """Objects created or modified, then purged, before catch_up runs, get
+    deleted records dated at their purge, as a rebuild gives them."""
     repo, provider, _agg, mids = setup
     agent = repo.add_agent("other", "Person")
     r = repo.add_resource(ResourceSpec(content_url="http://example.org/brief"))
@@ -181,11 +180,14 @@ def test_catch_up_over_purges_in_one_backlog(setup):
     repo.purge_metadata(mids[0])
     provider.catch_up()
     assert provider.last_applied_seq == repo.store.current_seq
-    purged_at = repo.changes_since(0)[-1].timestamp
+    purges = [(e.object_id, e.timestamp) for e in repo.changes_since(0)[-2:]]
     touched = {k: (v.deleted, v.datestamp) for k, v in provider.records.items()
                if v.source_object in (brief, mids[0])}
-    assert touched == {("oai:ndr.local:" + local_id(mids[0]), f): (True, purged_at)
-                       for f in ("nsdl_dc", "oai_dc")}
+    assert touched == {("oai:ndr.local:" + local_id(m), f): (True, at)
+                       for m, at in purges for f in ("nsdl_dc", "oai_dc")}
+    fresh = OaiProvider(repo, page_size=2)
+    fresh.rebuild_cache()
+    assert fresh.records == provider.records
 
 
 def test_rebuild_marks_unapplied_purge_deleted(setup):
@@ -199,43 +201,97 @@ def test_rebuild_marks_unapplied_purge_deleted(setup):
         assert rec.deleted and rec.datestamp == purged_at
 
 
+def listed(provider):
+    """Each format's records in list order."""
+    return {f: list(seq.walk(0, len(seq)))
+            for f, seq in provider.sequences.items() if seq}
+
+
+def churn_batch(repo, rng, batch, live, aggs, agent):
+    """One seeded batch of creates, updates, set changes and purges of the
+    metadata objects in ``live``."""
+    for op in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.35 or not live:
+            r = repo.add_resource(ResourceSpec(
+                content_url=f"http://example.org/c{batch}-{op}"))
+            live.append(repo.add_metadata(MetadataSpec(
+                target=r, format_id="nsdl_dc", payload=doc(f"c{batch}"),
+                provider=agent, initial_aggregations=frozenset(
+                    rng.sample(aggs, rng.randint(0, 2))),
+            )))
+        elif roll < 0.6:
+            repo.update_metadata_payload(rng.choice(live), "nsdl_dc",
+                                         doc(f"u{batch}-{op}"))
+        elif roll < 0.8:
+            repo.set_aggregation_membership(rng.choice(aggs), set(
+                rng.sample(live, rng.randint(0, min(4, len(live))))))
+        else:
+            repo.purge_metadata(live.pop(rng.randrange(len(live))))
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_catch_up_equals_rebuild_under_churn(setup, tmp_path, seed):
-    """After each seeded batch of writes, catch_up and a rebuild started from
-    the same prior cache agree, deleted records included."""
+def test_catch_up_equals_rebuild_under_churn(setup, seed):
+    """After each seeded batch of writes, catch_up and a rebuild on a fresh
+    provider agree, deleted records included, in records and list order."""
     repo, provider, agg, mids = setup
     rng = random.Random(seed)
     agent = repo.add_agent("churn", "Person")
     aggs = [agg, repo.create_aggregation(
         agent, ResourceSpec(content_url="http://example.org/churn"))]
-    live, prior = list(mids), tmp_path / "prior.json"
+    live = list(mids)
     for batch in range(12):
-        provider.save_cache(prior)
-        for op in range(rng.randint(1, 5)):
-            roll = rng.random()
-            if roll < 0.35 or not live:
-                r = repo.add_resource(ResourceSpec(
-                    content_url=f"http://example.org/c{batch}-{op}"))
-                live.append(repo.add_metadata(MetadataSpec(
-                    target=r, format_id="nsdl_dc", payload=doc(f"c{batch}"),
-                    provider=agent, initial_aggregations=frozenset(
-                        rng.sample(aggs, rng.randint(0, 2))),
-                )))
-            elif roll < 0.6:
-                repo.update_metadata_payload(rng.choice(live), "nsdl_dc",
-                                             doc(f"u{batch}-{op}"))
-            elif roll < 0.8:
-                repo.set_aggregation_membership(rng.choice(aggs), set(
-                    rng.sample(live, rng.randint(0, min(4, len(live))))))
-            else:
-                repo.purge_metadata(live.pop(rng.randrange(len(live))))
+        churn_batch(repo, rng, batch, live, aggs, agent)
         provider.catch_up()
         twin = OaiProvider(repo, page_size=2)
-        twin.load_cache(prior)
         twin.rebuild_cache()
         assert twin.records == provider.records, (seed, batch)
+        assert listed(twin) == listed(provider), (seed, batch)
         assert twin.last_applied_seq == provider.last_applied_seq
     assert any(r.deleted for r in provider.records.values())
+
+
+def test_rebuild_after_a_crash_keeps_deleted_records(tmp_path):
+    """Deleted records come from the tombstones, so a store reopened after a
+    crash rebuilds the cache it had caught up to, with no saved cache."""
+    clock = VirtualClock()
+    repo = Repository(tmp_path / "d", clock=clock)
+    rng = random.Random(5)
+    agent = repo.add_agent("churn", "Person")
+    aggs = [repo.create_aggregation(agent, ResourceSpec(
+        content_url=f"http://example.org/agg{i}")) for i in range(2)]
+    live = []
+    provider = OaiProvider(repo)
+    for batch in range(8):
+        churn_batch(repo, rng, batch, live, aggs, agent)
+    provider.catch_up()
+    assert any(r.deleted for r in provider.records.values())
+    repo.store.abandon()
+
+    repo = Repository(tmp_path / "d", clock=clock)
+    try:
+        fresh = OaiProvider(repo)
+        fresh.rebuild_cache()
+        assert fresh.records == provider.records
+        assert listed(fresh) == listed(provider)
+    finally:
+        repo.close()
+
+
+def test_purged_resource_or_agent_has_no_records(setup):
+    repo, provider, _agg, _mids = setup
+    agent = repo.add_agent("gone", "Person")
+    resource = repo.add_resource(ResourceSpec(
+        content_url="http://example.org/gone"))
+    repo.purge_resource(resource)
+    repo.store.purge(agent)  # the API purges no agents
+    provider.catch_up()
+    fresh = OaiProvider(repo, page_size=2)
+    fresh.rebuild_cache()
+    assert repo.store.latest(resource).types == ("Resource",)
+    for p in (provider, fresh):
+        assert len(p.records) == 10
+        assert not {resource, agent} & {r.source_object for r in p.records.values()}
 
 
 def test_apply_event_requires_order(setup):
@@ -535,6 +591,48 @@ def test_bad_argument_response_omits_request_attrs(setup):
     request = parse(raw).find("request")
     assert request.attrib == {}
     assert re.search(rb"<responseDate>\d{4}-", raw)
+
+
+@pytest.mark.parametrize("params", [
+    {"verb": "GetRecord", "identifier": "x\x01y", "metadataPrefix": "oai_dc"},
+    {"verb": "ListRecords", "metadataPrefix": "x\x01"},
+    {"verb": "ListIdentifiers", "metadataPrefix": "oai_dc", "set": "s\ufffe"},
+    {"verb": "Identify", "x\x1f": "1"},
+    {"verb": "Ident\uffffify"},
+])
+def test_argument_with_a_character_xml_forbids_is_bad_argument(setup, params):
+    """The response parses: it echoes no argument and quotes no value."""
+    _repo, provider, _agg, _mids = setup
+    root = parse(provider.handle_request(params))
+    assert root.find("error").get("code") == "badArgument"
+    assert root.find("request").attrib == {}
+    assert not {"\x01", "\x1f", "\ufffe", "\uffff"} & set(root.find("error").text)
+
+
+@pytest.mark.parametrize("payload, tag, child", [
+    (doc("plain"), "nsdl_dc", "title"),
+    (b'<?xml version="1.0"?>\n' + doc("declared"), "nsdl_dc", "title"),
+    (b'<!-- c --><n:nsdl_dc xmlns:n="urn:n"><title>T</title></n:nsdl_dc>',
+     "{urn:n}nsdl_dc", "title"),
+    (b'<nsdl_dc xmlns="urn:d"><title>T</title></nsdl_dc>',
+     "{urn:d}nsdl_dc", "{urn:d}title"),
+])
+def test_payload_keeps_its_namespaces(setup, payload, tag, child):
+    """An element the payload leaves unqualified is in no namespace in the
+    response, not in the OAI namespace around it."""
+    repo, provider, _agg, mids = setup
+    provider.page_size = 10  # one page holds every record
+    repo.update_metadata_payload(mids[0], "nsdl_dc", payload)
+    provider.catch_up()
+    ident = "oai:ndr.local:" + local_id(mids[0])
+    for params in ({"verb": "GetRecord", "identifier": ident,
+                    "metadataPrefix": "nsdl_dc"},
+                   {"verb": "ListRecords", "metadataPrefix": "nsdl_dc"}):
+        roots = [m[0] for m in ET.fromstring(provider.handle_request(
+            params)).iter(f"{{{oai.OAI_NS}}}metadata")]
+        # the updated record is the newest, so it comes last
+        assert (roots[-1].tag, roots[-1][0].tag) == (tag, child)
+        assert {r.tag for r in roots[:-1]} <= {"nsdl_dc"}
 
 
 # ------------------------------------------ writer against the ElementTree oracle

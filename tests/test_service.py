@@ -199,18 +199,24 @@ def test_store_locked_while_running(service, tmp_path):
         Service(make_config(tmp_path), clock=VirtualClock())
 
 
-def test_restart_resumes_from_saved_cache(tmp_path):
+def test_restart_rebuilds_the_same_cache(tmp_path):
+    """Each start rebuilds the cache from the store, deleted records
+    included; nothing of it is saved."""
     svc = Service(make_config(tmp_path), clock=VirtualClock())
-    populate(svc)
+    _agent, _agg, _resource, metadata = populate(svc)
+    svc.repo.purge_metadata(f"info:ino/{metadata}")
+    svc.provider.catch_up()
     first = dict(svc.provider.records)
     seq = svc.provider.last_applied_seq
     svc.close()
+    assert sum(r.deleted for r in first.values()) == 2
+    assert not (tmp_path / "data" / "oai_cache.json").exists()
 
     svc2 = Service(make_config(tmp_path), clock=VirtualClock())
     try:
         assert svc2.provider.records == first
         assert svc2.provider.last_applied_seq == seq
-        # service stays fully writable after resume
+        # service stays fully writable after the restart
         status, _m, _d = call(svc2, "POST", "/objects/agent",
                               {"name": "late", "kind": "Person"})
         assert status == 201
@@ -221,8 +227,7 @@ def test_restart_resumes_from_saved_cache(tmp_path):
 def test_restart_catches_up_on_missed_events(tmp_path):
     svc = Service(make_config(tmp_path), clock=VirtualClock())
     agent, agg, resource, metadata = populate(svc)
-    svc.provider.save_cache(svc._cache_path)
-    # mutate after the snapshot, bypassing provider sync
+    # mutate bypassing provider sync, then stop without a close
     svc.repo.purge_metadata(f"info:ino/{metadata}")
     svc.repo.close()
 
@@ -235,28 +240,28 @@ def test_restart_catches_up_on_missed_events(tmp_path):
         svc2.close()
 
 
-def test_torn_cache_file_is_rebuilt_at_start(tmp_path, caplog):
+def test_torn_cache_file_is_ignored(tmp_path, caplog):
+    """An ``oai_cache.json`` left by an older version is neither read nor
+    written."""
     svc = Service(make_config(tmp_path), clock=VirtualClock())
     _agent, _agg, _resource, metadata = populate(svc)
     live = dict(svc.provider.records)
     svc.close()
-    (tmp_path / "data" / "oai_cache.json").write_text('{"records": [')
+    cache = tmp_path / "data" / "oai_cache.json"
+    cache.write_text('{"records": [')
 
-    with caplog.at_level(logging.WARNING, logger="ino.service"):
+    with caplog.at_level(logging.WARNING):
         svc2 = Service(make_config(tmp_path), clock=VirtualClock())
     try:
         assert svc2.provider.records == live
-        assert any("oai_cache.json" in r.getMessage() for r in caplog.records)
+        assert not caplog.records
         status, _m, data = svc2.handle("GET", "/oai", {
             "verb": "GetRecord", "identifier": f"oai:ndr.local:{metadata}",
             "metadataPrefix": "oai_dc"}, b"", {})
         assert status == 200 and b"<error" not in data
     finally:
         svc2.close()
-    # close() replaced the torn file with a whole one, and left no temporary
-    saved = json.loads((tmp_path / "data" / "oai_cache.json").read_text())
-    assert len(saved["records"]) == len(live)
-    assert not (tmp_path / "data" / "oai_cache.json.tmp").exists()
+    assert cache.read_text() == '{"records": ['
 
 
 # ------------------------------------------------------------ live http server

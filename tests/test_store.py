@@ -94,6 +94,35 @@ def test_purge_semantics(store):
         store.create(draft("r1"))
 
 
+def test_tombstone_is_the_last_version(tmp_path):
+    """A purge keeps all but the inline bytes, in state Deleted at the purge
+    time, and a reopened store reads the same tombstone."""
+    store = ObjectStore(tmp_path / "d", clock=VirtualClock())
+    oid = "info:ino/m1"
+    obj = store.create(draft("m1", ("Metadata",), datastreams=[
+        Datastream("format_x", "text/xml", content=b"<x/>"),
+        Datastream("link", "text/html", surrogate="http://example.org/")],
+        relationships=[Triple(oid, "info:ino/def#memberOf",
+                              Term.iri("info:ino/a"))]))
+    store.purge(oid)
+    tombstone = store.latest(oid)
+    assert not store.exists(oid)
+    assert tombstone.state == "Deleted"
+    assert tombstone.modified == store.changes_since(0)[-1].timestamp
+    assert (tombstone.types, tombstone.created, tombstone.relationships) == (
+        obj.types, obj.created, obj.relationships)
+    assert tombstone.datastreams == (
+        Datastream("format_x", "text/xml", content=b""), obj.datastreams[1])
+    store.close()
+    reopened = ObjectStore(tmp_path / "d", clock=VirtualClock())
+    try:
+        assert reopened.latest(oid) == tombstone
+        assert list(reopened.tombstones()) == [tombstone]
+        assert reopened.latest("info:ino/never") is None
+    finally:
+        reopened.close()
+
+
 def test_changes_since(store):
     for n in ("a", "b", "c"):
         store.create(draft(n))
