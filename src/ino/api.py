@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from urllib.parse import urlsplit, urlunsplit
 from xml.parsers.expat import ExpatError
 
@@ -117,7 +118,13 @@ class Repository:
         self.store.on_commit(self._on_commit)
         self.disseminator = Disseminator(self.store.get, crosswalks)
         self._lock = self.store._lock  # one atomicity domain
-        self._next_id = self._scan_next_id()
+        # ids are never reused and every object ever committed has a file,
+        # live or a tombstone, so the next id follows the largest of those
+        self._next_id = 1 + max(
+            (int(m.group(1)) for obj in chain(self.store.objects(),
+                                               self.store.tombstones())
+             if (m := _ID_SUFFIX_RE.match(obj.id[len(ID_PREFIX):]))),
+            default=0)
 
     def close(self) -> None:
         self.store.close()
@@ -128,14 +135,6 @@ class Repository:
                 self.index.deindex_object(new.id)
             else:
                 self.index.index_object(new)
-
-    def _scan_next_id(self) -> int:
-        top = 0
-        for ev in self.store.changes_since(0):
-            m = _ID_SUFFIX_RE.match(ev.object_id[len(ID_PREFIX):])
-            if m:
-                top = max(top, int(m.group(1)))
-        return top + 1
 
     def _new_id(self, prefix: str) -> str:
         oid = f"{ID_PREFIX}{prefix}-{self._next_id}"
@@ -148,9 +147,10 @@ class Repository:
         return self.store.get(object_id)
 
     def _live_types(self, object_id: str):
-        if self.store.exists(object_id):
+        try:
             return self.store.get(object_id).types
-        return None
+        except NotFound:
+            return None
 
     def _require_type(self, object_id: str, type_name: str, error_cls) -> None:
         types = self._live_types(object_id)
@@ -179,15 +179,10 @@ class Repository:
         return self.store.commit_batch(ops)
 
     def find_resource_by_url(self, url: str) -> str | None:
-        norm = normalize_url(url)
-        hits = self.index.match(
-            TriplePattern(Var("?ds"), Term.iri(LOCATION), Term.literal(norm))
-        )
-        for t in hits:
-            if t.subject.endswith("/content"):
-                oid = t.subject[: -len("/content")]
-                if self.store.exists(oid) and "Resource" in self.store.get(oid).types:
-                    return oid
+        for ds in self.subjects(LOCATION, Term.literal(normalize_url(url))):
+            oid = ds.removesuffix("/content")
+            if oid != ds and "Resource" in self.store.get(oid).types:
+                return oid
         return None
 
     # ------------------------------------------------------------ operations
@@ -310,10 +305,7 @@ class Repository:
             return agg_id
 
     def members_of(self, agg: str) -> set[str]:
-        hits = self.index.match(
-            TriplePattern(Var("?x"), Term.iri(MEMBER_OF), Term.iri(agg))
-        )
-        return {t.subject for t in hits}
+        return self.subjects(MEMBER_OF, Term.iri(agg))
 
     def set_aggregation_membership(self, agg: str, members) -> MembershipDelta:
         with self._lock:
@@ -381,19 +373,11 @@ class Repository:
             obj = self.store.get(object_id)
             if "Resource" not in obj.types:
                 raise NotFound(f"{object_id} is not a Resource object")
-            dependents = []
-            for t in self.index.match(
-                TriplePattern(Var("?m"), Term.iri(METADATA_FOR), Term.iri(object_id))
-            ):
-                if self.store.exists(t.subject):
-                    dependents.append(t.subject)
-            for t in self.index.match(
-                TriplePattern(Var("?a"), Term.iri(REPRESENTED_BY), Term.iri(object_id))
-            ):
-                if self.store.exists(t.subject):
-                    dependents.append(t.subject)
+            target = Term.iri(object_id)
+            dependents = (self.subjects(METADATA_FOR, target)
+                          | self.subjects(REPRESENTED_BY, target))
             if dependents:
-                raise HasDependents(dependents)
+                raise HasDependents(sorted(dependents))
             self._commit([BatchOp("purge", object_id)])
 
     # ---------------------------------------------------------------- queries
@@ -401,6 +385,12 @@ class Repository:
     def match(self, pattern: TriplePattern):
         with self._lock:
             return self.index.match(pattern)
+
+    def subjects(self, predicate: str, obj_term: Term) -> set[str]:
+        """The subjects of the triples (?s, ``predicate``, ``obj_term``): live
+        objects or their datastreams, as the index holds live objects only."""
+        return {t.subject for t in self.match(
+            TriplePattern(Var("?s"), Term.iri(predicate), obj_term))}
 
     def query(self, q: ConjunctiveQuery | str):
         if isinstance(q, str):

@@ -53,11 +53,13 @@ def check_xml(payload: bytes) -> bool:
             and b"<!DOCTYPE" not in payload and b"\0" not in payload)
 
 
-def stored_formats(obj: DigitalObject) -> set[str]:
+def stored_formats(obj: DigitalObject, keep=None) -> set[str]:
+    """``obj``'s formats, without those whose inline payload ``keep`` rejects."""
     return {
         ds.ds_id[len(FORMAT_DS_PREFIX):]
         for ds in obj.datastreams
         if ds.ds_id.startswith(FORMAT_DS_PREFIX)
+        and (keep is None or ds.content is None or keep(ds.content))
     }
 
 
@@ -135,9 +137,10 @@ class Disseminator:
     def list_formats(self, object_id: str) -> set[str]:
         return self.formats_of(self._get_object(object_id))  # raises NotFound
 
-    def formats_of(self, obj: DigitalObject) -> set[str]:
-        """``obj``'s stored formats and their crosswalks' targets."""
-        stored = stored_formats(obj)
+    def formats_of(self, obj: DigitalObject, keep=None) -> set[str]:
+        """``obj``'s stored formats, as ``keep`` filters them, and their
+        crosswalks' targets."""
+        stored = stored_formats(obj, keep)
         reachable = set()
         for f in stored:
             reachable |= set(self.registry.targets_of(f))

@@ -17,7 +17,6 @@ from xml.etree import ElementTree as ET
 
 from .api import MetadataSpec, Repository, ResourceSpec
 from .errors import InoError, RemoteProtocolError
-from .index import TriplePattern, Var
 from .model import (
     SOURCE_BASE_URL,
     SOURCE_RECORD_ID,
@@ -182,11 +181,8 @@ class Harvester:
 
     def _live_subject(self, predicate: str, literal: str) -> str | None:
         """A live object with ``literal`` as its ``predicate``, if any."""
-        for t in self.repo.match(TriplePattern(Var("?s"), Term.iri(predicate),
-                                               Term.literal(literal))):
-            if self.repo.store.exists(t.subject):
-                return t.subject
-        return None
+        return min(self.repo.subjects(predicate, Term.literal(literal)),
+                   default=None)
 
     def _source_agent(self, base_url: str) -> str:
         return self._live_subject(SOURCE_BASE_URL, base_url) or self.repo.add_agent(

@@ -23,8 +23,9 @@ are disseminated at response time.
 A response is written as text: a verb returns its body as strings, joined
 once with the envelope. A payload passes a namespace-aware expat parse
 (``check_xml``) and is spliced in as it is; only one with a declaration, a
-DOCTYPE or another encoding is re-serialized by ElementTree. A payload that
-is not XML gives ``cannotDisseminateFormat`` for its record.
+DOCTYPE or another encoding is re-serialized by ElementTree. A live object
+has no record in a format whose stored payload is not XML (``_writable``), nor
+in the formats crosswalked from it.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from xml.parsers.expat import ExpatError
 from .dissemination import OAI_DC_NS, check_xml
 from .errors import (BadResumptionToken, EventOutOfOrder, FormatUnavailable,
                      NotFound, TransformError)
-from .index import ConjunctiveQuery, TriplePattern, Var
 from .model import (
     DELETED,
     MEMBER_OF,
     OBJECT_TYPE,
+    REPRESENTED_BY,
     Term,
     format_ts,
     local_id,
@@ -262,14 +263,19 @@ class OaiProvider:
         format. Each record is assigned over its key, and only a key that
         goes is popped, so a lookup never misses one that stays."""
         identifier = IDENTIFIER_PREFIX + local_id(object_id)
-        old = {f: self.records[(identifier, f)] for f in self.sequences
-               if (identifier, f) in self.records}
+        old = self._records_of(identifier)
         new = self._derive(self.repo.store.latest(object_id))
         for fmt, rec in new.items():
             self.records[(identifier, fmt)] = rec
         for fmt in old.keys() - new.keys():
             self.records.pop((identifier, fmt), None)
         return old, new
+
+    def _records_of(self, identifier: str) -> dict[str, OaiRecord]:
+        """The records of ``identifier`` in ``records``, by format."""
+        records = self.records
+        return {f: rec for f in self.sequences
+                if (rec := records.get((identifier, f))) is not None}
 
     def _derive(self, obj) -> dict[str, OaiRecord]:
         """The module's rule: the records, by format, of ``obj``, a live
@@ -279,9 +285,11 @@ class OaiProvider:
         identifier = IDENTIFIER_PREFIX + local_id(obj.id)
         sets = frozenset(local_id(t.object.value) for t in obj.relationships
                          if t.predicate == MEMBER_OF)
-        return {fmt: OaiRecord(identifier, fmt, obj.modified, sets,
-                               obj.state == DELETED, obj.id)
-                for fmt in self.repo.disseminator.formats_of(obj)}
+        deleted = obj.state == DELETED  # a tombstone's payloads are empty
+        formats = self.repo.disseminator.formats_of(
+            obj, None if deleted else _writable)
+        return {fmt: OaiRecord(identifier, fmt, obj.modified, sets, deleted,
+                               obj.id) for fmt in formats}
 
     def _publish(self, records: dict, seq: int) -> None:
         """Publish ``records`` whole, with one sort per format."""
@@ -430,8 +438,7 @@ class OaiProvider:
         self._reject_extra_args(params, {"identifier"})
         identifier = params.get("identifier")
         if identifier is not None:
-            formats = sorted(f for f in self.sequences
-                             if (identifier, f) in self.records)
+            formats = sorted(self._records_of(identifier))
             if not formats:
                 raise _OaiError("idDoesNotExist", identifier)
         else:
@@ -450,19 +457,15 @@ class OaiProvider:
         self._reject_extra_args(params, {"resumptionToken"})
         if "resumptionToken" in params:  # ListSets is never paged
             raise _OaiError("badResumptionToken", "ListSets issues no tokens")
-        q = ConjunctiveQuery(
-            (TriplePattern(Var("?a"), Term.iri(OBJECT_TYPE),
-                           Term.iri(type_iri("Aggregation"))),),
-            ("?a",),
-        )
-        aggs = sorted(row["?a"].value for row in self.repo.query(q))
+        aggs = sorted(self.repo.subjects(OBJECT_TYPE,
+                                         Term.iri(type_iri("Aggregation"))))
         out = []
         for agg in aggs:
             name = agg
             try:
                 obj = self.repo.get_object(agg)
                 for t in obj.relationships:
-                    if t.predicate.endswith("representedBy"):
+                    if t.predicate == REPRESENTED_BY:
                         proxy = self.repo.get_object(t.object.value)
                         ds = proxy.datastream("content")
                         if ds is not None and ds.is_surrogate:
@@ -478,10 +481,9 @@ class OaiProvider:
                                 required={"identifier", "metadataPrefix"})
         identifier = params["identifier"]
         prefix = params["metadataPrefix"]
-        records = self.records
-        rec = records.get((identifier, prefix))
+        rec = self.records.get((identifier, prefix))
         if rec is None:
-            if any((identifier, f) in records for f in self.sequences):
+            if self._records_of(identifier):
                 raise _OaiError("cannotDisseminateFormat", prefix)
             raise _OaiError("idDoesNotExist", identifier)
         return [self._record(rec)]
@@ -610,6 +612,17 @@ class OaiProvider:
             f"</responseDate><request{attrs}>{_text(self.base_url)}</request>",
             *body, "</OAI-PMH>",
         ]).encode()
+
+
+def _writable(payload: bytes) -> bool:
+    """Whether ``_metadata`` can write ``payload``: XML as it is, or XML that
+    ElementTree re-serializes."""
+    try:
+        if not check_xml(payload):
+            ET.fromstring(payload)
+    except (ExpatError, ET.ParseError):
+        return False
+    return True
 
 
 class _OaiError(Exception):

@@ -136,6 +136,7 @@ class ObjectStore:
         self._events_fd = os.open(
             self.root / "events.log", os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
         )
+        self._fds = (self._journal_fd, self._events_fd, self._lock_fd)
         try:
             self._recover()
             self._checkpoint()
@@ -156,18 +157,15 @@ class ObjectStore:
                 self.abandon()
 
     def abandon(self) -> None:
-        """Release the store without a checkpoint; simulates a crashed process."""
+        """Release the store without a checkpoint; simulates a crashed process.
+        Each descriptor is closed once: its number may then go to another file."""
         self._stopped = self._stopped or "the store is closed"
-        for fd in (self._journal_fd, self._events_fd):
+        fds, self._fds = self._fds, ()
+        for fd in fds:  # closing the lock file's descriptor drops its flock
             try:
                 os.close(fd)
             except OSError:
                 pass
-        try:
-            fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
-            os.close(self._lock_fd)
-        except OSError:
-            pass
 
     def on_commit(self, listener: Callable[[list], None]) -> None:
         """Register a callback invoked inside the commit critical section with

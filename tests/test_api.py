@@ -419,6 +419,26 @@ def test_purge_represented_proxy_refused(fixture):
         repo.purge_resource(proxy)
 
 
+def test_ids_are_not_reused_after_a_reopen(tmp_path, vclock):
+    """The next id follows the largest id in the store, tombstones included,
+    so purging the newest object and reopening does not hand its id out."""
+    def number(oid):
+        return int(oid.rsplit("-", 1)[1])
+
+    repo = Repository(tmp_path / "d", clock=vclock)
+    repo.add_agent("NSDL", "Organization")
+    newest = repo.add_resource(ResourceSpec(content_url="http://example.org/a"))
+    repo.purge_resource(newest)
+    repo.close()
+    repo = Repository(tmp_path / "d", clock=vclock)
+    try:
+        fresh = repo.add_resource(ResourceSpec(content_url="http://example.org/a"))
+        assert number(fresh) > number(newest)
+        assert number(repo.add_agent("x", "Person")) > number(fresh)
+    finally:
+        repo.close()
+
+
 def test_purge_type_mismatch(fixture):
     repo, agent, _agg, r1 = fixture
     with pytest.raises(NotFound):

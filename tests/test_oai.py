@@ -12,7 +12,9 @@ from xml.etree import ElementTree as ET
 from ino import oai
 from ino.api import MetadataSpec, Repository, ResourceSpec
 from ino.errors import BadResumptionToken, EventOutOfOrder
-from ino.model import Datastream, VirtualClock, format_ts, local_id, parse_ts
+from ino.model import (Datastream, Term, VirtualClock, format_ts, local_id,
+                       parse_ts)
+from ino.ontology import OntologyRegistry
 from ino.oai import OaiProvider, decode_token, encode_token
 from oai_reference import assert_same_tree, render
 
@@ -352,6 +354,26 @@ def test_list_sets(setup):
     sets = root.find("ListSets").findall("set")
     assert [s.findtext("setSpec") for s in sets] == [local_id(agg)]
     assert sets[0].findtext("setName") == "http://example.org/coll"
+
+
+def test_list_sets_names_a_set_by_its_represented_by_proxy_only(tmp_path, vclock):
+    """An extension predicate named representedBy in another namespace does
+    not rename the set."""
+    also = "http://example.org/terms#representedBy"
+    repo = Repository(tmp_path / "d", clock=vclock, ontology=OntologyRegistry.load(
+        f"predicate <{also}> domain Aggregation range Resource card 0..*"))
+    try:
+        agent = repo.add_agent("prov", "Organization")
+        other = repo.add_resource(ResourceSpec(content_url="http://example.org/b"))
+        agg = repo.create_aggregation(
+            agent, ResourceSpec(content_url="http://example.org/coll"),
+            extra_relationships=[(also, Term.iri(other))])
+        sets = parse(OaiProvider(repo).handle_request({"verb": "ListSets"}))
+        assert [(s.findtext("setSpec"), s.findtext("setName"))
+                for s in sets.iter("set")] == [(local_id(agg),
+                                                "http://example.org/coll")]
+    finally:
+        repo.close()
 
 
 def test_get_record(setup):
@@ -731,32 +753,44 @@ def test_payload_with_a_prolog_renders_as_reference(setup, payload):
 
 
 @pytest.mark.parametrize("payload", [
-    b"not xml at all",
+    pytest.param(b"not xml at all", id="not-xml"),
     # passes expat, which skips an entity an external DTD may declare, but
     # not ElementTree, which re-serializes a payload with a DOCTYPE
-    b'<!DOCTYPE nsdl_dc SYSTEM "nsdl.dtd"><nsdl_dc>&ext;</nsdl_dc>',
+    pytest.param(b'<!DOCTYPE nsdl_dc SYSTEM "nsdl.dtd"><nsdl_dc>&ext;</nsdl_dc>',
+                 id="doctype-external-entity"),
 ])
-def test_malformed_stored_payload_is_cannot_disseminate(setup, payload):
-    """A stored payload that is not XML (written past the API's check) gives
-    cannotDisseminateFormat on every page and record that holds it, in both
-    formats, and leaves the other records servable."""
+def test_malformed_stored_payload_gives_no_record(setup, payload):
+    """A live object whose stored payload is not XML (written past the API's
+    check) has no record in that format or the one crosswalked from it: a
+    harvest over tokens completes with every other record, each verb answers
+    idDoesNotExist for it, a rebuild agrees, and its purge gives it deleted
+    records again."""
     repo, provider, _agg, mids = setup
-    provider.page_size = 10  # one page holds every record
     bad, good = ("oai:ndr.local:" + local_id(m) for m in mids[:2])
+    others = sorted("oai:ndr.local:" + local_id(m) for m in mids[1:])
     repo.store.modify(mids[0], datastreams=[
         Datastream("format_nsdl_dc", "text/xml", content=payload)])
     provider.catch_up()
+    rebuilt = OaiProvider(repo)
+    rebuilt.rebuild_cache()
+    assert rebuilt.records == provider.records
     for fmt in ("nsdl_dc", "oai_dc"):
-        errors = [parse(provider.handle_request(p)).find("error")
-                  for p in ({"verb": "GetRecord", "identifier": bad,
-                             "metadataPrefix": fmt},
-                            {"verb": "ListRecords", "metadataPrefix": fmt})]
-        assert [e.get("code") for e in errors] == ["cannotDisseminateFormat"] * 2
+        assert sorted(harvest_identifiers(provider, "ListRecords",
+                                          metadataPrefix=fmt)) == others
+        for params in ({"verb": "GetRecord", "identifier": bad,
+                        "metadataPrefix": fmt},
+                       {"verb": "ListMetadataFormats", "identifier": bad}):
+            error = parse(provider.handle_request(params)).find("error")
+            assert error.get("code") == "idDoesNotExist"
         root = parse(provider.handle_request(
             {"verb": "GetRecord", "identifier": good, "metadataPrefix": fmt}))
         assert root.find("error") is None
-        assert parse(provider.handle_request(
-            {"verb": "ListIdentifiers", "metadataPrefix": fmt})).find("error") is None
+    repo.store.purge(mids[0])
+    provider.catch_up()
+    for fmt in ("nsdl_dc", "oai_dc"):
+        assert provider.records[(bad, fmt)].deleted
+        assert sorted(harvest_identifiers(provider, metadataPrefix=fmt)) == \
+            sorted([bad, *others])
 
 
 # ------------------------------------------------- sequences against the scan

@@ -349,6 +349,25 @@ def test_checkpoint_bounds_the_journal_and_abandon_recovers(tmp_path, monkeypatc
     reopened.close()
 
 
+def test_close_after_abandon_leaves_a_newer_store_alone(tmp_path):
+    """Each descriptor is closed once, so closing an abandoned store cannot
+    close the numbers that a store opened since has been given."""
+    clock = VirtualClock()
+    a = ObjectStore(tmp_path / "a", clock=clock)
+    a_fds = {a._lock_fd, a._journal_fd, a._events_fd}
+    a.abandon()
+    b = ObjectStore(tmp_path / "b", clock=clock)
+    try:
+        assert {b._lock_fd, b._journal_fd, b._events_fd} == a_fds  # reused
+        a.close()
+        b.create(draft("r1"))
+    finally:
+        b.close()
+    reopened = ObjectStore(tmp_path / "b", clock=clock)
+    assert reopened.exists("info:ino/r1")
+    reopened.close()
+
+
 def test_journal_with_commit_markers_of_the_older_format(tmp_path):
     clock = VirtualClock()
     store = ObjectStore(tmp_path / "d", clock=clock)
