@@ -7,18 +7,11 @@ object count, event log, and triple count unchanged.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from urllib.parse import urlsplit, urlunsplit
-from xml.parsers.expat import ExpatError
 
-from .dissemination import (
-    FORMAT_DS_PREFIX,
-    CrosswalkRegistry,
-    Disseminator,
-    check_xml,
-    is_format_id,
-)
+from .dissemination import FORMAT_DS_PREFIX, Disseminator, is_format_id, payload_text
 from .errors import (
     HasDependents,
     InvalidObject,
@@ -52,14 +45,16 @@ AGENT_KINDS = ("Person", "Organization", "Service")
 _ID_SUFFIX_RE = re.compile(r"^[a-z]+-(\d+)$")
 
 
-def _check_payload(payload: bytes) -> None:
-    """``InvalidObject`` unless ``payload`` is a well-formed XML document."""
+def _format_stream(format_id: str, payload: bytes) -> Datastream:
+    """The datastream that holds ``payload`` in format ``format_id``.
+    ``InvalidObject`` for an empty payload, then for one that no response can
+    carry (``payload_text``), then for a malformed format id."""
     if not payload:
         raise InvalidObject("payload: must be non-empty")
-    try:
-        check_xml(payload)
-    except ExpatError as exc:
-        raise InvalidObject(f"payload: not well-formed XML ({exc})") from exc
+    payload_text(payload)
+    if not is_format_id(format_id):
+        raise InvalidObject(f"formatId: malformed {format_id!r}")
+    return Datastream(FORMAT_DS_PREFIX + format_id, "text/xml", content=payload)
 
 
 @dataclass(frozen=True)
@@ -109,14 +104,13 @@ class Repository:
     """Single-writer, multi-reader facade over store + index + ontology."""
 
     def __init__(self, root, ontology: OntologyRegistry | None = None,
-                 clock: Clock | None = None, durable: bool = True,
-                 crosswalks: CrosswalkRegistry | None = None):
+                 clock: Clock | None = None, durable: bool = True):
         self.ontology = ontology or OntologyRegistry.load()
         self.store = ObjectStore(root, clock=clock, durable=durable)
         self.index = TripleIndex()
         self.index.rebuild(self.store.objects())
         self.store.on_commit(self._on_commit)
-        self.disseminator = Disseminator(self.store.get, crosswalks)
+        self.disseminator = Disseminator(self.store.get)
         self._lock = self.store._lock  # one atomicity domain
         # ids are never reused and every object ever committed has a file,
         # live or a tombstone, so the next id follows the largest of those
@@ -168,13 +162,12 @@ class Repository:
             return created.get(object_id) or self._live_types(object_id)
 
         for op in ops:
-            if op.kind == "create":
-                types, triples = op.draft.types, op.draft.relationships
-            elif op.relationships is not None:
-                types, triples = self.store.get(op.object_id).types, op.relationships
-            else:
+            new = op.draft
+            if new is None or (op.kind == "modify" and new.relationships
+                               == self.store.get(op.object_id).relationships):
                 continue
-            for exc in self.ontology.violations(types, triples, types_of):
+            for exc in self.ontology.violations(new.types, new.relationships,
+                                                types_of):
                 raise exc
         return self.store.commit_batch(ops)
 
@@ -241,9 +234,7 @@ class Repository:
             self._require_type(spec.provider, "Agent", UnknownAgent)
             for agg in spec.initial_aggregations:
                 self._require_type(agg, "Aggregation", UnknownAggregation)
-            _check_payload(spec.payload)
-            if not is_format_id(spec.format_id):
-                raise InvalidObject(f"formatId: malformed {spec.format_id!r}")
+            stream = _format_stream(spec.format_id, spec.payload)
             target, ops = ((spec.target, []) if isinstance(spec.target, str)
                            else self._resource_ops(spec.target))
             oid = self._new_id("metadata")
@@ -256,14 +247,8 @@ class Repository:
                 for a in sorted(spec.initial_aggregations)
             ]
             rels += [Triple(oid, p, o) for p, o in extra_relationships]
-            draft = make_draft(
-                oid, ("Metadata",),
-                datastreams=[
-                    Datastream(FORMAT_DS_PREFIX + spec.format_id, "text/xml",
-                               content=spec.payload)
-                ],
-                relationships=rels,
-            )
+            draft = make_draft(oid, ("Metadata",), datastreams=[stream],
+                               relationships=rels)
             self._commit(ops + [BatchOp("create", oid, draft=draft)])
             return oid
 
@@ -273,19 +258,11 @@ class Repository:
             obj = self.store.get(object_id)
             if "Metadata" not in obj.types:
                 raise UnknownResource(f"{object_id} is not a Metadata object")
-            _check_payload(payload)
-            ds_id = FORMAT_DS_PREFIX + format_id
-            replaced = False
-            streams = []
-            for ds in obj.datastreams:
-                if ds.ds_id == ds_id:
-                    streams.append(Datastream(ds_id, ds.media_type, content=payload))
-                    replaced = True
-                else:
-                    streams.append(ds)
-            if not replaced:
-                streams.append(Datastream(ds_id, "text/xml", content=payload))
-            self._commit([BatchOp("modify", object_id, datastreams=tuple(streams))])
+            stream = _format_stream(format_id, payload)
+            streams = {ds.ds_id: ds for ds in obj.datastreams}
+            streams[stream.ds_id] = stream  # a replaced stream keeps its place
+            self._commit([BatchOp("modify", object_id,
+                                  replace(obj, datastreams=tuple(streams.values())))])
 
     def create_aggregation(self, agent: str, proxy: ResourceSpec,
                            extra_relationships=()) -> str:
@@ -297,10 +274,12 @@ class Repository:
             rels += [Triple(agg_id, p, o) for p, o in extra_relationships]
             agg_draft = make_draft(agg_id, ("Aggregation",), relationships=rels)
             ops.append(BatchOp("create", agg_id, draft=agg_draft))
-            agent_rels = self.store.get(agent).relationships + (
+            agent_obj = self.store.get(agent)
+            agent_rels = agent_obj.relationships + (
                 Triple(agent, AGGREGATOR_FOR, Term.iri(agg_id)),
             )
-            ops.append(BatchOp("modify", agent, relationships=agent_rels))
+            ops.append(BatchOp("modify", agent,
+                               replace(agent_obj, relationships=agent_rels)))
             self._commit(ops)
             return agg_id
 
@@ -323,14 +302,14 @@ class Repository:
             for m in sorted(added):
                 obj = self.store.get(m)
                 rels = obj.relationships + (Triple(m, MEMBER_OF, agg_term),)
-                ops.append(BatchOp("modify", m, relationships=rels))
+                ops.append(BatchOp("modify", m, replace(obj, relationships=rels)))
             for m in sorted(removed):
                 obj = self.store.get(m)
                 rels = tuple(
                     t for t in obj.relationships
                     if not (t.predicate == MEMBER_OF and t.object == agg_term)
                 )
-                ops.append(BatchOp("modify", m, relationships=rels))
+                ops.append(BatchOp("modify", m, replace(obj, relationships=rels)))
             if ops:
                 self._commit(ops)
             return MembershipDelta(frozenset(added), frozenset(removed))
@@ -343,7 +322,8 @@ class Repository:
             if triple in subject.relationships:
                 return  # relationships are a set; re-asserting is a no-op
             rels = subject.relationships + (triple,)
-            self._commit([BatchOp("modify", subj, relationships=rels)])
+            self._commit([BatchOp("modify", subj,
+                                  replace(subject, relationships=rels))])
 
     def remove_relationship(self, subj: str, predicate: str, obj) -> None:
         with self._lock:
@@ -353,7 +333,8 @@ class Repository:
             if triple not in subject.relationships:
                 raise NotFound(f"no such relationship on {subj}")
             rels = tuple(t for t in subject.relationships if t != triple)
-            self._commit([BatchOp("modify", subj, relationships=rels)])
+            self._commit([BatchOp("modify", subj,
+                                  replace(subject, relationships=rels))])
 
     @staticmethod
     def _relationship_term(obj) -> Term:

@@ -145,7 +145,7 @@ def _run(args) -> int:
         try:
             # the cache a start builds, against one that replays every event
             provider, replay = OaiProvider(repo), OaiProvider(repo)
-            stats = provider.rebuild_cache()
+            records = provider.rebuild_cache()
             replay.catch_up()
             listed = [{f: [*chain.from_iterable(seq.chunks)]
                        for f, seq in p.sequences.items() if seq}
@@ -153,7 +153,7 @@ def _run(args) -> int:
             same = provider.records == replay.records and listed[0] == listed[1]
             deleted = sum(r.deleted for r in provider.records.values())
             status = "identical" if same else "DIVERGED"
-            print(f"{stats.records} records ({deleted} deleted) ({status})")
+            print(f"{records} records ({deleted} deleted) ({status})")
             return 0 if same else 2
         finally:
             repo.close()

@@ -14,7 +14,7 @@ from xml.etree import ElementTree as ET
 from xml.parsers import expat
 from xml.sax.saxutils import escape
 
-from .errors import FormatUnavailable, InvalidRule, TransformError
+from .errors import FormatUnavailable, InvalidObject, InvalidRule, TransformError
 from .model import DigitalObject
 
 LITERAL = "Literal"
@@ -41,16 +41,33 @@ def is_format_id(value: str) -> bool:
     return bool(_FORMAT_ID_RE.match(value))
 
 
-def check_xml(payload: bytes) -> bool:
-    """Raise ``expat.ExpatError`` unless ``payload`` is a well-formed XML
-    document with every prefix bound. Return whether it can be written into
-    a UTF-8 document as it is: it starts with ``<`` past any whitespace, has
-    no XML declaration and no DOCTYPE, and is UTF-8."""
-    expat.ParserCreate(namespace_separator=" ").Parse(payload, True)
-    # a declaration or a DOCTYPE may only open a document; a byte order mark
-    # or a NUL byte (never in well-formed UTF-8 XML) means another encoding
-    return (payload.lstrip()[:1] == b"<" and not payload.startswith(b"<?xml")
-            and b"<!DOCTYPE" not in payload and b"\0" not in payload)
+def payload_text(payload: bytes) -> str:
+    """``payload`` as text to write into a UTF-8 XML document. It must be a
+    well-formed XML document with every prefix bound. It is written as it is
+    when it starts with ``<`` past any whitespace, has no XML declaration and
+    no DOCTYPE, and is UTF-8; else it is re-serialized by ElementTree (which
+    reads a declaration's encoding and expands a DOCTYPE's entities).
+    ``InvalidObject`` when it is neither, so no response can carry it."""
+    try:
+        expat.ParserCreate(namespace_separator=" ").Parse(payload, True)
+        # a declaration or a DOCTYPE may only open a document; a byte order
+        # mark or a NUL byte (never in well-formed UTF-8 XML) means another
+        # encoding
+        if (payload.lstrip()[:1] == b"<" and not payload.startswith(b"<?xml")
+                and b"<!DOCTYPE" not in payload and b"\0" not in payload):
+            return payload.decode().strip()
+        return ET.tostring(ET.fromstring(payload), encoding="unicode")
+    except (expat.ExpatError, ET.ParseError) as exc:
+        raise InvalidObject(f"payload: not well-formed XML ({exc})") from exc
+
+
+def is_writable(payload: bytes) -> bool:
+    """Whether ``payload_text`` can write ``payload``."""
+    try:
+        payload_text(payload)
+    except InvalidObject:
+        return False
+    return True
 
 
 def stored_formats(obj: DigitalObject, keep=None) -> set[str]:
@@ -125,10 +142,9 @@ class CrosswalkRegistry:
 class Disseminator:
     """Stateless apart from the immutable crosswalk registry and metrics."""
 
-    def __init__(self, get_object: Callable[[str], DigitalObject],
-                 registry: CrosswalkRegistry | None = None):
+    def __init__(self, get_object: Callable[[str], DigitalObject]):
         self._get_object = get_object
-        self.registry = registry or CrosswalkRegistry()
+        self.registry = CrosswalkRegistry()
         self.metrics: dict[str, deque[float]] = {
             LITERAL: deque(maxlen=METRICS_MAXLEN),
             TRANSFORMED: deque(maxlen=METRICS_MAXLEN),

@@ -21,11 +21,11 @@ resumption tokens are stateless cursors over the sequences. Record payloads
 are disseminated at response time.
 
 A response is written as text: a verb returns its body as strings, joined
-once with the envelope. A payload passes a namespace-aware expat parse
-(``check_xml``) and is spliced in as it is; only one with a declaration, a
-DOCTYPE or another encoding is re-serialized by ElementTree. A live object
-has no record in a format whose stored payload is not XML (``_writable``), nor
-in the formats crosswalked from it.
+once with the envelope. A payload is written as ``payload_text`` gives it:
+spliced in as it is, or re-serialized by ElementTree when it has a
+declaration, a DOCTYPE or another encoding. A live object has no record in a
+format whose stored payload ``payload_text`` cannot write, nor in the formats
+crosswalked from it.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
-from xml.etree import ElementTree as ET
-from xml.parsers.expat import ExpatError
+from xml.sax.saxutils import escape
 
-from .dissemination import OAI_DC_NS, check_xml
+from .dissemination import OAI_DC_NS, is_writable, payload_text
 from .errors import (BadResumptionToken, EventOutOfOrder, FormatUnavailable,
-                     NotFound, TransformError)
+                     InvalidObject, NotFound, TransformError)
 from .model import (
     DELETED,
     MEMBER_OF,
@@ -96,11 +95,6 @@ class OaiRecord:
     set_specs: frozenset[str]
     deleted: bool
     source_object: str
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    records: int
 
 
 # the sort key of a sequence, and its datestamp part, for bisect's ``key``
@@ -287,7 +281,7 @@ class OaiProvider:
                          if t.predicate == MEMBER_OF)
         deleted = obj.state == DELETED  # a tombstone's payloads are empty
         formats = self.repo.disseminator.formats_of(
-            obj, None if deleted else _writable)
+            obj, None if deleted else is_writable)
         return {fmt: OaiRecord(identifier, fmt, obj.modified, sets, deleted,
                                obj.id) for fmt in formats}
 
@@ -301,16 +295,17 @@ class OaiProvider:
         self.records = records
         self.last_applied_seq = seq
 
-    def rebuild_cache(self) -> CacheStats:
+    def rebuild_cache(self) -> int:
         """Apply the module's rule to every live object and every tombstone,
-        into new maps; the cache this replaces is not read."""
+        into new maps; the cache this replaces is not read. Return the number
+        of records."""
         with self.repo._lock:
             store = self.repo.store
             records = {(rec.identifier, rec.format): rec
                        for obj in chain(store.objects(), store.tombstones())
                        for rec in self._derive(obj).values()}
             self._publish(records, store.current_seq)
-        return CacheStats(len(records))
+        return len(records)
 
     # ------------------------------------------------------------ incremental
 
@@ -412,7 +407,7 @@ class OaiProvider:
             # badVerb/badArgument responses must not echo illegal request attrs
             echo = exc.code not in ("badVerb", "badArgument")
             return self._respond(params if echo else {}, [
-                f'<error code="{exc.code}">{_text(exc.message)}</error>'])
+                f'<error code="{exc.code}">{escape(exc.message)}</error>'])
         return self._respond(params, [f"<{verb}>", *body, f"</{verb}>"])
 
     # verb handlers return their body as XML strings; each checks its
@@ -572,23 +567,14 @@ class OaiProvider:
         return f"<record>{_header(rec)}{metadata}</record>"
 
     def _metadata(self, rec: OaiRecord) -> str:
-        """The payload of ``rec`` as text: spliced in as it is when
-        ``check_xml`` allows it, else re-serialized by ElementTree (which
-        reads a declaration's encoding and expands a DOCTYPE's entities).
-        ``cannotDisseminateFormat`` when it cannot be had or is not XML."""
+        """The payload of ``rec`` as ``payload_text`` writes it.
+        ``cannotDisseminateFormat`` when it cannot be had or written."""
         try:
-            payload = self.repo.get_dissemination(rec.source_object,
-                                                  rec.format)[0]
-        except (NotFound, FormatUnavailable, TransformError) as exc:
-            raise _OaiError("cannotDisseminateFormat", str(exc)) from exc
-        try:
-            if check_xml(payload):
-                text = payload.decode().strip()
-            else:
-                text = ET.tostring(ET.fromstring(payload), encoding="unicode")
-        except (ExpatError, ET.ParseError) as exc:
-            raise _OaiError("cannotDisseminateFormat", f"{rec.identifier}: "
-                            f"payload not well-formed XML ({exc})") from exc
+            text = payload_text(self.repo.get_dissemination(rec.source_object,
+                                                            rec.format)[0])
+        except (NotFound, FormatUnavailable, TransformError, InvalidObject) as exc:
+            raise _OaiError("cannotDisseminateFormat",
+                            f"{rec.identifier}: {exc}") from exc
         # in <metadata> the OAI namespace is the default, so an unprefixed
         # element would take it unless the payload's root sets its own
         root = _ROOT_NAME.match(text)
@@ -609,20 +595,9 @@ class OaiProvider:
         attrs = "".join(f' {k}="{_attr(v)}"' for k, v in params.items())
         return "".join([
             _HEAD, "<responseDate>", format_ts(self.repo.store.clock.now()),
-            f"</responseDate><request{attrs}>{_text(self.base_url)}</request>",
+            f"</responseDate><request{attrs}>{escape(self.base_url)}</request>",
             *body, "</OAI-PMH>",
         ]).encode()
-
-
-def _writable(payload: bytes) -> bool:
-    """Whether ``_metadata`` can write ``payload``: XML as it is, or XML that
-    ElementTree re-serializes."""
-    try:
-        if not check_xml(payload):
-            ET.fromstring(payload)
-    except (ExpatError, ET.ParseError):
-        return False
-    return True
 
 
 class _OaiError(Exception):
@@ -637,20 +612,15 @@ _HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n'
          f'xsi:schemaLocation="{OAI_NS} {OAI_SCHEMA}">')
 
 
-def _text(value: str) -> str:
-    """``value`` escaped for element content, as ElementTree escapes it."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def _attr(value: str) -> str:
     """``value`` escaped for a double-quoted attribute, as ElementTree
     escapes it."""
-    return (_text(value).replace('"', "&quot;").replace("\r", "&#13;")
+    return (escape(value).replace('"', "&quot;").replace("\r", "&#13;")
             .replace("\n", "&#10;").replace("\t", "&#09;"))
 
 
 def _el(tag: str, value: str) -> str:
-    return f"<{tag}>{_text(value)}</{tag}>"
+    return f"<{tag}>{escape(value)}</{tag}>"
 
 
 def _header(rec: OaiRecord) -> str:

@@ -43,6 +43,7 @@ from .errors import (
     StoreLocked,
 )
 from .model import (
+    ACTIVE,
     DELETED,
     Clock,
     DigitalObject,
@@ -91,14 +92,13 @@ class ChangeEvent:
 
 @dataclass(frozen=True)
 class BatchOp:
-    """One step of an atomic multi-object commit."""
+    """One step of an atomic multi-object commit. A create or a modify
+    carries the whole new version as ``draft``; a modify without one commits
+    the object as it is, with new ``modified`` and ``seq``."""
 
     kind: str  # "create" | "modify" | "purge"
     object_id: str
-    draft: DigitalObject | None = None  # create
-    types: tuple | None = None  # modify replacements (None = keep)
-    datastreams: tuple | None = None
-    relationships: tuple | None = None
+    draft: DigitalObject | None = None
 
 
 class ObjectStore:
@@ -281,14 +281,14 @@ class ObjectStore:
         datastreams=None,
         relationships=None,
     ) -> DigitalObject:
-        op = BatchOp(
-            "modify",
-            object_id,
-            types=tuple(types) if types is not None else None,
-            datastreams=tuple(datastreams) if datastreams is not None else None,
-            relationships=tuple(relationships) if relationships is not None else None,
-        )
-        return self.commit_batch([op])[0]
+        """Commit the live object with each field given here replaced."""
+        fields = {"types": types, "datastreams": datastreams,
+                  "relationships": relationships}
+        with self._lock:
+            draft = replace(self.get(object_id), **{
+                name: tuple(value) for name, value in fields.items()
+                if value is not None})
+            return self.commit_batch([BatchOp("modify", object_id, draft)])[0]
 
     def purge(self, object_id: str) -> None:
         self.commit_batch([BatchOp("purge", object_id)])
@@ -358,39 +358,16 @@ class ObjectStore:
                 if op.kind == "create":
                     if oid in staged or oid in self._objects or oid in self._tombstones:
                         raise DuplicateId(oid)
-                    draft = op.draft
-                    obj = DigitalObject(
-                        id=oid,
-                        types=draft.types,
-                        created=now,
-                        modified=now,
-                        datastreams=draft.datastreams,
-                        relationships=draft.relationships,
-                        seq=seq,
-                    )
                 elif old is None or old.state == DELETED:
                     raise NotFound(oid)
-                elif op.kind == "modify":
-                    obj = replace(
-                        old,
-                        types=op.types if op.types is not None else old.types,
-                        datastreams=(
-                            op.datastreams
-                            if op.datastreams is not None
-                            else old.datastreams
-                        ),
-                        relationships=(
-                            op.relationships
-                            if op.relationships is not None
-                            else old.relationships
-                        ),
-                        modified=now,
-                        seq=seq,
-                    )
-                else:
+                if op.kind == "purge":
                     streams = tuple(ds if ds.is_surrogate else replace(ds, content=b"")
                                     for ds in old.datastreams)
                     obj = replace(old, state=DELETED, datastreams=streams,
+                                  modified=now, seq=seq)
+                else:  # the caller's whole version; the store owns the rest
+                    obj = replace(op.draft or old, id=oid, state=ACTIVE,
+                                  created=old.created if old else now,
                                   modified=now, seq=seq)
                 validate_object(obj)
                 staged[oid] = obj

@@ -126,8 +126,7 @@ def test_rebuild_counts(setup):
     repo, provider, _agg, mids = setup
     # 5 metadata objects x {nsdl_dc, oai_dc}
     assert len(provider.records) == 10
-    stats = provider.rebuild_cache()
-    assert stats.records == 10
+    assert provider.rebuild_cache() == 10
 
 
 def test_set_specs_from_membership(setup):

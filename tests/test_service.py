@@ -373,6 +373,21 @@ def test_malformed_metadata_payload_is_400(live):
     assert svc.repo.store.count() == objects
 
 
+def test_unservable_metadata_payload_is_400(live):
+    """A payload that passes expat but that ElementTree cannot re-serialize
+    is refused: no OAI response could carry it."""
+    svc, port = live
+    agent, _agg, resource, _metadata = populate(svc)
+    objects = svc.repo.store.count()
+    got, _headers, data = request(port, "POST", "/objects/metadata", json.dumps({
+        "target": resource, "formatId": "nsdl_dc",
+        "payload": '<!DOCTYPE nsdl_dc SYSTEM "nsdl.dtd"><nsdl_dc>&ext;</nsdl_dc>',
+        "provider": agent}), {"X-INO-Key": KEY})
+    assert got == 400
+    assert json.loads(data)["error"] == "InvalidObject"
+    assert svc.repo.store.count() == objects
+
+
 def test_unexpected_failure_is_a_500(live, monkeypatch, caplog):
     svc, port = live
 
