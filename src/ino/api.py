@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from urllib.parse import urlsplit, urlunsplit
 
-from .dissemination import FORMAT_DS_PREFIX, Disseminator, is_format_id, payload_text
+from .dissemination import Disseminator, format_stream
 from .errors import (
     HasDependents,
     InvalidObject,
@@ -43,18 +43,6 @@ from .store import BatchOp, ObjectStore
 AGENT_KINDS = ("Person", "Organization", "Service")
 
 _ID_SUFFIX_RE = re.compile(r"^[a-z]+-(\d+)$")
-
-
-def _format_stream(format_id: str, payload: bytes) -> Datastream:
-    """The datastream that holds ``payload`` in format ``format_id``.
-    ``InvalidObject`` for an empty payload, then for one that no response can
-    carry (``payload_text``), then for a malformed format id."""
-    if not payload:
-        raise InvalidObject("payload: must be non-empty")
-    payload_text(payload)
-    if not is_format_id(format_id):
-        raise InvalidObject(f"formatId: malformed {format_id!r}")
-    return Datastream(FORMAT_DS_PREFIX + format_id, "text/xml", content=payload)
 
 
 @dataclass(frozen=True)
@@ -234,7 +222,7 @@ class Repository:
             self._require_type(spec.provider, "Agent", UnknownAgent)
             for agg in spec.initial_aggregations:
                 self._require_type(agg, "Aggregation", UnknownAggregation)
-            stream = _format_stream(spec.format_id, spec.payload)
+            stream = format_stream(spec.format_id, spec.payload)
             target, ops = ((spec.target, []) if isinstance(spec.target, str)
                            else self._resource_ops(spec.target))
             oid = self._new_id("metadata")
@@ -258,7 +246,7 @@ class Repository:
             obj = self.store.get(object_id)
             if "Metadata" not in obj.types:
                 raise UnknownResource(f"{object_id} is not a Metadata object")
-            stream = _format_stream(format_id, payload)
+            stream = format_stream(format_id, payload)
             streams = {ds.ds_id: ds for ds in obj.datastreams}
             streams[stream.ds_id] = stream  # a replaced stream keeps its place
             self._commit([BatchOp("modify", object_id,

@@ -102,7 +102,7 @@ def bench_all(data_dir, profile: CorpusProfile, durable: bool = False) -> dict:
 
         provider = OaiProvider(repo, page_size=100)
         provider.rebuild_cache()
-        formats = sorted({key[1] for key in provider.records})
+        formats = sorted(provider.sequences)
         harvest_rates = []
         harvested = 0
         for _ in range(HARVEST_TRIALS):
@@ -110,9 +110,8 @@ def bench_all(data_dir, profile: CorpusProfile, durable: bool = False) -> dict:
             harvested = sum(full_harvest(provider, fmt) for fmt in formats)
             harvest_rates.append(harvested / (time.perf_counter() - t0))
 
-        meta_id = next(
-            iter(sorted(r.source_object for r in provider.records.values()))
-        )
+        meta_id = min(obj.id for obj in repo.store.objects()
+                      if "Metadata" in obj.types)
         lit = _time_ms(lambda: repo.get_dissemination(meta_id, "nsdl_dc"),
                        DISSEMINATION_TRIALS)
         xform = _time_ms(lambda: repo.get_dissemination(meta_id, "oai_dc"),

@@ -1,6 +1,8 @@
-"""Datastream disseminations: serve stored format datastreams literally, or
-through a registered single-hop crosswalk transform. Transforms are pure
-functions over bytes; the only built-in is the nsdl_dc -> oai_dc crosswalk.
+"""Datastream disseminations. An object's format ``f`` is stored only as the
+inline bytes of its ``format_<f>`` datastream; ``format_stream`` builds that
+datastream and ``stored_formats`` reads it back. A stored format is served
+literally, or through a one-hop crosswalk in the fixed ``CROSSWALKS`` table.
+Transforms are pure functions over bytes.
 """
 
 from __future__ import annotations
@@ -8,14 +10,13 @@ from __future__ import annotations
 import re
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 from xml.etree import ElementTree as ET
 from xml.parsers import expat
 from xml.sax.saxutils import escape
 
-from .errors import FormatUnavailable, InvalidObject, InvalidRule, TransformError
-from .model import DigitalObject
+from .errors import FormatUnavailable, InvalidObject, TransformError
+from .model import DS_ID_MAX, Datastream, DigitalObject
 
 LITERAL = "Literal"
 TRANSFORMED = "Transformed"
@@ -24,7 +25,9 @@ TRANSFORMED = "Transformed"
 METRICS_MAXLEN = 10_000
 
 FORMAT_DS_PREFIX = "format_"
-_FORMAT_ID_RE = re.compile(r"[a-z0-9_]{1,32}$")
+# "format_" and the format id must fit in one datastream id
+_FORMAT_ID_RE = re.compile(
+    rf"[a-z0-9_]{{1,{DS_ID_MAX - len(FORMAT_DS_PREFIX)}}}$")
 
 DC_ELEMENTS = (
     "title", "creator", "subject", "description", "publisher", "contributor",
@@ -70,22 +73,28 @@ def is_writable(payload: bytes) -> bool:
     return True
 
 
-def stored_formats(obj: DigitalObject, keep=None) -> set[str]:
-    """``obj``'s formats, without those whose inline payload ``keep`` rejects."""
-    return {
-        ds.ds_id[len(FORMAT_DS_PREFIX):]
-        for ds in obj.datastreams
-        if ds.ds_id.startswith(FORMAT_DS_PREFIX)
-        and (keep is None or ds.content is None or keep(ds.content))
-    }
+def format_stream(format_id: str, payload: bytes) -> Datastream:
+    """The datastream that holds ``payload`` in format ``format_id``.
+    ``InvalidObject`` for an empty payload, then for one that no response can
+    carry (``payload_text``), then for a malformed format id."""
+    if not payload:
+        raise InvalidObject("payload: must be non-empty")
+    payload_text(payload)
+    if not is_format_id(format_id):
+        raise InvalidObject(f"formatId: malformed {format_id!r}")
+    return Datastream(FORMAT_DS_PREFIX + format_id, "text/xml", content=payload)
 
 
-@dataclass(frozen=True)
-class Crosswalk:
-    from_format: str
-    to_format: str
-    transform_id: str
-    transform: Callable[[bytes], bytes]
+def stored_formats(obj: DigitalObject, keep=None) -> dict[str, Datastream]:
+    """``obj``'s stored formats, each to its ``format_<id>`` datastream: inline
+    ones only (a tombstone's are ``b""``), without those whose payload ``keep``
+    rejects."""
+    stored = {}
+    for ds in obj.datastreams:
+        if (ds.content is not None and ds.ds_id.startswith(FORMAT_DS_PREFIX)
+                and (keep is None or keep(ds.content))):
+            stored[ds.ds_id[len(FORMAT_DS_PREFIX):]] = ds
+    return stored
 
 
 def _localname(tag: str) -> str:
@@ -115,36 +124,18 @@ def nsdl_dc_to_oai_dc(data: bytes) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-class CrosswalkRegistry:
-    def __init__(self):
-        self._by_pair: dict[tuple[str, str], Crosswalk] = {}
-        self.register("nsdl_dc", "oai_dc", "nsdl_dc_to_oai_dc", nsdl_dc_to_oai_dc)
-
-    def register(self, from_format: str, to_format: str, transform_id: str,
-                 transform: Callable[[bytes], bytes]) -> None:
-        pair = (from_format, to_format)
-        if pair in self._by_pair:
-            raise InvalidRule(f"crosswalk {from_format}->{to_format} already registered")
-        # single hop only: a crosswalk may not feed or consume another
-        for existing_from, existing_to in self._by_pair:
-            if to_format == existing_from or from_format == existing_to:
-                raise InvalidRule(
-                    f"crosswalk {from_format}->{to_format} would form a chain"
-                )
-        self._by_pair[pair] = Crosswalk(from_format, to_format, transform_id, transform)
-
-    def targets_of(self, from_format: str) -> dict[str, Crosswalk]:
-        return {
-            to: cw for (frm, to), cw in self._by_pair.items() if frm == from_format
-        }
+# source format -> target format -> transform. One hop only: no target is
+# also a source, so a crosswalk never reads another's output.
+CROSSWALKS: dict[str, dict[str, Callable[[bytes], bytes]]] = {
+    "nsdl_dc": {"oai_dc": nsdl_dc_to_oai_dc},
+}
 
 
 class Disseminator:
-    """Stateless apart from the immutable crosswalk registry and metrics."""
+    """Stateless apart from its metrics."""
 
     def __init__(self, get_object: Callable[[str], DigitalObject]):
         self._get_object = get_object
-        self.registry = CrosswalkRegistry()
         self.metrics: dict[str, deque[float]] = {
             LITERAL: deque(maxlen=METRICS_MAXLEN),
             TRANSFORMED: deque(maxlen=METRICS_MAXLEN),
@@ -157,25 +148,22 @@ class Disseminator:
         """``obj``'s stored formats, as ``keep`` filters them, and their
         crosswalks' targets."""
         stored = stored_formats(obj, keep)
-        reachable = set()
-        for f in stored:
-            reachable |= set(self.registry.targets_of(f))
-        return stored | reachable
+        return stored.keys() | {to for f in stored for to in CROSSWALKS.get(f, ())}
 
     def get(self, object_id: str, format_id: str) -> tuple[bytes, str, str]:
         """Return (bytes, media_type, path) where path is Literal|Transformed."""
         obj = self._get_object(object_id)
         start = time.perf_counter()
-        ds = obj.datastream(FORMAT_DS_PREFIX + format_id)
-        if ds is not None and ds.content is not None:
+        stored = stored_formats(obj)
+        ds = stored.get(format_id)
+        if ds is not None:
             elapsed = (time.perf_counter() - start) * 1000.0
             self.metrics[LITERAL].append(elapsed)
             return ds.content, ds.media_type, LITERAL
-        for f in stored_formats(obj):
-            cw = self.registry.targets_of(f).get(format_id)
-            if cw is not None:
-                source = obj.datastream(FORMAT_DS_PREFIX + f)
-                out = cw.transform(source.content)
+        for f, source in stored.items():
+            transform = CROSSWALKS.get(f, {}).get(format_id)
+            if transform is not None:
+                out = transform(source.content)
                 elapsed = (time.perf_counter() - start) * 1000.0
                 self.metrics[TRANSFORMED].append(elapsed)
                 return out, "text/xml", TRANSFORMED

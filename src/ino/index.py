@@ -39,7 +39,7 @@ from .model import (
 _VAR_RE = re.compile(r"\?[a-z][a-z0-9]*$")
 
 MAX_PATTERNS = 8
-DEFAULT_RESULT_CAP = 10_000_000
+RESULT_CAP = 10_000_000  # rows in an intermediate join result
 ORACLE_TRIPLE_CAP = 1_000_000
 
 _ABSENT = -1  # the id of a constant that no indexed triple uses
@@ -157,8 +157,7 @@ class TripleIndex:
     """In-memory index with subject-, predicate- and object-major orders,
     keyed on interned term ids."""
 
-    def __init__(self, result_cap: int = DEFAULT_RESULT_CAP):
-        self.result_cap = result_cap
+    def __init__(self):
         # a term's key is an IRI's text or a literal's Term, so a subject or
         # predicate is looked up without building a Term
         self._ids: dict[str | Term, int] = {}
@@ -406,7 +405,7 @@ class TripleIndex:
         for name in names:
             slot.setdefault(name, len(slot))
         free = 3 - known
-        cap = self.result_cap
+        cap = RESULT_CAP
         if depth == known:
             ext = _expand(node, free, names)
             if len(rows) * len(ext) > cap:

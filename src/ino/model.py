@@ -41,7 +41,8 @@ SOURCE_SET = INO_NS + "sourceSet"
 
 ID_PREFIX = "info:ino/"
 _LOCAL_ID_RE = re.compile(r"[a-z0-9._-]{1,64}$")
-_DS_ID_RE = re.compile(r"[a-zA-Z0-9_]{1,32}$")
+DS_ID_MAX = 32  # characters in a datastream id
+_DS_ID_RE = re.compile(rf"[a-zA-Z0-9_]{{1,{DS_ID_MAX}}}$")
 
 ACTIVE = "Active"
 DELETED = "Deleted"

@@ -90,7 +90,6 @@ class Service:
         self.provider = OaiProvider(self.repo,
                                     page_size=int(config.get("pageSize", "100")))
         self.provider.rebuild_cache()
-        self._server: ThreadingHTTPServer | None = None
 
     def close(self) -> None:
         self.repo.close()
@@ -104,8 +103,7 @@ class Service:
             pass
 
         Handler.service = service
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        return self._server
+        return ThreadingHTTPServer((host, port), Handler)
 
     def serve_forever(self, port: int, host: str = "127.0.0.1") -> None:
         server = self.serve(port, host)
@@ -140,7 +138,7 @@ class Service:
                 return 302, ds.surrogate, b""
             return 200, ds.media_type, ds.content
         if method == "GET" and len(parts) == 3 and parts[0] == "disseminations":
-            data, media, path_kind = self.repo.get_dissemination(
+            data, media, _ = self.repo.get_dissemination(
                 ID_PREFIX + parts[1], parts[2]
             )
             return 200, media, data

@@ -187,15 +187,24 @@ def test_malformed_payload_rejected(fixture, payload):
     assert repo.get_dissemination(mid, "nsdl_dc")[0] == PAYLOAD
 
 
-def test_update_metadata_payload_checks_the_format_id(fixture):
-    """Both metadata writes refuse a malformed format id, so no object gets a
-    format that ``add_metadata`` would not take."""
+@pytest.mark.parametrize("format_id", [
+    pytest.param("ABC", id="uppercase"),
+    # "format_" and 26 characters overrun the 32-character datastream id
+    pytest.param("f" * 26, id="too-long"),
+])
+def test_update_metadata_payload_checks_the_format_id(fixture, format_id):
+    """Both metadata writes refuse a malformed format id with a ``formatId``
+    message, so no object gets a format that ``add_metadata`` would not take."""
     repo, agent, _agg, resource = fixture
     mid = repo.add_metadata(MetadataSpec(
         target=resource, format_id="nsdl_dc", payload=PAYLOAD, provider=agent))
     before = snapshot(repo)
-    with pytest.raises(InvalidObject, match="formatId: malformed 'ABC'"):
-        repo.update_metadata_payload(mid, "ABC", PAYLOAD)
+    message = f"formatId: malformed '{format_id}'"
+    with pytest.raises(InvalidObject, match=message):
+        repo.add_metadata(MetadataSpec(target=resource, format_id=format_id,
+                                       payload=PAYLOAD, provider=agent))
+    with pytest.raises(InvalidObject, match=message):
+        repo.update_metadata_payload(mid, format_id, PAYLOAD)
     assert snapshot(repo) == before
     assert repo.list_formats(mid) == {"nsdl_dc", "oai_dc"}
 

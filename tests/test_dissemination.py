@@ -2,19 +2,19 @@ import pytest
 
 from ino.api import MetadataSpec, ResourceSpec
 from ino.dissemination import (
+    CROSSWALKS,
     LITERAL,
     METRICS_MAXLEN,
     TRANSFORMED,
-    CrosswalkRegistry,
     is_format_id,
     nsdl_dc_to_oai_dc,
 )
 from ino.errors import (
     FormatUnavailable,
-    InvalidRule,
     NotFound,
     TransformError,
 )
+from ino.model import Datastream
 
 NSDL_DC = b"""<nsdl_dc xmlns:dc="http://purl.org/dc/elements/1.1/">
   <dc:title>Physics 101</dc:title>
@@ -57,20 +57,15 @@ def test_crosswalk_malformed_source():
         nsdl_dc_to_oai_dc(b"<nsdl_dc>")
 
 
-def test_registry_rejects_duplicates_and_chains():
-    reg = CrosswalkRegistry()
-    with pytest.raises(InvalidRule):
-        reg.register("nsdl_dc", "oai_dc", "again", lambda b: b)
-    with pytest.raises(InvalidRule):
-        reg.register("oai_dc", "marc", "chain-out", lambda b: b)  # consumes a target
-    with pytest.raises(InvalidRule):
-        reg.register("marc", "nsdl_dc", "chain-in", lambda b: b)  # feeds a source
-    reg.register("marc", "mods", "independent", lambda b: b)
-    assert set(reg.targets_of("marc")) == {"mods"}
+def test_crosswalks_are_one_hop():
+    targets = {to for by_target in CROSSWALKS.values() for to in by_target}
+    assert not targets & CROSSWALKS.keys()
 
 
 def test_format_id_validation():
     assert is_format_id("oai_dc") and is_format_id("marc21")
+    # "format_" and the id make a datastream id of at most 32 characters
+    assert is_format_id("f" * 25) and not is_format_id("f" * 26)
     assert not is_format_id("Bad-Format") and not is_format_id("")
 
 
@@ -121,6 +116,14 @@ def test_unavailable_and_missing(metadata_repo):
         repo.get_dissemination(m, "marc21")
     with pytest.raises(NotFound):
         repo.get_dissemination("info:ino/ghost", "nsdl_dc")
+    # a format datastream that holds a surrogate URL is no format, so
+    # nothing is crosswalked from it either
+    repo.store.modify(m, datastreams=[Datastream(
+        "format_nsdl_dc", "text/xml", surrogate="http://example.org/a.xml")])
+    assert repo.list_formats(m) == set()
+    for fmt in ("nsdl_dc", "oai_dc"):
+        with pytest.raises(FormatUnavailable):
+            repo.get_dissemination(m, fmt)
 
 
 def test_metrics_record_both_paths(metadata_repo):

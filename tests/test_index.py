@@ -173,8 +173,9 @@ def test_monotonic_counts():
         assert idx.size() == total
 
 
-def test_query_too_large():
-    idx = TripleIndex(result_cap=5)
+def test_query_too_large(monkeypatch):
+    monkeypatch.setattr(index_mod, "RESULT_CAP", 5)
+    idx = TripleIndex()
     for i in range(10):
         idx.index_object(obj(f"r{i}"))
     q = ConjunctiveQuery(

@@ -751,24 +751,31 @@ def test_payload_with_a_prolog_renders_as_reference(setup, payload):
         assert title == "café" and "café".encode() in body
 
 
-@pytest.mark.parametrize("payload", [
-    pytest.param(b"not xml at all", id="not-xml"),
+@pytest.mark.parametrize("stream", [
+    pytest.param(Datastream("format_nsdl_dc", "text/xml",
+                            content=b"not xml at all"), id="not-xml"),
     # passes expat, which skips an entity an external DTD may declare, but
     # not ElementTree, which re-serializes a payload with a DOCTYPE
-    pytest.param(b'<!DOCTYPE nsdl_dc SYSTEM "nsdl.dtd"><nsdl_dc>&ext;</nsdl_dc>',
-                 id="doctype-external-entity"),
+    pytest.param(Datastream(
+        "format_nsdl_dc", "text/xml",
+        content=b'<!DOCTYPE nsdl_dc SYSTEM "nsdl.dtd"><nsdl_dc>&ext;</nsdl_dc>'),
+        id="doctype-external-entity"),
+    # a format is stored only as inline bytes, so a surrogate is no format
+    pytest.param(Datastream("format_nsdl_dc", "text/xml",
+                            surrogate="http://example.org/r0.xml"),
+                 id="surrogate"),
 ])
-def test_malformed_stored_payload_gives_no_record(setup, payload):
-    """A live object whose stored payload is not XML (written past the API's
-    check) has no record in that format or the one crosswalked from it: a
-    harvest over tokens completes with every other record, each verb answers
-    idDoesNotExist for it, a rebuild agrees, and its purge gives it deleted
-    records again."""
+def test_malformed_stored_payload_gives_no_record(setup, stream):
+    """A live object whose stored format datastream is not XML or not inline
+    (written past the API's check) has no record in that format or the one
+    crosswalked from it: a harvest over tokens completes with every other
+    record, each verb answers idDoesNotExist for it, and a rebuild agrees.
+    Its purge empties an inline payload, which gives it deleted records
+    again; a surrogate stays no format."""
     repo, provider, _agg, mids = setup
     bad, good = ("oai:ndr.local:" + local_id(m) for m in mids[:2])
     others = sorted("oai:ndr.local:" + local_id(m) for m in mids[1:])
-    repo.store.modify(mids[0], datastreams=[
-        Datastream("format_nsdl_dc", "text/xml", content=payload)])
+    repo.store.modify(mids[0], datastreams=[stream])
     provider.catch_up()
     rebuilt = OaiProvider(repo)
     rebuilt.rebuild_cache()
@@ -786,10 +793,11 @@ def test_malformed_stored_payload_gives_no_record(setup, payload):
         assert root.find("error") is None
     repo.store.purge(mids[0])
     provider.catch_up()
+    purged = [] if stream.is_surrogate else [bad]
     for fmt in ("nsdl_dc", "oai_dc"):
-        assert provider.records[(bad, fmt)].deleted
+        assert all(provider.records[(i, fmt)].deleted for i in purged)
         assert sorted(harvest_identifiers(provider, metadataPrefix=fmt)) == \
-            sorted([bad, *others])
+            sorted([*purged, *others])
 
 
 # ------------------------------------------------- sequences against the scan
