@@ -2,15 +2,19 @@
 (join) query evaluation, with a naive brute-force reference evaluator used as
 an oracle in tests.
 
-Each term is interned to an int id when a triple is indexed, and three maps
-on ids give the access orders SPO, POS and OSP. A leaf of one member is that
-bare id, a leaf of more a set, and each map keeps a triple count for each of
-its top-level keys, so a pattern's exact count is one lookup at any depth.
-``_choose_path`` picks the map that serves a pattern's known positions;
-``match``, ``estimate`` and the join are built on it. A join runs on tuple
-rows with a fixed slot per variable, takes next the pattern with the fewest
-estimated matches given the variables already bound, and builds ``Term``s
-only at projection.
+Each term is interned to an int id when a triple is indexed, and two maps on
+ids store the access orders SPO and POS. A leaf of one member is that bare
+id, a leaf of more a set. The third order, OSP, is a view of POS: an
+object's node is the leaves of its subjects under each predicate, a set the
+ontology keeps closed and small, and a step that knows the subject checks
+those few leaves, so no step's cost per row grows with an object's fan-in.
+A triple count is kept for each term in each position, so a pattern's exact
+count is one lookup at any depth, and a term leaves the table when its last
+count goes. ``_choose_path`` picks the order that serves a pattern's known
+positions; ``match``, ``estimate`` and the join are built on it. A join runs
+on tuple rows with a fixed slot per variable, takes next the pattern with
+the fewest estimated matches given the variables already bound, and builds
+``Term``s only at projection.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ _ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # key orders of SPO, POS, OSP
 def _choose_path(bound: int, const: int) -> tuple[int, tuple[int, ...]]:
     """The access path for a pattern whose positions in the bit set ``bound``
     (bit 0 subject, 1 predicate, 2 object) are known, those in ``const``
-    being constants: the map (0 SPO, 1 POS, 2 OSP) whose key order begins
-    with the bound positions, and that order. Where several maps qualify
-    (all or no positions bound), the one whose order begins with the most
+    being constants: the order (0 SPO, 1 POS, 2 OSP) whose keys begin with
+    the bound positions, and its key order. Where several orders qualify
+    (all or no positions bound), the one that begins with the most
     constants, which a join step looks up once and not once per row."""
     best = None
     for i, order in enumerate(_ORDERS):
@@ -153,9 +157,53 @@ def triple_count_formula(obj: DigitalObject) -> int:
     )
 
 
+class _ObjectOrder:
+    """The OSP order as a view of POS: ``get(o)`` looks ``o`` up under each
+    predicate, a set the ontology keeps closed and small, and gives its
+    node, or None where no triple has ``o`` as object."""
+
+    __slots__ = ("_pos",)
+
+    def __init__(self, pos):
+        self._pos = pos
+
+    def get(self, o):
+        leaves = [(p, subjects) for p, inner in self._pos.items()
+                  if (subjects := inner.get(o)) is not None]
+        return _ObjectNode(leaves) if leaves else None
+
+
+class _ObjectNode:
+    """``OSP[o]`` as the leaves of ``o``'s subjects under each predicate
+    that reaches it. ``get(s)`` checks each of those leaves for ``s``, so a
+    row costs the number of such predicates and never ``o``'s fan-in."""
+
+    __slots__ = ("_leaves",)
+
+    def __init__(self, leaves):
+        self._leaves = leaves
+
+    def get(self, s):
+        """The leaf of the predicates from ``s`` to ``o``, or None."""
+        found = None
+        for p, subjects in self._leaves:
+            if subjects == s if subjects.__class__ is int else s in subjects:
+                if found is None:
+                    found = p
+                elif found.__class__ is int:
+                    found = {found, p}
+                else:
+                    found.add(p)
+        return found
+
+    def items(self):
+        """Each ``(s, p)`` under ``o``, ``p`` as a bare leaf."""
+        return [(s, p) for p, subjects in self._leaves for s in _leaf(subjects)]
+
+
 class TripleIndex:
-    """In-memory index with subject-, predicate- and object-major orders,
-    keyed on interned term ids."""
+    """In-memory index with subject- and predicate-major maps, and an
+    object-major view of them, keyed on interned term ids."""
 
     def __init__(self):
         # a term's key is an IRI's text or a literal's Term, so a subject or
@@ -166,11 +214,11 @@ class TripleIndex:
         # key -> key -> leaf: one id bare, or a set of two or more
         self._spo: dict[int, dict[int, int | set[int]]] = {}
         self._pos: dict[int, dict[int, int | set[int]]] = {}
-        self._osp: dict[int, dict[int, int | set[int]]] = {}
-        self._maps = (self._spo, self._pos, self._osp)  # as _ORDERS
-        # the triples under each top-level key of each map, so map i's
-        # counts are by the terms in position i
+        # the triples that have each term in position i (0 subject, 1
+        # predicate, 2 object), so counts 0 and 1 are by the top-level keys
+        # of SPO and POS
         self._counts: tuple[dict[int, int], ...] = ({}, {}, {})
+        self._maps = (self._spo, self._pos, _ObjectOrder(self._pos))  # as _ORDERS
         self._count = 0
 
     # ------------------------------------------------------------ maintenance
@@ -201,20 +249,14 @@ class TripleIndex:
         p = ids.get(t.predicate)
         if p is None:
             p = self._intern(t.predicate, Term.iri(t.predicate))
-        leaf = self._spo.get(s, {}).get(p)
-        if leaf is not None and _child(leaf, o, 2):
+        preds = self._spo.get(s)
+        if preds is not None and (leaf := preds.get(p)) is not None \
+                and _child(leaf, o, 2):
             return
-        for m, counts, a, b, c in zip(self._maps, self._counts,
-                                      (s, p, o), (p, o, s), (o, s, p)):
-            counts[a] = counts.get(a, 0) + 1
-            inner = m.setdefault(a, {})
-            leaf = inner.get(b)
-            if leaf is None:
-                inner[b] = c
-            elif leaf.__class__ is int:
-                inner[b] = {leaf, c}
-            else:
-                leaf.add(c)
+        _link(self._spo, self._counts[0], s, p, o)
+        _link(self._pos, self._counts[1], p, o, s)
+        counts = self._counts[2]
+        counts[o] = counts.get(o, 0) + 1
         self._count += 1
 
     def index_object(self, obj: DigitalObject) -> None:
@@ -234,19 +276,23 @@ class TripleIndex:
         subjects += [o for o in _leaf(preds.get(self._ids.get(HAS_DATASTREAM), ()))
                      if terms[o].value.startswith(object_id + "/")]
         touched = set(subjects)
+        by_subject, by_predicate, by_object = self._counts
         for s in subjects:
-            self._counts[0].pop(s, None)
+            by_subject.pop(s, None)
             for p, objs in self._spo.pop(s, {}).items():
                 objs = _leaf(objs)
                 for o in objs:
-                    _unlink(self._pos, self._counts[1], p, o, s)
-                    _unlink(self._osp, self._counts[2], o, s, p)
+                    _unlink(self._pos, by_predicate, p, o, s)
+                    if by_object[o] == 1:
+                        del by_object[o]
+                    else:
+                        by_object[o] -= 1
                 self._count -= len(objs)
                 touched.add(p)
                 touched.update(objs)
         # a term whose last triple went leaves the table, so it stays bounded
         for i in touched:
-            if i not in self._spo and i not in self._pos and i not in self._osp:
+            if i not in by_subject and i not in by_predicate and i not in by_object:
                 term = terms[i]
                 del self._ids[term.value if term.kind == "iri" else term]
                 terms[i] = None
@@ -256,7 +302,7 @@ class TripleIndex:
         self._ids.clear()
         self._terms.clear()
         self._free.clear()
-        for m in self._maps + self._counts:
+        for m in (self._spo, self._pos) + self._counts:
             m.clear()
         self._count = 0
         for obj in objects:
@@ -375,7 +421,7 @@ class TripleIndex:
             est = counts[i]
             for pos, atom in enumerate(atoms[i]):
                 if isinstance(atom, Var) and atom.name in slot:
-                    est /= len(self._maps[pos]) or 1  # distinct terms there
+                    est /= len(self._counts[pos]) or 1  # distinct terms there
             return est
 
         todo = list(range(len(atoms)))
@@ -504,6 +550,23 @@ def _expand(node, free: int, names=()) -> list[tuple]:
     keep = sorted(set(first))
     return [tuple(e[j] for j in keep) for e in ext
             if all(e[j] == e[f] for j, f in enumerate(first))]
+
+
+def _link(m, counts, a: int, b: int, c: int) -> None:
+    """Add the triple ``(a, b, c)`` in ``m``'s key order; a leaf's second
+    member turns it from a bare id into a set."""
+    counts[a] = counts.get(a, 0) + 1
+    inner = m.get(a)
+    if inner is None:
+        m[a] = {b: c}
+        return
+    leaf = inner.get(b)
+    if leaf is None:
+        inner[b] = c
+    elif leaf.__class__ is int:
+        inner[b] = {leaf, c}
+    else:
+        leaf.add(c)
 
 
 def _unlink(m, counts, a: int, b: int, c: int) -> None:
