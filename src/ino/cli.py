@@ -148,7 +148,7 @@ def _run(args) -> int:
             records = provider.rebuild_cache()
             replay.catch_up()
             listed = [{f: [*chain.from_iterable(seq.chunks)]
-                       for f, seq in p.sequences.items() if seq}
+                       for f, seq in p.sequences.items()}
                       for p in (provider, replay)]
             same = provider.records == replay.records and listed[0] == listed[1]
             deleted = sum(r.deleted for r in provider.records.values())

@@ -1,7 +1,7 @@
-"""Datastream disseminations. An object's format ``f`` is stored only as the
-inline bytes of its ``format_<f>`` datastream; ``format_stream`` builds that
-datastream and ``stored_formats`` reads it back. A stored format is served
-literally, or through a one-hop crosswalk in the fixed ``CROSSWALKS`` table.
+"""Datastream disseminations. An object's format ``f`` is stored in its
+``format_<f>`` datastream, built by ``format_stream``, and crosswalked one hop
+through the fixed ``CROSSWALKS`` table. ``sources`` is the one map of which
+datastream serves each format; a format is served only from inline bytes.
 Transforms are pure functions over bytes.
 """
 
@@ -85,18 +85,6 @@ def format_stream(format_id: str, payload: bytes) -> Datastream:
     return Datastream(FORMAT_DS_PREFIX + format_id, "text/xml", content=payload)
 
 
-def stored_formats(obj: DigitalObject, keep=None) -> dict[str, Datastream]:
-    """``obj``'s stored formats, each to its ``format_<id>`` datastream: inline
-    ones only (a tombstone's are ``b""``), without those whose payload ``keep``
-    rejects."""
-    stored = {}
-    for ds in obj.datastreams:
-        if (ds.content is not None and ds.ds_id.startswith(FORMAT_DS_PREFIX)
-                and (keep is None or keep(ds.content))):
-            stored[ds.ds_id[len(FORMAT_DS_PREFIX):]] = ds
-    return stored
-
-
 def _localname(tag: str) -> str:
     if tag.startswith("{"):
         return tag.rsplit("}", 1)[1]
@@ -131,6 +119,20 @@ CROSSWALKS: dict[str, dict[str, Callable[[bytes], bytes]]] = {
 }
 
 
+def sources(obj: DigitalObject) -> dict[str, tuple[Datastream, Callable | None]]:
+    """Each format of ``obj`` to its source: a ``format_<id>`` datastream,
+    inline or not, and the crosswalk from it, ``None`` for the datastream's
+    own format. A format's own datastream wins over a crosswalk."""
+    out = {}
+    for ds in obj.datastreams:
+        if ds.ds_id.startswith(FORMAT_DS_PREFIX):
+            f = ds.ds_id[len(FORMAT_DS_PREFIX):]
+            out[f] = (ds, None)
+            for to, crosswalk in CROSSWALKS.get(f, {}).items():
+                out.setdefault(to, (ds, crosswalk))
+    return out
+
+
 class Disseminator:
     """Stateless apart from its metrics."""
 
@@ -142,29 +144,20 @@ class Disseminator:
         }
 
     def list_formats(self, object_id: str) -> set[str]:
-        return self.formats_of(self._get_object(object_id))  # raises NotFound
-
-    def formats_of(self, obj: DigitalObject, keep=None) -> set[str]:
-        """``obj``'s stored formats, as ``keep`` filters them, and their
-        crosswalks' targets."""
-        stored = stored_formats(obj, keep)
-        return stored.keys() | {to for f in stored for to in CROSSWALKS.get(f, ())}
+        """The formats whose source holds inline bytes."""
+        obj = self._get_object(object_id)  # raises NotFound
+        return {f for f, (ds, _) in sources(obj).items() if ds.content is not None}
 
     def get(self, object_id: str, format_id: str) -> tuple[bytes, str, str]:
         """Return (bytes, media_type, path) where path is Literal|Transformed."""
         obj = self._get_object(object_id)
         start = time.perf_counter()
-        stored = stored_formats(obj)
-        ds = stored.get(format_id)
-        if ds is not None:
-            elapsed = (time.perf_counter() - start) * 1000.0
-            self.metrics[LITERAL].append(elapsed)
-            return ds.content, ds.media_type, LITERAL
-        for f, source in stored.items():
-            transform = CROSSWALKS.get(f, {}).get(format_id)
-            if transform is not None:
-                out = transform(source.content)
-                elapsed = (time.perf_counter() - start) * 1000.0
-                self.metrics[TRANSFORMED].append(elapsed)
-                return out, "text/xml", TRANSFORMED
-        raise FormatUnavailable(f"{object_id} has no dissemination for {format_id!r}")
+        ds, transform = sources(obj).get(format_id, (None, None))
+        if ds is None or ds.content is None:
+            raise FormatUnavailable(f"{object_id} has no dissemination for {format_id!r}")
+        if transform is None:
+            out, media, path = ds.content, ds.media_type, LITERAL
+        else:
+            out, media, path = transform(ds.content), "text/xml", TRANSFORMED
+        self.metrics[path].append((time.perf_counter() - start) * 1000.0)
+        return out, media, path

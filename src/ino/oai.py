@@ -2,10 +2,11 @@
 
 One rule, ``_derive``, gives an object its records from the store alone, from
 its live version or, once purged, its tombstone: if typed Metadata, one per
-format it has, in the sets its memberOf relationships name, dated
-``modified``, and deleted exactly when the object is, so deleted records
-persist with the store (``deletedRecord=persistent``); else none.
-``rebuild_cache`` applies it to every live object and tombstone,
+format in its ``sources``, in the sets its memberOf relationships name, dated
+``modified``, and deleted exactly when that source holds no payload
+``payload_text`` can write (a tombstone's emptied bytes, a non-XML payload, a
+surrogate URL), so deleted records persist (``deletedRecord=persistent``);
+else none. ``rebuild_cache`` applies it to every live object and tombstone,
 ``catch_up`` to each object the new change events touch.
 
 The cache is two views of the same records. ``records`` maps (identifier,
@@ -13,8 +14,9 @@ format) to a record for GetRecord; ``catch_up`` writes it one key at a time
 under the repository lock and never pops a key that stays, so a lookup never
 misses a live record. ``sequences`` holds, per format, every record (deleted
 ones too) sorted by (datestamp, identifier) in chunks of about
-``CHUNK_SIZE``; a published chunk is never changed, so a catch-up copies only
-the chunks it touches and then publishes a new sequence. Lists, Identify and
+``CHUNK_SIZE``, and no empty sequence, so its keys are the known formats; a
+published chunk is never changed, so a catch-up copies only the chunks it
+touches and then publishes a new sequence. Lists, Identify and
 ListMetadataFormats read only the sequences, so no request iterates
 ``records`` and none takes a lock. A list page is a bisect plus a slice;
 resumption tokens are stateless cursors over the sequences. Record payloads
@@ -23,9 +25,8 @@ are disseminated at response time.
 A response is written as text: a verb returns its body as strings, joined
 once with the envelope. A payload is written as ``payload_text`` gives it:
 spliced in as it is, or re-serialized by ElementTree when it has a
-declaration, a DOCTYPE or another encoding. A live object has no record in a
-format whose stored payload ``payload_text`` cannot write, nor in the formats
-crosswalked from it.
+declaration, a DOCTYPE or another encoding. A record whose source
+``payload_text`` cannot write is deleted, so it is written as a header alone.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
 from xml.sax.saxutils import escape
 
-from .dissemination import OAI_DC_NS, is_writable, payload_text
+from .dissemination import OAI_DC_NS, is_writable, payload_text, sources
 from .errors import (BadResumptionToken, EventOutOfOrder, FormatUnavailable,
                      InvalidObject, NotFound, TransformError)
 from .model import (
-    DELETED,
     MEMBER_OF,
     OBJECT_TYPE,
     REPRESENTED_BY,
@@ -279,11 +279,13 @@ class OaiProvider:
         identifier = IDENTIFIER_PREFIX + local_id(obj.id)
         sets = frozenset(local_id(t.object.value) for t in obj.relationships
                          if t.predicate == MEMBER_OF)
-        deleted = obj.state == DELETED  # a tombstone's payloads are empty
-        formats = self.repo.disseminator.formats_of(
-            obj, None if deleted else is_writable)
-        return {fmt: OaiRecord(identifier, fmt, obj.modified, sets, deleted,
-                               obj.id) for fmt in formats}
+        records, deleted = {}, {}  # deleted: by datastream id, parsed once
+        for fmt, (ds, _) in sources(obj).items():
+            if ds.ds_id not in deleted:
+                deleted[ds.ds_id] = ds.content is None or not is_writable(ds.content)
+            records[fmt] = OaiRecord(identifier, fmt, obj.modified, sets,
+                                     deleted[ds.ds_id], obj.id)
+        return records
 
     def _publish(self, records: dict, seq: int) -> None:
         """Publish ``records`` whole, with one sort per format."""
@@ -323,7 +325,7 @@ class OaiProvider:
     def _apply(self, events) -> None:
         """Check that ``events`` continue the applied sequence, reconcile each
         object they touch once in ``records``, then publish each changed
-        format's sequence."""
+        format's sequence, or drop it when it empties."""
         if not events:
             return
         seq = self.last_applied_seq
@@ -349,6 +351,8 @@ class OaiProvider:
             for fmt in removed.keys() | added.keys():
                 sequences[fmt] = sequences.get(fmt, _EMPTY).updated(
                     removed.get(fmt, ()), added.get(fmt, ()))
+                if not sequences[fmt]:
+                    del sequences[fmt]
             self.sequences = sequences
         self.last_applied_seq = seq
 
@@ -416,8 +420,7 @@ class OaiProvider:
     def _verb_Identify(self, params):
         self._reject_extra_args(params, set())
         earliest = min((seq.chunks[0][0].datestamp
-                        for seq in self.sequences.values() if seq.chunks),
-                       default=None)
+                        for seq in self.sequences.values()), default=None)
         return [_el(tag, value) for tag, value in (
             ("repositoryName", REPOSITORY_NAME),
             ("baseURL", self.base_url),
@@ -437,7 +440,7 @@ class OaiProvider:
             if not formats:
                 raise _OaiError("idDoesNotExist", identifier)
         else:
-            formats = sorted(f for f, seq in self.sequences.items() if seq)
+            formats = sorted(self.sequences)
         out = []
         for f in formats:
             ns, schema = _FORMAT_NAMESPACES.get(

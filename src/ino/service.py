@@ -19,11 +19,13 @@ from .errors import (
     ConfigError,
     DomainViolation,
     DuplicateId,
+    FormatUnavailable,
     HasDependents,
     InoError,
     InvalidObject,
     NotFound,
     QuerySyntaxError,
+    QueryTooLarge,
     RangeViolation,
     UnknownAgent,
     UnknownAggregation,
@@ -36,11 +38,12 @@ from .oai import OaiProvider
 from .ontology import OntologyRegistry
 
 _STATUS_BY_ERROR = (
-    (NotFound, 404),
+    ((NotFound, FormatUnavailable), 404),
     (DuplicateId, 409),
     (HasDependents, 409),
     ((UnknownAggregation, UnknownResource, UnknownAgent, UnknownMember), 422),
-    ((DomainViolation, RangeViolation, CardinalityViolation, UnknownPredicate), 422),
+    ((DomainViolation, RangeViolation, CardinalityViolation, UnknownPredicate,
+      QueryTooLarge), 422),
     ((InvalidObject, QuerySyntaxError), 400),
 )
 

@@ -8,6 +8,7 @@ from ino.dissemination import (
     TRANSFORMED,
     is_format_id,
     nsdl_dc_to_oai_dc,
+    sources,
 )
 from ino.errors import (
     FormatUnavailable,
@@ -108,6 +109,19 @@ def test_stored_format_wins_over_transform(metadata_repo):
     ])
     data, _media, path = repo.get_dissemination(m, "oai_dc")
     assert (data, path) == (canned, LITERAL)
+
+
+def test_own_surrogate_wins_over_transform(metadata_repo):
+    """A format's own datastream is its source even when it holds a
+    surrogate URL, so the crosswalk from another format does not serve it."""
+    repo, m = metadata_repo
+    own = Datastream("format_oai_dc", "text/xml",
+                     surrogate="http://example.org/a.xml")
+    repo.store.modify(m, datastreams=[*repo.get_object(m).datastreams, own])
+    assert sources(repo.get_object(m))["oai_dc"] == (own, None)
+    assert repo.list_formats(m) == {"nsdl_dc"}
+    with pytest.raises(FormatUnavailable):
+        repo.get_dissemination(m, "oai_dc")
 
 
 def test_unavailable_and_missing(metadata_repo):

@@ -765,39 +765,100 @@ def test_payload_with_a_prolog_renders_as_reference(setup, payload):
                             surrogate="http://example.org/r0.xml"),
                  id="surrogate"),
 ])
-def test_malformed_stored_payload_gives_no_record(setup, stream):
+def test_unwritable_stored_payload_gives_a_deleted_record(setup, stream):
     """A live object whose stored format datastream is not XML or not inline
-    (written past the API's check) has no record in that format or the one
-    crosswalked from it: a harvest over tokens completes with every other
-    record, each verb answers idDoesNotExist for it, and a rebuild agrees.
-    Its purge empties an inline payload, which gives it deleted records
-    again; a surrogate stays no format."""
+    (written past the API's check) has a deleted record in that format and
+    in the one crosswalked from it: a harvest over tokens completes with
+    every other record live, GetRecord gives the deleted header,
+    ListMetadataFormats lists both formats, and a rebuild agrees. The
+    records stay deleted after its purge."""
     repo, provider, _agg, mids = setup
     bad, good = ("oai:ndr.local:" + local_id(m) for m in mids[:2])
-    others = sorted("oai:ndr.local:" + local_id(m) for m in mids[1:])
-    repo.store.modify(mids[0], datastreams=[stream])
+    headers = sorted([(bad, True), *(("oai:ndr.local:" + local_id(m), False)
+                                     for m in mids[1:])])
+    for write in (lambda: repo.store.modify(mids[0], datastreams=[stream]),
+                  lambda: repo.store.purge(mids[0])):
+        write()
+        provider.catch_up()
+        rebuilt = OaiProvider(repo)
+        rebuilt.rebuild_cache()
+        assert rebuilt.records == provider.records
+        assert listed(rebuilt) == listed(provider)
+        for fmt in ("nsdl_dc", "oai_dc"):
+            assert list_headers(provider, fmt) == headers
+            record = get_record(provider, bad, fmt)
+            assert record.find("header").get("status") == "deleted"
+            assert record.find("metadata") is None
+            assert get_record(provider, good, fmt).find("metadata") is not None
+        for args in ({}, {"identifier": bad}):
+            assert metadata_prefixes(provider, **args) == ["nsdl_dc", "oai_dc"]
+
+
+def test_unwritable_literal_beside_a_good_source_gives_a_deleted_record(setup):
+    """An object's own format datastream serves that format even where a
+    crosswalk could: a non-XML ``format_oai_dc`` beside a good
+    ``format_nsdl_dc`` gives a deleted oai_dc record, which a list over
+    tokens carries among the live ones, and leaves the nsdl_dc record
+    live."""
+    repo, provider, _agg, mids = setup
+    bad = "oai:ndr.local:" + local_id(mids[0])
+    others = [("oai:ndr.local:" + local_id(m), False) for m in mids[1:]]
+    repo.store.modify(mids[0], datastreams=[
+        *repo.get_object(mids[0]).datastreams,
+        Datastream("format_oai_dc", "text/xml", content=b"not xml at all")])
     provider.catch_up()
+    assert list_headers(provider, "oai_dc") == sorted([(bad, True), *others])
+    assert list_headers(provider, "nsdl_dc") == sorted([(bad, False), *others])
+    record = get_record(provider, bad, "oai_dc")
+    assert record.find("header").get("status") == "deleted"
+    assert record.find("metadata") is None
+    assert get_record(provider, bad, "nsdl_dc").find("metadata") is not None
     rebuilt = OaiProvider(repo)
     rebuilt.rebuild_cache()
     assert rebuilt.records == provider.records
-    for fmt in ("nsdl_dc", "oai_dc"):
-        assert sorted(harvest_identifiers(provider, "ListRecords",
-                                          metadataPrefix=fmt)) == others
-        for params in ({"verb": "GetRecord", "identifier": bad,
-                        "metadataPrefix": fmt},
-                       {"verb": "ListMetadataFormats", "identifier": bad}):
-            error = parse(provider.handle_request(params)).find("error")
-            assert error.get("code") == "idDoesNotExist"
-        root = parse(provider.handle_request(
-            {"verb": "GetRecord", "identifier": good, "metadataPrefix": fmt}))
-        assert root.find("error") is None
-    repo.store.purge(mids[0])
+
+
+def test_removing_the_last_format_drops_its_sequence(setup):
+    """A store-level write that takes away every format datastream leaves a
+    catch-up with the formats a rebuild has, none: lists answer
+    cannotDisseminateFormat from both."""
+    repo, provider, _agg, mids = setup
+    for m in mids:
+        repo.store.modify(m, datastreams=[
+            ds for ds in repo.get_object(m).datastreams
+            if not ds.ds_id.startswith("format_")])
     provider.catch_up()
-    purged = [] if stream.is_surrogate else [bad]
-    for fmt in ("nsdl_dc", "oai_dc"):
-        assert all(provider.records[(i, fmt)].deleted for i in purged)
-        assert sorted(harvest_identifiers(provider, metadataPrefix=fmt)) == \
-            sorted([*purged, *others])
+    rebuilt = OaiProvider(repo)
+    rebuilt.rebuild_cache()
+    assert provider.sequences.keys() == rebuilt.sequences.keys() == set()
+    for p in (provider, rebuilt):
+        assert metadata_prefixes(p) == []
+        for fmt in ("nsdl_dc", "oai_dc"):
+            error = parse(p.handle_request(
+                {"verb": "ListRecords", "metadataPrefix": fmt})).find("error")
+            assert error.get("code") == "cannotDisseminateFormat"
+
+
+def list_headers(provider, fmt):
+    """(identifier, deleted) of each header of a whole ListRecords in
+    ``fmt``, read page by page over tokens, sorted."""
+    headers, _ = harvest_pages(provider, "ListRecords",
+                               {"verb": "ListRecords", "metadataPrefix": fmt})
+    return sorted((ident, deleted) for ident, _stamp, deleted in headers)
+
+
+def get_record(provider, identifier, fmt):
+    """The record element GetRecord answers."""
+    root = parse(provider.handle_request({
+        "verb": "GetRecord", "identifier": identifier, "metadataPrefix": fmt}))
+    assert root.find("error") is None, ET.tostring(root)
+    return root.find("GetRecord/record")
+
+
+def metadata_prefixes(provider, **args):
+    root = parse(provider.handle_request(
+        {"verb": "ListMetadataFormats", **args}))
+    return [el.text for el in root.iter("metadataPrefix")]
 
 
 # ------------------------------------------------- sequences against the scan

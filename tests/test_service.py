@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from ino import index as index_module
 from ino import service as service_module
 from ino.corpus import CorpusProfile, generate_corpus
 from ino.errors import ConfigError, StoreLocked
-from ino.model import VirtualClock
+from ino.model import ID_PREFIX, Datastream, VirtualClock
 from ino.service import Service, load_config
 
 KEY = "sekrit"
@@ -386,6 +387,31 @@ def test_unservable_metadata_payload_is_400(live):
     assert got == 400
     assert json.loads(data)["error"] == "InvalidObject"
     assert svc.repo.store.count() == objects
+
+
+def test_unavailable_format_is_404(live):
+    """A format the object does not have, and one whose datastream holds a
+    surrogate URL (written past the API), is not found."""
+    svc, port = live
+    _agent, _agg, _resource, metadata = populate(svc)
+    got, _headers, data = request(port, "GET", f"/disseminations/{metadata}/marc")
+    assert got == 404 and json.loads(data)["error"] == "FormatUnavailable"
+    svc.repo.store.modify(ID_PREFIX + metadata, datastreams=[Datastream(
+        "format_nsdl_dc", "text/xml", surrogate="http://example.org/a.xml")])
+    for fmt in ("nsdl_dc", "oai_dc"):
+        got, _headers, data = request(
+            port, "GET", f"/disseminations/{metadata}/{fmt}")
+        assert got == 404 and json.loads(data)["error"] == "FormatUnavailable"
+
+
+def test_query_too_large_is_422(live, monkeypatch):
+    """A query whose join passes the result cap is the client's fault."""
+    svc, port = live
+    populate(svc)
+    monkeypatch.setattr(index_module, "RESULT_CAP", 100)
+    got, _headers, data = request(port, "POST", "/query",
+                                  b"SELECT ?a WHERE ?a ?b ?c ; ?d ?e ?f")
+    assert got == 422 and json.loads(data)["error"] == "QueryTooLarge"
 
 
 def test_unexpected_failure_is_a_500(live, monkeypatch, caplog):
