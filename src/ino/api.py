@@ -100,8 +100,9 @@ class Repository:
         self.store.on_commit(self._on_commit)
         self.disseminator = Disseminator(self.store.get)
         self._lock = self.store._lock  # one atomicity domain
-        # ids are never reused and every object ever committed has a file,
-        # live or a tombstone, so the next id follows the largest of those
+        # ids are never reused and every object ever committed keeps its
+        # last version, live or a tombstone, so the next id follows the
+        # largest of those
         self._next_id = 1 + max(
             (int(m.group(1)) for obj in chain(self.store.objects(),
                                                self.store.tombstones())

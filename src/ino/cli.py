@@ -1,5 +1,5 @@
 """Command-line entry point: serve, harvest, generate, bench, audit,
-rebuild-index, rebuild-oai-cache.
+rebuild-index, rebuild-oai-cache, export.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import json
 import logging
 import sys
 from itertools import chain
+from pathlib import Path
 
 from .api import Repository
 from .bench import bench_all
@@ -19,6 +20,7 @@ from .index import extract_triples
 from .model import VirtualClock
 from .oai import OaiProvider
 from .service import Service, load_config
+from .store import ObjectStore
 
 
 def _add_data_dir(parser):
@@ -54,12 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="full-scan ontology audit")
     _add_data_dir(p)
 
-    p = sub.add_parser("rebuild-index", help="check the index against the object files")
+    p = sub.add_parser("rebuild-index",
+                       help="check the index against the stored objects' triples")
     _add_data_dir(p)
 
     p = sub.add_parser("rebuild-oai-cache",
                        help="check the OAI record cache against an event replay")
     _add_data_dir(p)
+
+    p = sub.add_parser("export", help="write one XML file per object, Fedora's "
+                                      "objects/<xx>/<yy>/<id>.xml layout")
+    _add_data_dir(p)
+    p.add_argument("--dir", required=True, help="directory to write into")
     return parser
 
 
@@ -129,7 +137,7 @@ def _run(args) -> int:
     if args.command == "rebuild-index":
         repo = Repository(args.data_dir)
         try:
-            # the index built at open against the object files' own triples
+            # the index built at open against the stored objects' own triples
             indexed = repo.index.triple_set()
             expected = {t for obj in repo.store.objects()
                         for t in extract_triples(obj)}
@@ -157,6 +165,17 @@ def _run(args) -> int:
             return 0 if same else 2
         finally:
             repo.close()
+
+    if args.command == "export":
+        if Path(args.dir).resolve() == Path(args.data_dir).resolve():
+            print("error: export into the data directory itself", file=sys.stderr)
+            return 1
+        store = ObjectStore(args.data_dir)
+        try:
+            print(f"exported {store.export(args.dir)} objects to {args.dir}")
+            return 0
+        finally:
+            store.close()
 
     raise AssertionError(f"unhandled command {args.command}")
 

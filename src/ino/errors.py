@@ -35,8 +35,13 @@ class StoreLocked(InoError):
 
 
 class StoreFailed(InoError):
-    """Writes are refused: the store is closed, or a commit failed after its
-    journal write (reopening the store redoes that commit)."""
+    """Writes are refused: the store is closed, or a commit or compaction
+    failed at its write (reopening the store reads what reached the log)."""
+
+
+class OldStoreLayout(InoError):
+    """The data directory holds the one-file-per-object layout of an older
+    version, which is not read."""
 
 
 # --- triple index / queries ---

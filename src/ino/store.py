@@ -1,29 +1,36 @@
-"""Durable object store: one canonical XML file per object, sharded directories,
-a redo journal for atomic multi-object commits, and a gap-free change-event
-feed.
+"""Durable object store: one append-only log of commits, a gap-free
+change-event feed, and tombstones.
 
 A purge writes a tombstone as the object's last version, in Fedora's Deleted
 state: ``modified`` is the purge time, inline datastream bytes are emptied,
 and the rest is kept, so what the object was can be derived from the store.
 
-Commit protocol: frame one redo record (the new file bytes and the events)
-into the journal and fsync it; then replace the object files and append the
-events, with no fsync. Recovery redoes every complete record in the journal
-and drops a torn tail, so an interrupted commit either fully applies or
-vanishes. Files are replaced whole and events already in the log are skipped,
-so redoing a record twice is harmless.
+The log, ``journal.log``, is a run of frames: a ``J <len> <sha256>`` line,
+the payload and a newline. A commit is one frame, appended with one write
+and, when durable, one fsync. Its payload is a JSON line (the commit's events,
+and the id and size of each new version) followed by the raw canonical XML
+of those versions. Opening the store reads the frames in order, keeps the
+last version of each id and stops at the first frame that is incomplete or
+fails its checksum. The file is cut there before anything is appended, so
+an interrupted commit either fully applies or vanishes.
 
-A checkpoint (at open, at close, and whenever the journal passes
-``CHECKPOINT_BYTES``) fsyncs the object files written since the last one, the
-shard directories that hold them and the event log, then empties the journal.
-A commit that fails after its journal write stops the store: further commits
-raise ``StoreFailed``, ``close`` skips the checkpoint, and reopening redoes the
-failed record.
+Compaction rewrites the log as one frame that holds every event and the last
+version of every id: into a temporary file, fsynced, then renamed over the
+log. Commits and ``close`` run it once superseded versions outnumber live
+objects plus tombstones and the log is past ``COMPACT_BYTES``, so a log with
+no superseded version is never rewritten.
+
+A commit or compaction that fails at or after its write stops the store:
+further commits raise ``StoreFailed`` and ``close`` skips compaction.
+Reopening keeps a failed commit exactly when its whole frame reached the log.
+
+``export`` writes Fedora's layout, one canonical XML file per object under
+``objects/<xx>/<yy>/<id>.xml``. A data directory in that layout, as older
+versions kept it (``objects/`` or ``events.log``), is refused at open.
 """
 
 from __future__ import annotations
 
-import base64
 import fcntl
 import json
 import hashlib
@@ -32,12 +39,13 @@ import threading
 from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     DuplicateId,
     InvalidObject,
     NotFound,
+    OldStoreLayout,
     SeqOutOfRange,
     StoreFailed,
     StoreLocked,
@@ -60,9 +68,12 @@ MODIFIED = "Modified"
 PURGED = "Purged"
 _EVENT_KIND = {"create": CREATED, "modify": MODIFIED, "purge": PURGED}
 
-# Journal size past which a commit ends with a checkpoint. It bounds both the
-# redo work at open and the set of object files waiting for their fsync.
-CHECKPOINT_BYTES = 8 << 20
+_LOG = "journal.log"
+_COMPACTING = "journal.tmp"
+
+# Log size below which superseded versions are kept: compaction reads and
+# rewrites the whole log, so it waits until that work is worth doing.
+COMPACT_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -71,23 +82,6 @@ class ChangeEvent:
     kind: str  # Created | Modified | Purged
     object_id: str
     timestamp: datetime
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "kind": self.kind,
-                "objectId": self.object_id,
-                "timestamp": format_ts(self.timestamp),
-            },
-            separators=(",", ":"),
-        )
-
-    @staticmethod
-    def from_json(line: str) -> "ChangeEvent":
-        d = json.loads(line)
-        return ChangeEvent(d["seq"], d["kind"], d["objectId"],
-                           parse_ts(d["timestamp"]))
 
 
 @dataclass(frozen=True)
@@ -104,8 +98,8 @@ class BatchOp:
 class ObjectStore:
     """Single-writer, multi-reader store rooted at a directory.
 
-    ``durable=False`` skips fsync calls (bulk loads, benchmarks); the commit
-    protocol and file layout are unchanged.
+    ``durable=False`` skips fsync calls (bulk loads, benchmarks); the log and
+    its frames are the same.
     """
 
     def __init__(self, root, clock: Clock | None = None, durable: bool = True):
@@ -118,28 +112,20 @@ class ObjectStore:
         self._events: list[ChangeEvent] = []
         self._crash_point: Callable[[str], None] = lambda name: None
         self._commit_listeners: list[Callable[[list], None]] = []
-        self._unsynced: set[str] = set()  # durable writes since the checkpoint
-        self._journal_bytes = 0
+        self._log_bytes = 0
+        self._versions = 0  # versions in the log, superseded ones included
         self._stopped: str | None = None  # why writes are refused, if they are
 
         self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / "objects").mkdir(exist_ok=True)
         self._lock_fd = os.open(self.root / "store.lock", os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(self._lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
             os.close(self._lock_fd)
             raise StoreLocked(f"data directory already in use: {self.root}")
-        self._journal_fd = os.open(
-            self.root / "journal.log", os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        self._events_fd = os.open(
-            self.root / "events.log", os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        self._fds = (self._journal_fd, self._events_fd, self._lock_fd)
+        self._fds = (self._lock_fd,)
         try:
-            self._recover()
-            self._checkpoint()
+            self._open_log()
         except BaseException:
             self.abandon()
             raise
@@ -147,17 +133,17 @@ class ObjectStore:
     # ------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Checkpoint and release the store. After a failed commit the journal
-        is kept, so the next open redoes that commit."""
+        """Compact the log if it is due, and release the store. After a failed
+        commit the log is left as it is."""
         with self._lock:
             try:
-                if self._stopped is None:
-                    self._checkpoint()
+                if self._stopped is None and self._compaction_due():
+                    self._compact()
             finally:
                 self.abandon()
 
     def abandon(self) -> None:
-        """Release the store without a checkpoint; simulates a crashed process.
+        """Release the store without compacting; simulates a crashed process.
         Each descriptor is closed once: its number may then go to another file."""
         self._stopped = self._stopped or "the store is closed"
         fds, self._fds = self._fds, ()
@@ -172,97 +158,78 @@ class ObjectStore:
         the list of (kind, old_object_or_None, new_object_or_None) applied."""
         self._commit_listeners.append(listener)
 
-    # -------------------------------------------------------------- recovery
+    def export(self, dest) -> int:
+        """Write every live object and tombstone as its own canonical XML file
+        under ``dest``, at ``shard_path``; return how many were written."""
+        with self._lock:
+            versions = [*self._objects.values(), *self._tombstones.values()]
+        for obj in versions:
+            path = Path(dest) / shard_path(obj.id)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(serialize_object(obj))
+        return len(versions)
 
-    def _recover(self) -> None:
-        raw = (self.root / "events.log").read_bytes()
-        pos = 0
-        while (nl := raw.find(b"\n", pos)) >= 0:
-            try:
-                self._events.append(ChangeEvent.from_json(raw[pos:nl].decode("utf-8")))
-            except (ValueError, KeyError, TypeError):
-                break  # torn tail
-            pos = nl + 1
-        if pos < len(raw):
-            os.ftruncate(self._events_fd, pos)  # keep the log parseable
+    # ------------------------------------------------------------------- log
 
-        # redo every complete record; files are replaced whole, and events
-        # already in the log are skipped
-        for rec in self._read_journal((self.root / "journal.log").read_bytes()):
-            for w in rec["writes"]:
-                self._write_file(w["path"], base64.b64decode(w["content"]))
-            events = [ev for ev in map(ChangeEvent.from_json, rec["events"])
-                      if ev.seq > self.current_seq]
-            self._append_events(events)
-            self._events.extend(events)
+    def _open_log(self) -> None:
+        old = [name for name in ("objects", "events.log") if (self.root / name).exists()]
+        if old:
+            raise OldStoreLayout(
+                f"{self.root} holds the one-file-per-object layout of an older "
+                f"version ({', '.join(old)}), which this version does not read")
+        # left by a compaction that stopped before its rename
+        (self.root / _COMPACTING).unlink(missing_ok=True)
+        path = self.root / _LOG
+        self._log_fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        self._fds = (self._log_fd, self._lock_fd)
+        data = path.read_bytes()
+        rows, spans, self._versions, self._log_bytes = _read_log(data)
+        if self._log_bytes < len(data):
+            os.ftruncate(self._log_fd, self._log_bytes)  # a torn tail
 
-        # gap check
-        for i, ev in enumerate(self._events):
-            if ev.seq != i + 1:
-                raise InvalidObject(
-                    f"event log corrupt: expected seq {i + 1}, found {ev.seq}"
-                )
-
-        # load all object files
+        stamps: dict[str, datetime] = {}
+        for i, (seq, kind, oid, stamp) in enumerate(rows):
+            if seq != i + 1:
+                raise InvalidObject(f"journal corrupt: expected seq {i + 1}, found {seq}")
+            if stamp not in stamps:
+                stamps[stamp] = parse_ts(stamp)
+            self._events.append(ChangeEvent(seq, kind, oid, stamps[stamp]))
         obj_seq = {ev.object_id: ev.seq for ev in self._events}
-        for path in sorted((self.root / "objects").rglob("*.xml")):
-            obj = deserialize_object(path.read_bytes())
-            obj = obj.with_seq(obj_seq.get(obj.id, 0))
+        for oid, (start, end) in spans.items():
+            obj = deserialize_object(data[start:end]).with_seq(obj_seq.get(oid, 0))
             if obj.state == DELETED:
                 self._tombstones[obj.id] = obj
             else:
                 self._objects[obj.id] = obj
 
-    @staticmethod
-    def _read_journal(data: bytes) -> list[dict]:
-        """Parse framed ``J <len> <sha256>`` records; stop at the first torn one."""
-        records: list[dict] = []
-        pos = 0
-        while (nl := data.find(b"\n", pos)) >= 0:
-            header = data[pos:nl].split(b" ")
-            if header[0] == b"C":  # a commit marker of the older journal format
-                pos = nl + 1
-                continue
-            if len(header) != 3 or header[0] != b"J" or not header[1].isdigit():
-                break
-            end = nl + 1 + int(header[1])
-            payload = data[nl + 1 : end]
-            if end > len(data) or hashlib.sha256(payload).hexdigest().encode() != header[2]:
-                break
-            records.append(json.loads(payload))
-            pos = end + 1  # the newline after the payload
-        return records
+    def _compaction_due(self) -> bool:
+        ids = len(self._objects) + len(self._tombstones)
+        return self._log_bytes > COMPACT_BYTES and self._versions - ids > ids
 
-    def _checkpoint(self) -> None:
-        """Make the files written since the last checkpoint durable, then empty
-        the journal, whose records are no longer needed for redo."""
-        if self.durable:
-            dirs: set[Path] = set()
-            for rel in self._unsynced:
-                path = self.root / rel
-                dirs.update(path.parents[i] for i in range(3))  # yy, xx, objects
-                _fsync_path(path)
-            for d in dirs:
-                _fsync_path(d)
-            os.fsync(self._events_fd)
-        self._unsynced.clear()
-        os.ftruncate(self._journal_fd, 0)
-        self._journal_bytes = 0
-
-    # --------------------------------------------------------------- helpers
-
-    def _write_file(self, rel: str, content: bytes) -> None:
-        path = self.root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(content)
-        os.replace(tmp, path)
-        if self.durable:
-            self._unsynced.add(rel)
-
-    def _append_events(self, events: Iterable[ChangeEvent]) -> None:
-        os.write(self._events_fd,
-                 "".join(e.to_json() + "\n" for e in events).encode("utf-8"))
+    def _compact(self) -> None:
+        """Rewrite the log as one frame: every event and each id's last version."""
+        path, tmp = self.root / _LOG, self.root / _COMPACTING
+        data = path.read_bytes()
+        rows, spans, _versions, _end = _read_log(data)
+        view = memoryview(data)
+        frame = _frame(rows, [(oid, view[a:b]) for oid, (a, b) in spans.items()])
+        try:
+            tmp.write_bytes(frame)
+            if self.durable:
+                _fsync_path(tmp)
+            self._crash_point("compact-written")
+            os.replace(tmp, path)
+            self._crash_point("compact-renamed")
+            if self.durable:
+                _fsync_path(self.root)
+            fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        except BaseException:
+            self._stopped = "a compaction failed; reopen the store"
+            raise
+        old, self._log_fd = self._log_fd, fd
+        self._fds = (fd, self._lock_fd)
+        os.close(old)
+        self._log_bytes, self._versions = len(frame), len(spans)
 
     @property
     def current_seq(self) -> int:
@@ -333,7 +300,7 @@ class ObjectStore:
                 raise SeqOutOfRange(
                     f"seq {seq} beyond current max {self.current_seq}"
                 )
-            # _recover's gap check guarantees event seq == list index + 1
+            # _open_log's gap check guarantees event seq == list index + 1
             return self._events[max(seq, 0):]
 
     # ----------------------------------------------------------- commit path
@@ -374,40 +341,24 @@ class ObjectStore:
                 applied.append((op.kind, old, obj))
                 events.append(ChangeEvent(seq, _EVENT_KIND[op.kind], oid, now))
 
-            files = {shard_path(oid): serialize_object(obj) for oid, obj in staged.items()}
-            record = {
-                "writes": [{"path": path, "content": base64.b64encode(content).decode("ascii")}
-                           for path, content in files.items()],
-                "events": [e.to_json() for e in events],
-            }
-            payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-            frame = b"J %d %s\n%s\n" % (
-                len(payload), hashlib.sha256(payload).hexdigest().encode(), payload)
+            stamp = format_ts(now)
+            frame = _frame([[e.seq, e.kind, e.object_id, stamp] for e in events],
+                           [(oid, serialize_object(obj)) for oid, obj in staged.items()])
             try:
-                os.write(self._journal_fd, frame)
-                self._journal_bytes += len(frame)
+                if os.write(self._log_fd, frame) != len(frame):
+                    raise OSError("short write to the journal")
                 self._crash_point("journal-written")
                 if self.durable:
-                    os.fsync(self._journal_fd)
+                    os.fsync(self._log_fd)
                 self._crash_point("journal-synced")
-
-                for i, (path, content) in enumerate(files.items()):
-                    self._write_file(path, content)
-                    if i == 0:
-                        self._crash_point("first-file-written")
-                self._crash_point("files-written")
-
-                self._append_events(events)
-                self._crash_point("events-written")
-                if self._journal_bytes > CHECKPOINT_BYTES:
-                    self._checkpoint()
-                self._crash_point("committed")
             except BaseException:
-                # memory no longer matches the disk; the journal still holds
-                # the record, so reopening redoes it
-                self._stopped = ("a commit failed after its journal write; "
-                                 "reopen the store to redo it")
+                # the log may hold the whole frame, part of it or none of it;
+                # reopening reads which
+                self._stopped = ("a commit failed at its journal write; "
+                                 "reopen the store to learn whether it applied")
                 raise
+            self._log_bytes += len(frame)
+            self._versions += len(staged)
 
             # publish in memory
             for oid, obj in staged.items():
@@ -420,7 +371,51 @@ class ObjectStore:
 
             for listener in self._commit_listeners:
                 listener(applied)
+            if self._compaction_due():
+                self._compact()
+            self._crash_point("committed")
             return [obj for _kind, _old, obj in applied]
+
+
+def _frame(rows: list, versions: list[tuple[str, bytes]]) -> bytes:
+    """One log frame holding event rows ``[seq, kind, id, timestamp]`` and
+    each version's canonical XML, in order."""
+    head = json.dumps({"events": rows, "versions": [[oid, len(content)]
+                                                    for oid, content in versions]},
+                      separators=(",", ":")).encode("utf-8") + b"\n"
+    digest = hashlib.sha256(head)
+    for _oid, content in versions:
+        digest.update(content)
+    size = len(head) + sum(len(content) for _oid, content in versions)
+    return b"".join([b"J %d %s\n" % (size, digest.hexdigest().encode()), head,
+                     *(content for _oid, content in versions), b"\n"])
+
+
+def _read_log(data: bytes) -> tuple[list, dict[str, tuple[int, int]], int, int]:
+    """Read the frames of a log in order and stop at the first torn one.
+    Returns the event rows, the span of each id's last version in ``data``,
+    the number of versions read and where the last whole frame ends."""
+    rows: list = []
+    spans: dict[str, tuple[int, int]] = {}
+    versions = pos = 0
+    while (nl := data.find(b"\n", pos)) >= 0:
+        header = data[pos:nl].split(b" ")
+        if len(header) != 3 or header[0] != b"J" or not header[1].isdigit():
+            break
+        end = nl + 1 + int(header[1])
+        if (data[end:end + 1] != b"\n"
+                or hashlib.sha256(memoryview(data)[nl + 1:end]).hexdigest().encode()
+                != header[2]):
+            break
+        at = data.index(b"\n", nl + 1) + 1
+        head = json.loads(data[nl + 1:at])
+        rows += head["events"]
+        for oid, size in head["versions"]:
+            spans[oid] = (at, at + size)
+            at += size
+        versions += len(head["versions"])
+        pos = end + 1
+    return rows, spans, versions, pos
 
 
 def _fsync_path(path: Path) -> None:

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from ino.api import Repository
+from ino.cli import main
 from ino.corpus import CorpusProfile, generate_corpus, nsdl_dc_document
 from ino.errors import NotEmpty
 from ino.index import TriplePattern, Var
@@ -21,9 +24,13 @@ def build(path, profile=PROFILE):
 
 
 def tree_bytes(path):
+    """The object files that ``ino export`` writes for the closed store at
+    ``path``, by path relative to the export directory."""
+    out = path.parent / (path.name + "-export")
+    assert main(["export", "--data-dir", str(path), "--dir", str(out)]) == 0
     return {
-        p.relative_to(path).as_posix(): p.read_bytes()
-        for p in sorted(path.rglob("*.xml"))
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*.xml"))
     }
 
 
@@ -80,6 +87,22 @@ def test_byte_identical_across_fresh_stores(tmp_path):
     a = tree_bytes(tmp_path / "a")
     b = tree_bytes(tmp_path / "b")
     assert a and a == b
+
+
+def test_export_matches_the_object_files_of_the_per_file_store(tmp_path):
+    """The store that kept one file per object wrote, for this profile, the
+    tree pinned here: sha256 over each sorted path's ``<path> <size>\n`` and
+    bytes. The export must reproduce it byte for byte."""
+    repo, _ = build(tmp_path / "a")
+    repo.close()
+    digest = hashlib.sha256()
+    tree = tree_bytes(tmp_path / "a")
+    for path, data in sorted(tree.items()):
+        digest.update(b"%s %d\n" % (path.encode(), len(data)))
+        digest.update(data)
+    assert len(tree) == 80 and all(p.startswith("objects/") for p in tree)
+    assert digest.hexdigest() == (
+        "9d1e6d75740c64ba61fdf81c289dbc4fd5347889730a13c9c8f86216b4c3a7eb")
 
 
 def test_seed_changes_output(tmp_path):

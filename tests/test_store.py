@@ -8,13 +8,14 @@ from ino.errors import (
     DuplicateId,
     InvalidObject,
     NotFound,
+    OldStoreLayout,
     SeqOutOfRange,
     StoreFailed,
     StoreLocked,
 )
 from ino import store as store_module
 from ino.model import (Datastream, Term, Triple, VirtualClock, make_draft,
-                       serialize_object, shard_path)
+                       serialize_object)
 from ino.store import CREATED, MODIFIED, PURGED, BatchOp, ObjectStore
 from util import random_object
 
@@ -47,9 +48,11 @@ def test_create_duplicate_ds_id(store):
 
 
 def test_get_read_your_write_bytes(store, tmp_path):
-    obj = store.create(draft("r1"))
-    on_disk = (tmp_path / "data" / "objects/21/d0/r1.xml").read_bytes()
-    assert serialize_object(store.get("info:ino/r1")) == on_disk
+    store.create(draft("r1"))
+    written = serialize_object(store.get("info:ino/r1"))
+    assert written in (tmp_path / "data" / "journal.log").read_bytes()
+    assert store.export(tmp_path / "out") == 1
+    assert (tmp_path / "out" / "objects/21/d0/r1.xml").read_bytes() == written
 
 
 def test_get_unknown_and_purged(store):
@@ -195,22 +198,35 @@ def test_failed_open_releases_the_lock(tmp_path):
     store = ObjectStore(tmp_path / "d")
     store.create(draft("r1"))
     store.close()
-    (tmp_path / "d" / "events.log").write_text(
-        '{"seq":2,"kind":"Created","objectId":"info:ino/r1",'
-        '"timestamp":"2006-01-01T00:00:00Z"}\n')
+    # a whole frame whose event skips seq 2
+    with open(tmp_path / "d" / "journal.log", "ab") as log:
+        log.write(store_module._frame(
+            [[3, "Created", "info:ino/r3", "2006-01-01T00:00:00Z"]], []))
     for _ in range(2):  # not StoreLocked the second time
-        with pytest.raises(InvalidObject, match="event log corrupt"):
+        with pytest.raises(InvalidObject, match="journal corrupt"):
             ObjectStore(tmp_path / "d")
+
+
+@pytest.mark.parametrize("old", ["objects", "events.log"])
+def test_old_layout_is_refused(tmp_path, old):
+    """A directory in the one-file-per-object layout is not read, and not
+    written to: the refusal leaves it as it was and releases the lock."""
+    (tmp_path / "d").mkdir()
+    if old == "objects":
+        (tmp_path / "d" / old).mkdir()
+    else:
+        (tmp_path / "d" / old).write_text("")
+    for _ in range(2):  # not StoreLocked the second time
+        with pytest.raises(OldStoreLayout, match=old):
+            ObjectStore(tmp_path / "d")
+    assert not (tmp_path / "d" / "journal.log").exists()
 
 
 class Boom(Exception):
     pass
 
 
-CRASH_POINTS = [
-    "journal-written", "journal-synced", "first-file-written",
-    "files-written", "events-written", "committed",
-]
+CRASH_POINTS = ["journal-written", "journal-synced", "committed"]
 
 
 @pytest.mark.parametrize("crash_at", CRASH_POINTS)
@@ -245,7 +261,7 @@ def _run_crash_scenario(tmp_path, crash_at, batch):
     store.abandon()
 
     recovered = ObjectStore(tmp_path / "d", clock=clock)
-    # every object file parses (open would fail otherwise); events gap-free
+    # every version in the log parses (open would fail otherwise); events gap-free
     events = recovered.changes_since(0)
     assert [e.seq for e in events] == list(range(1, len(events) + 1))
     ids = set(recovered.ids())
@@ -264,8 +280,8 @@ def test_failed_commit_stops_writes_until_reopen(tmp_path):
     store = ObjectStore(tmp_path / "d", clock=clock)
 
     def fail(name):
-        if name == "files-written":
-            raise OSError("simulated write failure")
+        if name == "journal-written":
+            raise OSError("simulated fsync failure")
 
     store._crash_point = fail
     with pytest.raises(OSError):
@@ -284,20 +300,54 @@ def test_failed_commit_stops_writes_until_reopen(tmp_path):
     reopened.close()
 
 
-def test_torn_object_file_is_redone_at_open(tmp_path):
+def _state(store):
+    """Objects, their seqs, tombstones and events: what a reopen must keep."""
+    return ({o.id: (o, o.seq) for o in store.objects()},
+            {t.id: (t, t.seq) for t in store.tombstones()},
+            store.changes_since(0))
+
+
+def test_torn_tail_sweep(tmp_path):
+    """Cut the log at every byte of its last frame, or extend it with zeros
+    that never held data, as a lost unsynced write can leave it. A reopen
+    gives the state before that commit, cuts the tail, and takes new commits
+    that survive the next reopen."""
     clock = VirtualClock()
-    store = ObjectStore(tmp_path / "d", clock=clock, durable=True)
+    root = tmp_path / "d"
+    store = ObjectStore(root, clock=clock)
     store.create(draft("r1"))
     store.create(draft("r2"))
+    store.modify("info:ino/r1")
+    store.purge("info:ino/r2")
+    before = _state(store)
+    prefix = (root / "journal.log").read_bytes()
+    store.create(draft("r3", datastreams=[
+        Datastream("content", "text/plain", content=b"x" * 40)]))
+    after = _state(store)
     store.abandon()
-    # a power loss may tear a file whose writes were never fsynced
-    path = tmp_path / "d" / shard_path("info:ino/r2")
-    path.write_bytes(path.read_bytes()[:20])
-
-    reopened = ObjectStore(tmp_path / "d", clock=clock)
-    assert reopened.ids() == ["info:ino/r1", "info:ino/r2"]
-    assert reopened.get("info:ino/r2").seq == 2
-    reopened.close()
+    full = (root / "journal.log").read_bytes()
+    frame = len(full) - len(prefix)
+    assert 200 < frame < 1000
+    zeros = b"\0" * frame
+    cases = [(full[:cut], before) for cut in range(len(prefix), len(full))]
+    cases += [(prefix + zeros, before),
+              (full[:len(prefix) + frame // 2] + zeros, before),
+              (full + zeros, after)]
+    for data, expected in cases:
+        (root / "journal.log").write_bytes(data)
+        reopened = ObjectStore(root, clock=clock)
+        assert _state(reopened) == expected
+        added = reopened.create(draft("later"))
+        reopened.close()
+        again = ObjectStore(root, clock=clock)
+        try:
+            assert again.get("info:ino/later") == added
+            assert again.get("info:ino/later").seq == len(expected[2]) + 1
+            objects, tombstones, events = _state(again)
+            assert (objects.keys() - {"info:ino/later"}, tombstones,
+                    events[:-1]) == (expected[0].keys(), expected[1], expected[2])
+        finally:
+            again.close()
 
 
 def test_durable_commit_does_one_fsync(store, monkeypatch):
@@ -314,34 +364,91 @@ def test_durable_commit_does_one_fsync(store, monkeypatch):
     assert len(calls) == 1
 
 
-def test_close_empties_the_journal(tmp_path):
-    store = ObjectStore(tmp_path / "d", clock=VirtualClock())
-    store.create(draft("r1"))
-    journal = tmp_path / "d" / "journal.log"
-    assert journal.stat().st_size > 0
+def test_durable_run_makes_one_fsync_per_commit(tmp_path, monkeypatch):
+    calls = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    store = ObjectStore(tmp_path / "d", clock=VirtualClock(), durable=True)
+    for i in range(200):
+        if i % 4 == 3:
+            store.modify(f"info:ino/o{i - 3}")
+        elif i % 8 == 6:
+            store.purge(f"info:ino/o{i - 5}")
+        else:
+            store.create(draft(f"o{i}"))
     store.close()
-    assert journal.stat().st_size == 0
+    assert store.current_seq == 200
+    assert len(calls) <= 1.05 * 200
 
 
-def test_checkpoint_bounds_the_journal_and_abandon_recovers(tmp_path, monkeypatch):
-    monkeypatch.setattr(store_module, "CHECKPOINT_BYTES", 2000)
+def test_close_compacts_only_a_log_with_dead_versions(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_module, "COMPACT_BYTES", 0)
+    clock = VirtualClock()
+    log = tmp_path / "d" / "journal.log"
+    store = ObjectStore(tmp_path / "d", clock=clock)
+    store.create(draft("r1"))
+    store.create(draft("r2"))
+    written = log.read_bytes()
+    store.close()
+    assert log.read_bytes() == written  # no dead version: not rewritten
+
+    store = ObjectStore(tmp_path / "d", clock=clock)
+    store.modify("info:ino/r1")
+    store.modify("info:ino/r2")
+    written = log.read_bytes()
+    store.close()
+    assert log.read_bytes() == written  # two dead versions over two ids
+
+    monkeypatch.setattr(store_module, "COMPACT_BYTES", 1 << 30)
+    store = ObjectStore(tmp_path / "d", clock=clock)
+    store.purge("info:ino/r2")  # three dead versions, but a short log
+    state = _state(store)
+    size = log.stat().st_size
+    assert store._versions == 5
+    monkeypatch.setattr(store_module, "COMPACT_BYTES", 0)
+    store.close()
+    assert log.stat().st_size < size
+    reopened = ObjectStore(tmp_path / "d", clock=clock)
+    assert _state(reopened) == state and reopened._versions == 2
+    reopened.close()
+
+
+def _dead_versions(path):
+    """(dead versions, ids) in a log file, counted from its frames."""
+    data = path.read_bytes()
+    _rows, spans, versions, end = store_module._read_log(data)
+    assert end == len(data)
+    return versions - len(spans), len(spans)
+
+
+def test_compaction_bounds_the_log_and_abandon_recovers(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_module, "COMPACT_BYTES", 2000)
     clock = VirtualClock()
     store = ObjectStore(tmp_path / "d", clock=clock)
-    journal = tmp_path / "d" / "journal.log"
+    log = tmp_path / "d" / "journal.log"
     sizes = []
     for i in range(50):
         store.create(draft(f"o{i}"))
-        if i % 3 == 2:
-            store.modify(f"info:ino/o{i - 1}")
+        for _ in range(i % 4):
+            store.modify(f"info:ino/o{2 * (i // 4)}")
         if i % 10 == 9:
             store.purge(f"info:ino/o{i - 2}")
-        sizes.append(journal.stat().st_size)
-    assert 0 < max(sizes) <= 2000 and 0 in sizes
+        sizes.append(log.stat().st_size)
+        dead, ids = _dead_versions(log)
+        assert sizes[-1] <= 2000 or dead <= ids
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was rewritten
+    state = _state(store)
     objects = {o.id: o for o in store.objects()}
     events = store.changes_since(0)
     store.abandon()
 
     reopened = ObjectStore(tmp_path / "d", clock=clock)
+    assert _state(reopened) == state
     assert {o.id: o for o in reopened.objects()} == objects
     assert reopened.changes_since(0) == events
     with pytest.raises(DuplicateId):
@@ -354,11 +461,11 @@ def test_close_after_abandon_leaves_a_newer_store_alone(tmp_path):
     close the numbers that a store opened since has been given."""
     clock = VirtualClock()
     a = ObjectStore(tmp_path / "a", clock=clock)
-    a_fds = {a._lock_fd, a._journal_fd, a._events_fd}
+    a_fds = {a._lock_fd, a._log_fd}
     a.abandon()
     b = ObjectStore(tmp_path / "b", clock=clock)
     try:
-        assert {b._lock_fd, b._journal_fd, b._events_fd} == a_fds  # reused
+        assert {b._lock_fd, b._log_fd} == a_fds  # reused
         a.close()
         b.create(draft("r1"))
     finally:
@@ -368,24 +475,43 @@ def test_close_after_abandon_leaves_a_newer_store_alone(tmp_path):
     reopened.close()
 
 
-def test_journal_with_commit_markers_of_the_older_format(tmp_path):
+@pytest.mark.parametrize("crash_at", ["compact-written", "compact-renamed"])
+def test_compaction_crash_keeps_the_state(tmp_path, monkeypatch, crash_at):
+    """A crash before or after the compacted log's rename loses nothing: a
+    reopen gives the same objects, tombstones and events, and removes a
+    compacted file that was never renamed."""
+    monkeypatch.setattr(store_module, "COMPACT_BYTES", 0)
     clock = VirtualClock()
-    store = ObjectStore(tmp_path / "d", clock=clock)
+    root = tmp_path / "d"
+    store = ObjectStore(root, clock=clock)
     store.create(draft("r1"))
-    rel = Triple("info:ino/r1", "info:ino/def#memberOf", Term.iri("info:ino/a"))
-    final = store.modify("info:ino/r1", relationships=[rel])
-    store.abandon()
-    # each frame is a header line and a payload line; add a marker after each
-    journal = tmp_path / "d" / "journal.log"
-    lines = journal.read_bytes().splitlines(keepends=True)
-    journal.write_bytes(b"".join(
-        line + (b"C %d\n" % (i // 2 + 1) if i % 2 else b"")
-        for i, line in enumerate(lines)))
+    store.create(draft("r2"))
+    store.purge("info:ino/r2")
+    store.modify("info:ino/r1")
 
-    reopened = ObjectStore(tmp_path / "d", clock=clock)
-    assert reopened.get("info:ino/r1") == final
-    assert reopened.current_seq == 2
+    def crash(name):
+        if name == crash_at:
+            raise Boom(name)
+
+    store._crash_point = crash
+    with pytest.raises(Boom):
+        store.modify("info:ino/r1")  # three dead versions over two ids: due
+    state = _state(store)
+    assert state[2][-1].seq == 5
+    with pytest.raises(StoreFailed):
+        store.create(draft("r3"))
+    store.abandon()
+    assert (root / "journal.tmp").exists() == (crash_at == "compact-written")
+
+    reopened = ObjectStore(root, clock=clock)
+    assert not (root / "journal.tmp").exists()
+    assert _state(reopened) == state
+    assert reopened._versions == (5 if crash_at == "compact-written" else 2)
+    reopened.create(draft("r3"))
     reopened.close()
+    again = ObjectStore(root, clock=clock)
+    assert again.exists("info:ino/r3") and again.current_seq == 6
+    again.close()
 
 
 def test_lookup_latency_size_independent(tmp_path):
