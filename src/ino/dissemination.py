@@ -1,8 +1,8 @@
 """Datastream disseminations. An object's format ``f`` is stored in its
-``format_<f>`` datastream, built by ``format_stream``, and crosswalked one hop
-through the fixed ``CROSSWALKS`` table. ``sources`` is the one map of which
-datastream serves each format; a format is served only from inline bytes.
-Transforms are pure functions over bytes.
+``format_<f>`` datastream, built by ``format_stream``, checked once when the
+store commits it (``check_formats``), and crosswalked one hop through the
+fixed ``CROSSWALKS`` table. ``sources`` is the one map of which datastream
+serves each format. Transforms are pure functions over bytes.
 """
 
 from __future__ import annotations
@@ -64,33 +64,31 @@ def payload_text(payload: bytes) -> str:
         raise InvalidObject(f"payload: not well-formed XML ({exc})") from exc
 
 
-def is_writable(payload: bytes) -> bool:
-    """Whether ``payload_text`` can write ``payload``."""
-    try:
-        payload_text(payload)
-    except InvalidObject:
-        return False
-    return True
-
-
 def format_stream(format_id: str, payload: bytes) -> Datastream:
-    """The datastream that holds ``payload`` in format ``format_id``.
-    ``InvalidObject`` for an empty payload, then for one that no response can
-    carry (``payload_text``), then for a malformed format id."""
-    if not payload:
-        raise InvalidObject("payload: must be non-empty")
-    payload_text(payload)
-    if not is_format_id(format_id):
-        raise InvalidObject(f"formatId: malformed {format_id!r}")
+    """The datastream that holds ``payload`` in format ``format_id``; the
+    commit that stores it checks it (``check_formats``)."""
     return Datastream(FORMAT_DS_PREFIX + format_id, "text/xml", content=payload)
 
 
+def check_formats(old: DigitalObject | None, new: DigitalObject) -> None:
+    """``InvalidObject`` unless ``new``, a live version over ``old`` (or None),
+    keeps every ``format_`` datastream of ``old`` and each new or changed one
+    holds inline bytes ``payload_text`` can write under a well-formed id."""
+    stored = {ds.ds_id: ds for ds in old.datastreams} if old else {}
+    for ds in new.datastreams:
+        if ds.ds_id.startswith(FORMAT_DS_PREFIX) and stored.pop(ds.ds_id, None) != ds:
+            if not ds.content:
+                raise InvalidObject("payload: must be non-empty")
+            payload_text(ds.content)
+            if not is_format_id(fmt := ds.ds_id[len(FORMAT_DS_PREFIX):]):
+                raise InvalidObject(f"formatId: malformed {fmt!r}")
+    dropped = [i for i in stored if i.startswith(FORMAT_DS_PREFIX)]
+    if dropped:
+        raise InvalidObject(f"datastreams: a modify may not drop {', '.join(dropped)}")
+
+
 def _localname(tag: str) -> str:
-    if tag.startswith("{"):
-        return tag.rsplit("}", 1)[1]
-    if ":" in tag:
-        return tag.rsplit(":", 1)[1]
-    return tag
+    return tag.rsplit("}", 1)[1] if tag.startswith("{") else tag
 
 
 def nsdl_dc_to_oai_dc(data: bytes) -> bytes:
@@ -120,9 +118,9 @@ CROSSWALKS: dict[str, dict[str, Callable[[bytes], bytes]]] = {
 
 
 def sources(obj: DigitalObject) -> dict[str, tuple[Datastream, Callable | None]]:
-    """Each format of ``obj`` to its source: a ``format_<id>`` datastream,
-    inline or not, and the crosswalk from it, ``None`` for the datastream's
-    own format. A format's own datastream wins over a crosswalk."""
+    """Each format of ``obj`` to its source: a ``format_<id>`` datastream and
+    the crosswalk from it, ``None`` for the datastream's own format. A
+    format's own datastream wins over a crosswalk."""
     out = {}
     for ds in obj.datastreams:
         if ds.ds_id.startswith(FORMAT_DS_PREFIX):
@@ -144,16 +142,14 @@ class Disseminator:
         }
 
     def list_formats(self, object_id: str) -> set[str]:
-        """The formats whose source holds inline bytes."""
-        obj = self._get_object(object_id)  # raises NotFound
-        return {f for f, (ds, _) in sources(obj).items() if ds.content is not None}
+        return set(sources(self._get_object(object_id)))  # raises NotFound
 
     def get(self, object_id: str, format_id: str) -> tuple[bytes, str, str]:
         """Return (bytes, media_type, path) where path is Literal|Transformed."""
         obj = self._get_object(object_id)
         start = time.perf_counter()
         ds, transform = sources(obj).get(format_id, (None, None))
-        if ds is None or ds.content is None:
+        if ds is None:
             raise FormatUnavailable(f"{object_id} has no dissemination for {format_id!r}")
         if transform is None:
             out, media, path = ds.content, ds.media_type, LITERAL

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
 from .api import MetadataSpec, Repository, ResourceSpec
+from .dissemination import _localname
 from .errors import InoError, RemoteProtocolError
 from .model import (
     SOURCE_BASE_URL,
@@ -42,10 +43,6 @@ class IngestStats:
 
 def _q(tag: str) -> str:
     return f"{{{OAI_NS}}}{tag}"
-
-
-def _localname(tag: str) -> str:
-    return tag.rsplit("}", 1)[1] if tag.startswith("{") else tag
 
 
 class Harvester:

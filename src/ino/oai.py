@@ -3,11 +3,11 @@
 One rule, ``_derive``, gives an object its records from the store alone, from
 its live version or, once purged, its tombstone: if typed Metadata, one per
 format in its ``sources``, in the sets its memberOf relationships name, dated
-``modified``, and deleted exactly when that source holds no payload
-``payload_text`` can write (a tombstone's emptied bytes, a non-XML payload, a
-surrogate URL), so deleted records persist (``deletedRecord=persistent``);
-else none. ``rebuild_cache`` applies it to every live object and tombstone,
-``catch_up`` to each object the new change events touch.
+``modified``, and deleted exactly when it is a tombstone; else none. The
+store keeps a format until the purge (``check_formats``), so deleted records
+persist (``deletedRecord=persistent``). ``rebuild_cache`` applies the rule to
+every live object and tombstone, ``catch_up`` to each object the new change
+events touch; neither reads a payload.
 
 The cache is two views of the same records. ``records`` maps (identifier,
 format) to a record for GetRecord; ``catch_up`` writes it one key at a time
@@ -25,8 +25,8 @@ are disseminated at response time.
 A response is written as text: a verb returns its body as strings, joined
 once with the envelope. A payload is written as ``payload_text`` gives it:
 spliced in as it is, or re-serialized by ElementTree when it has a
-declaration, a DOCTYPE or another encoding. A record whose source
-``payload_text`` cannot write is deleted, so it is written as a header alone.
+declaration, a DOCTYPE or another encoding. A deleted record is written as a
+header alone.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
 from xml.sax.saxutils import escape
 
-from .dissemination import OAI_DC_NS, is_writable, payload_text, sources
+from .dissemination import OAI_DC_NS, payload_text, sources
 from .errors import (BadResumptionToken, EventOutOfOrder, FormatUnavailable,
                      InvalidObject, NotFound, TransformError)
 from .model import (
+    DELETED,
     MEMBER_OF,
     OBJECT_TYPE,
     REPRESENTED_BY,
@@ -279,13 +280,8 @@ class OaiProvider:
         identifier = IDENTIFIER_PREFIX + local_id(obj.id)
         sets = frozenset(local_id(t.object.value) for t in obj.relationships
                          if t.predicate == MEMBER_OF)
-        records, deleted = {}, {}  # deleted: by datastream id, parsed once
-        for fmt, (ds, _) in sources(obj).items():
-            if ds.ds_id not in deleted:
-                deleted[ds.ds_id] = ds.content is None or not is_writable(ds.content)
-            records[fmt] = OaiRecord(identifier, fmt, obj.modified, sets,
-                                     deleted[ds.ds_id], obj.id)
-        return records
+        return {fmt: OaiRecord(identifier, fmt, obj.modified, sets,
+                               obj.state == DELETED, obj.id) for fmt in sources(obj)}
 
     def _publish(self, records: dict, seq: int) -> None:
         """Publish ``records`` whole, with one sort per format."""

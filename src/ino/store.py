@@ -4,6 +4,7 @@ change-event feed, and tombstones.
 A purge writes a tombstone as the object's last version, in Fedora's Deleted
 state: ``modified`` is the purge time, inline datastream bytes are emptied,
 and the rest is kept, so what the object was can be derived from the store.
+Any other version passes ``check_formats``, so a format ends only at a purge.
 
 The log, ``journal.log``, is a run of frames: a ``J <len> <sha256>`` line,
 the payload and a newline. A commit is one frame, appended with one write
@@ -12,7 +13,9 @@ and the id and size of each new version) followed by the raw canonical XML
 of those versions. Opening the store reads the frames in order, keeps the
 last version of each id and stops at the first frame that is incomplete or
 fails its checksum. The file is cut there before anything is appended, so
-an interrupted commit either fully applies or vanishes.
+an interrupted commit either fully applies or vanishes. A durable store
+refuses, as it is, a log where a whole frame follows the bad one: each frame
+was synced before the next was written, so that is corruption.
 
 Compaction rewrites the log as one frame that holds every event and the last
 version of every id: into a temporary file, fsynced, then renamed over the
@@ -35,12 +38,14 @@ import fcntl
 import json
 import hashlib
 import os
+import re
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterator
 
+from .dissemination import check_formats
 from .errors import (
     DuplicateId,
     InvalidObject,
@@ -185,6 +190,10 @@ class ObjectStore:
         data = path.read_bytes()
         rows, spans, self._versions, self._log_bytes = _read_log(data)
         if self._log_bytes < len(data):
+            head = re.compile(rb"J \d+ [0-9a-f]{64}\n")  # a frame's first line
+            if self.durable and any(_read_log(data, m.start())[3] > m.start()
+                                    for m in head.finditer(data, self._log_bytes + 1)):
+                raise InvalidObject(f"journal corrupt: a whole frame follows byte {self._log_bytes}")
             os.ftruncate(self._log_fd, self._log_bytes)  # a torn tail
 
         stamps: dict[str, datetime] = {}
@@ -336,6 +345,7 @@ class ObjectStore:
                     obj = replace(op.draft or old, id=oid, state=ACTIVE,
                                   created=old.created if old else now,
                                   modified=now, seq=seq)
+                    check_formats(old, obj)
                 validate_object(obj)
                 staged[oid] = obj
                 applied.append((op.kind, old, obj))
@@ -391,13 +401,13 @@ def _frame(rows: list, versions: list[tuple[str, bytes]]) -> bytes:
                      *(content for _oid, content in versions), b"\n"])
 
 
-def _read_log(data: bytes) -> tuple[list, dict[str, tuple[int, int]], int, int]:
-    """Read the frames of a log in order and stop at the first torn one.
+def _read_log(data: bytes, pos: int = 0) -> tuple[list, dict[str, tuple[int, int]], int, int]:
+    """Read the frames of a log from ``pos`` and stop at the first torn one.
     Returns the event rows, the span of each id's last version in ``data``,
     the number of versions read and where the last whole frame ends."""
     rows: list = []
     spans: dict[str, tuple[int, int]] = {}
-    versions = pos = 0
+    versions = 0
     while (nl := data.find(b"\n", pos)) >= 0:
         header = data[pos:nl].split(b" ")
         if len(header) != 3 or header[0] != b"J" or not header[1].isdigit():

@@ -8,7 +8,6 @@ from ino.dissemination import (
     TRANSFORMED,
     is_format_id,
     nsdl_dc_to_oai_dc,
-    sources,
 )
 from ino.errors import (
     FormatUnavailable,
@@ -111,33 +110,12 @@ def test_stored_format_wins_over_transform(metadata_repo):
     assert (data, path) == (canned, LITERAL)
 
 
-def test_own_surrogate_wins_over_transform(metadata_repo):
-    """A format's own datastream is its source even when it holds a
-    surrogate URL, so the crosswalk from another format does not serve it."""
-    repo, m = metadata_repo
-    own = Datastream("format_oai_dc", "text/xml",
-                     surrogate="http://example.org/a.xml")
-    repo.store.modify(m, datastreams=[*repo.get_object(m).datastreams, own])
-    assert sources(repo.get_object(m))["oai_dc"] == (own, None)
-    assert repo.list_formats(m) == {"nsdl_dc"}
-    with pytest.raises(FormatUnavailable):
-        repo.get_dissemination(m, "oai_dc")
-
-
 def test_unavailable_and_missing(metadata_repo):
     repo, m = metadata_repo
     with pytest.raises(FormatUnavailable):
         repo.get_dissemination(m, "marc21")
     with pytest.raises(NotFound):
         repo.get_dissemination("info:ino/ghost", "nsdl_dc")
-    # a format datastream that holds a surrogate URL is no format, so
-    # nothing is crosswalked from it either
-    repo.store.modify(m, datastreams=[Datastream(
-        "format_nsdl_dc", "text/xml", surrogate="http://example.org/a.xml")])
-    assert repo.list_formats(m) == set()
-    for fmt in ("nsdl_dc", "oai_dc"):
-        with pytest.raises(FormatUnavailable):
-            repo.get_dissemination(m, fmt)
 
 
 def test_metrics_record_both_paths(metadata_repo):

@@ -13,10 +13,8 @@ from ino.model import (
     SOURCE_BASE_URL,
     SOURCE_RECORD_ID,
     SOURCE_SET,
-    Datastream,
     Term,
     VirtualClock,
-    format_ts,
     local_id,
     type_iri,
 )
@@ -137,32 +135,6 @@ def test_upstream_deletion_purges_local_copy(source, target):
     stats = h.harvest(BASE_URL, "nsdl_dc")
     assert (stats.deleted, stats.skipped, stats.unchanged) == (0, 1, 8)
     assert target.store.exists(resource)
-
-
-def test_unwritable_upstream_payload_purges_local_copy(tmp_path, target):
-    """A payload made non-XML upstream by a write past the API gives a
-    deleted record, so an incremental harvest from the last datestamp
-    purges the copy."""
-    source_repo = Repository(tmp_path / "small", clock=VirtualClock())
-    try:
-        generate_corpus(source_repo, CorpusProfile(resources=4, aggregations=1,
-                                                   agents=1, seed=4))
-        provider = OaiProvider(source_repo, page_size=5, base_url=BASE_URL)
-        provider.rebuild_cache()
-        h = Harvester(target, fetch=loopback(provider))
-        assert h.harvest(BASE_URL, "nsdl_dc").created_metadata == 3
-        seq = provider.sequences["nsdl_dc"]
-        victim, last = seq.chunks[0][0], seq.chunks[-1][-1]
-        source_repo.store.modify(victim.source_object, datastreams=[Datastream(
-            "format_nsdl_dc", "text/xml", content=b"not xml at all")])
-        provider.catch_up()
-        stats = h.harvest(BASE_URL, "nsdl_dc", from_ts=format_ts(last.datestamp))
-        assert (stats.records, stats.deleted, stats.unchanged) == (2, 1, 1)
-        assert count_type(target, "Metadata") == 2
-        assert not target.subjects(SOURCE_RECORD_ID,
-                                   Term.literal(victim.identifier))
-    finally:
-        source_repo.close()
 
 
 def test_set_scoped_harvest(source, target):

@@ -11,9 +11,9 @@ from xml.etree import ElementTree as ET
 
 from ino import oai
 from ino.api import MetadataSpec, Repository, ResourceSpec
-from ino.errors import BadResumptionToken, EventOutOfOrder
+from ino.errors import BadResumptionToken, EventOutOfOrder, InvalidObject
 from ino.model import (Datastream, Term, VirtualClock, format_ts, local_id,
-                       parse_ts)
+                       make_draft, parse_ts)
 from ino.ontology import OntologyRegistry
 from ino.oai import OaiProvider, decode_token, encode_token
 from oai_reference import assert_same_tree, render
@@ -249,6 +249,9 @@ def test_catch_up_equals_rebuild_under_churn(setup, seed):
         assert twin.records == provider.records, (seed, batch)
         assert listed(twin) == listed(provider), (seed, batch)
         assert twin.last_applied_seq == provider.last_applied_seq
+        for rec in provider.records.values():
+            latest = repo.store.latest(rec.source_object)
+            assert rec.deleted == (latest.state == "Deleted"), (seed, batch, rec)
     assert any(r.deleted for r in provider.records.values())
 
 
@@ -751,114 +754,56 @@ def test_payload_with_a_prolog_renders_as_reference(setup, payload):
         assert title == "café" and "café".encode() in body
 
 
-@pytest.mark.parametrize("stream", [
-    pytest.param(Datastream("format_nsdl_dc", "text/xml",
-                            content=b"not xml at all"), id="not-xml"),
+@pytest.mark.parametrize("stream, message", [
+    # a non-XML format beside a good one
+    pytest.param(Datastream("format_oai_dc", "text/xml", content=b"not xml at all"),
+                 "payload: not well-formed XML", id="not-xml"),
     # passes expat, which skips an entity an external DTD may declare, but
     # not ElementTree, which re-serializes a payload with a DOCTYPE
     pytest.param(Datastream(
         "format_nsdl_dc", "text/xml",
         content=b'<!DOCTYPE nsdl_dc SYSTEM "nsdl.dtd"><nsdl_dc>&ext;</nsdl_dc>'),
-        id="doctype-external-entity"),
-    # a format is stored only as inline bytes, so a surrogate is no format
+        "payload: not well-formed XML", id="doctype-external-entity"),
+    # a format is stored only as inline bytes
     pytest.param(Datastream("format_nsdl_dc", "text/xml",
                             surrogate="http://example.org/r0.xml"),
-                 id="surrogate"),
+                 "payload: must be non-empty", id="surrogate"),
+    pytest.param(Datastream("format_nsdl_dc", "text/xml", content=b""),
+                 "payload: must be non-empty", id="empty"),
+    pytest.param(Datastream("format_NSDL_DC", "text/xml", content=doc("t")),
+                 "formatId: malformed 'NSDL_DC'", id="uppercase-format-id"),
+    # a modify that keeps no format datastream
+    pytest.param(None, "datastreams: a modify may not drop format_nsdl_dc",
+                 id="dropped-format"),
 ])
-def test_unwritable_stored_payload_gives_a_deleted_record(setup, stream):
-    """A live object whose stored format datastream is not XML or not inline
-    (written past the API's check) has a deleted record in that format and
-    in the one crosswalked from it: a harvest over tokens completes with
-    every other record live, GetRecord gives the deleted header,
-    ListMetadataFormats lists both formats, and a rebuild agrees. The
-    records stay deleted after its purge."""
+def test_store_refuses_a_version_that_is_no_format(setup, stream, message):
+    """The store commits no live version with a format datastream that is no
+    format, or that drops a format the stored version has: a modify past the
+    API, and a create of a Metadata object with that datastream, raise
+    InvalidObject and leave the objects, events, index and OAI cache as they
+    were. So a record ends only with its object's purge."""
     repo, provider, _agg, mids = setup
-    bad, good = ("oai:ndr.local:" + local_id(m) for m in mids[:2])
-    headers = sorted([(bad, True), *(("oai:ndr.local:" + local_id(m), False)
-                                     for m in mids[1:])])
-    for write in (lambda: repo.store.modify(mids[0], datastreams=[stream]),
-                  lambda: repo.store.purge(mids[0])):
-        write()
+
+    def state():
+        return (list(repo.store.objects()), list(repo.store.tombstones()),
+                repo.store.changes_since(0), repo.index.triple_set(),
+                dict(provider.records), listed(provider))
+
+    before = state()
+    streams = {ds.ds_id: ds for ds in repo.get_object(mids[0]).datastreams}
+    if stream is None:
+        streams.clear()
+    else:
+        streams[stream.ds_id] = stream
+    writes = [lambda: repo.store.modify(mids[0], datastreams=streams.values())]
+    if stream is not None:
+        writes.append(lambda: repo.store.create(make_draft(
+            "info:ino/fresh", ("Metadata",), datastreams=[stream])))
+    for write in writes:
+        with pytest.raises(InvalidObject, match=re.escape(message)):
+            write()
         provider.catch_up()
-        rebuilt = OaiProvider(repo)
-        rebuilt.rebuild_cache()
-        assert rebuilt.records == provider.records
-        assert listed(rebuilt) == listed(provider)
-        for fmt in ("nsdl_dc", "oai_dc"):
-            assert list_headers(provider, fmt) == headers
-            record = get_record(provider, bad, fmt)
-            assert record.find("header").get("status") == "deleted"
-            assert record.find("metadata") is None
-            assert get_record(provider, good, fmt).find("metadata") is not None
-        for args in ({}, {"identifier": bad}):
-            assert metadata_prefixes(provider, **args) == ["nsdl_dc", "oai_dc"]
-
-
-def test_unwritable_literal_beside_a_good_source_gives_a_deleted_record(setup):
-    """An object's own format datastream serves that format even where a
-    crosswalk could: a non-XML ``format_oai_dc`` beside a good
-    ``format_nsdl_dc`` gives a deleted oai_dc record, which a list over
-    tokens carries among the live ones, and leaves the nsdl_dc record
-    live."""
-    repo, provider, _agg, mids = setup
-    bad = "oai:ndr.local:" + local_id(mids[0])
-    others = [("oai:ndr.local:" + local_id(m), False) for m in mids[1:]]
-    repo.store.modify(mids[0], datastreams=[
-        *repo.get_object(mids[0]).datastreams,
-        Datastream("format_oai_dc", "text/xml", content=b"not xml at all")])
-    provider.catch_up()
-    assert list_headers(provider, "oai_dc") == sorted([(bad, True), *others])
-    assert list_headers(provider, "nsdl_dc") == sorted([(bad, False), *others])
-    record = get_record(provider, bad, "oai_dc")
-    assert record.find("header").get("status") == "deleted"
-    assert record.find("metadata") is None
-    assert get_record(provider, bad, "nsdl_dc").find("metadata") is not None
-    rebuilt = OaiProvider(repo)
-    rebuilt.rebuild_cache()
-    assert rebuilt.records == provider.records
-
-
-def test_removing_the_last_format_drops_its_sequence(setup):
-    """A store-level write that takes away every format datastream leaves a
-    catch-up with the formats a rebuild has, none: lists answer
-    cannotDisseminateFormat from both."""
-    repo, provider, _agg, mids = setup
-    for m in mids:
-        repo.store.modify(m, datastreams=[
-            ds for ds in repo.get_object(m).datastreams
-            if not ds.ds_id.startswith("format_")])
-    provider.catch_up()
-    rebuilt = OaiProvider(repo)
-    rebuilt.rebuild_cache()
-    assert provider.sequences.keys() == rebuilt.sequences.keys() == set()
-    for p in (provider, rebuilt):
-        assert metadata_prefixes(p) == []
-        for fmt in ("nsdl_dc", "oai_dc"):
-            error = parse(p.handle_request(
-                {"verb": "ListRecords", "metadataPrefix": fmt})).find("error")
-            assert error.get("code") == "cannotDisseminateFormat"
-
-
-def list_headers(provider, fmt):
-    """(identifier, deleted) of each header of a whole ListRecords in
-    ``fmt``, read page by page over tokens, sorted."""
-    headers, _ = harvest_pages(provider, "ListRecords",
-                               {"verb": "ListRecords", "metadataPrefix": fmt})
-    return sorted((ident, deleted) for ident, _stamp, deleted in headers)
-
-
-def get_record(provider, identifier, fmt):
-    """The record element GetRecord answers."""
-    root = parse(provider.handle_request({
-        "verb": "GetRecord", "identifier": identifier, "metadataPrefix": fmt}))
-    assert root.find("error") is None, ET.tostring(root)
-    return root.find("GetRecord/record")
-
-
-def metadata_prefixes(provider, **args):
-    root = parse(provider.handle_request(
-        {"verb": "ListMetadataFormats", **args}))
-    return [el.text for el in root.iter("metadataPrefix")]
+        assert state() == before
 
 
 # ------------------------------------------------- sequences against the scan

@@ -12,7 +12,7 @@ from ino import index as index_module
 from ino import service as service_module
 from ino.corpus import CorpusProfile, generate_corpus
 from ino.errors import ConfigError, StoreLocked
-from ino.model import ID_PREFIX, Datastream, VirtualClock
+from ino.model import VirtualClock
 from ino.service import Service, load_config
 
 KEY = "sekrit"
@@ -390,18 +390,11 @@ def test_unservable_metadata_payload_is_400(live):
 
 
 def test_unavailable_format_is_404(live):
-    """A format the object does not have, and one whose datastream holds a
-    surrogate URL (written past the API), is not found."""
+    """A format the object does not have is not found."""
     svc, port = live
     _agent, _agg, _resource, metadata = populate(svc)
     got, _headers, data = request(port, "GET", f"/disseminations/{metadata}/marc")
     assert got == 404 and json.loads(data)["error"] == "FormatUnavailable"
-    svc.repo.store.modify(ID_PREFIX + metadata, datastreams=[Datastream(
-        "format_nsdl_dc", "text/xml", surrogate="http://example.org/a.xml")])
-    for fmt in ("nsdl_dc", "oai_dc"):
-        got, _headers, data = request(
-            port, "GET", f"/disseminations/{metadata}/{fmt}")
-        assert got == 404 and json.loads(data)["error"] == "FormatUnavailable"
 
 
 def test_query_too_large_is_422(live, monkeypatch):

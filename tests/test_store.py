@@ -350,6 +350,25 @@ def test_torn_tail_sweep(tmp_path):
             again.close()
 
 
+def test_durable_store_refuses_a_log_with_a_bad_frame_before_whole_ones(tmp_path):
+    """A flipped bit in the first of three durable commits is corruption, not
+    a torn tail, since the two frames after it are whole: open refuses the
+    log, leaves it as it is, and releases the lock."""
+    root = tmp_path / "d"
+    store = ObjectStore(root, clock=VirtualClock(), durable=True)
+    for name in ("r1", "r2", "r3"):
+        store.create(draft(name))
+    store.close()
+    log = bytearray((root / "journal.log").read_bytes())
+    log[60] ^= 1
+    (root / "journal.log").write_bytes(log)
+    for _ in range(2):
+        with pytest.raises(InvalidObject,
+                           match="journal corrupt: a whole frame follows byte 0"):
+            ObjectStore(root, clock=VirtualClock(), durable=True)
+        assert (root / "journal.log").read_bytes() == log
+
+
 def test_durable_commit_does_one_fsync(store, monkeypatch):
     calls = []
     real_fsync = os.fsync
