@@ -755,9 +755,11 @@ def test_payload_with_a_prolog_renders_as_reference(setup, payload):
 
 
 @pytest.mark.parametrize("stream, message", [
+    pytest.param(Datastream("format_nsdl_dc", "text/xml", content=b"not xml at all"),
+                 "payload: not well-formed XML", id="not-xml"),
     # a non-XML format beside a good one
     pytest.param(Datastream("format_oai_dc", "text/xml", content=b"not xml at all"),
-                 "payload: not well-formed XML", id="not-xml"),
+                 "payload: not well-formed XML", id="not-xml-beside-a-good-format"),
     # passes expat, which skips an entity an external DTD may declare, but
     # not ElementTree, which re-serializes a payload with a DOCTYPE
     pytest.param(Datastream(
