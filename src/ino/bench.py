@@ -1,6 +1,6 @@
-"""Benchmark harness: loads a synthetic corpus into a fresh repository and
-measures ingest rate, query latencies, harvest throughput, and dissemination
-paths. Emits a single machine-readable report.
+"""Benchmark harness: loads a synthetic corpus into a fresh non-durable
+repository (no fsync) and measures ingest rate, query latencies, harvest
+throughput, and dissemination paths. Emits a single machine-readable report.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def _extract_token(response: str) -> str | None:
     return response[open_end + 1 : close].strip() or None
 
 
-def bench_all(data_dir, profile: CorpusProfile, durable: bool = False) -> dict:
-    repo = Repository(data_dir, clock=VirtualClock(), durable=durable)
+def bench_all(data_dir, profile: CorpusProfile) -> dict:
+    repo = Repository(data_dir, clock=VirtualClock(), durable=False)
     try:
         start = time.perf_counter()
         stats = generate_corpus(repo, profile)

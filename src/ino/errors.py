@@ -126,10 +126,6 @@ class TransformError(InoError):
 
 # --- OAI provider / harvester ---
 
-class EventOutOfOrder(InoError):
-    pass
-
-
 class BadResumptionToken(InoError):
     pass
 

@@ -4,23 +4,24 @@ One rule, ``_derive``, gives an object its records from the store alone, from
 its live version or, once purged, its tombstone: if typed Metadata, one per
 format in its ``sources``, in the sets its memberOf relationships name, dated
 ``modified``, and deleted exactly when it is a tombstone; else none. The
-store keeps a format until the purge (``check_formats``), so deleted records
-persist (``deletedRecord=persistent``). ``rebuild_cache`` applies the rule to
-every live object and tombstone, ``catch_up`` to each object the new change
-events touch; neither reads a payload.
+store fixes an object's types at its create and keeps a format until the
+purge, whose tombstone keeps it too (``check_formats``), so an object's
+records only ever grow and deleted records persist
+(``deletedRecord=persistent``). ``rebuild_cache`` applies the rule to every
+live object and tombstone, ``catch_up`` to each object the new change events
+touch; neither reads a payload.
 
 The cache is two views of the same records. ``records`` maps (identifier,
 format) to a record for GetRecord; ``catch_up`` writes it one key at a time
-under the repository lock and never pops a key that stays, so a lookup never
-misses a live record. ``sequences`` holds, per format, every record (deleted
-ones too) sorted by (datestamp, identifier) in chunks of about
-``CHUNK_SIZE``, and no empty sequence, so its keys are the known formats; a
-published chunk is never changed, so a catch-up copies only the chunks it
-touches and then publishes a new sequence. Lists, Identify and
-ListMetadataFormats read only the sequences, so no request iterates
-``records`` and none takes a lock. A list page is a bisect plus a slice;
-resumption tokens are stateless cursors over the sequences. Record payloads
-are disseminated at response time.
+under the repository lock and never pops a key, so a lookup never misses a
+live record. ``sequences`` holds, per format, every record (deleted ones too)
+sorted by (datestamp, identifier) in chunks of about ``CHUNK_SIZE``, so its
+keys are the known formats; a published chunk is never changed, so a
+catch-up copies only the chunks it touches and then publishes a new
+sequence. Lists, Identify and ListMetadataFormats read only the sequences, so
+no request iterates ``records`` and none takes a lock. A list page is a
+bisect plus a slice; resumption tokens are stateless cursors over the
+sequences. Record payloads are disseminated at response time.
 
 A response is written as text: a verb returns its body as strings, joined
 once with the envelope. A payload is written as ``payload_text`` gives it:
@@ -43,8 +44,8 @@ from operator import attrgetter, itemgetter
 from xml.sax.saxutils import escape
 
 from .dissemination import OAI_DC_NS, payload_text, sources
-from .errors import (BadResumptionToken, EventOutOfOrder, FormatUnavailable,
-                     InvalidObject, NotFound, TransformError)
+from .errors import (BadResumptionToken, FormatUnavailable, InvalidObject,
+                     NotFound, TransformError)
 from .model import (
     DELETED,
     MEMBER_OF,
@@ -56,7 +57,7 @@ from .model import (
     parse_ts,
     type_iri,
 )
-from .store import ChangeEvent, _fsync_path
+from .store import _fsync_path
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 OAI_SCHEMA = "http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
@@ -252,20 +253,6 @@ class OaiProvider:
 
     # ----------------------------------------------------------- cache build
 
-    def _reconcile(self, object_id: str):
-        """Give ``object_id`` in ``records`` the records the module's rule
-        assigns it, and return those it had and those it has, each by
-        format. Each record is assigned over its key, and only a key that
-        goes is popped, so a lookup never misses one that stays."""
-        identifier = IDENTIFIER_PREFIX + local_id(object_id)
-        old = self._records_of(identifier)
-        new = self._derive(self.repo.store.latest(object_id))
-        for fmt, rec in new.items():
-            self.records[(identifier, fmt)] = rec
-        for fmt in old.keys() - new.keys():
-            self.records.pop((identifier, fmt), None)
-        return old, new
-
     def _records_of(self, identifier: str) -> dict[str, OaiRecord]:
         """The records of ``identifier`` in ``records``, by format."""
         records = self.records
@@ -274,8 +261,8 @@ class OaiProvider:
 
     def _derive(self, obj) -> dict[str, OaiRecord]:
         """The module's rule: the records, by format, of ``obj``, a live
-        object, a tombstone or None."""
-        if obj is None or "Metadata" not in obj.types:
+        object or a tombstone."""
+        if "Metadata" not in obj.types:
             return {}
         identifier = IDENTIFIER_PREFIX + local_id(obj.id)
         sets = frozenset(local_id(t.object.value) for t in obj.relationships
@@ -305,52 +292,32 @@ class OaiProvider:
             self._publish(records, store.current_seq)
         return len(records)
 
-    # ------------------------------------------------------------ incremental
-
-    def apply_event(self, event: ChangeEvent) -> None:
-        with self.repo._lock:
-            self._apply([event])
-
     def catch_up(self) -> int:
-        """Apply any store events past the last applied seq."""
+        """Apply the store's events past the last applied seq: write each
+        record the module's rule gives an object they touch over its key,
+        then publish each changed format's sequence. Return the number of
+        events."""
         with self.repo._lock:
             events = self.repo.changes_since(self.last_applied_seq)
-            self._apply(events)
-        return len(events)
-
-    def _apply(self, events) -> None:
-        """Check that ``events`` continue the applied sequence, reconcile each
-        object they touch once in ``records``, then publish each changed
-        format's sequence, or drop it when it empties."""
-        if not events:
-            return
-        seq = self.last_applied_seq
-        for event in events:
-            if event.seq != seq + 1:
-                raise EventOutOfOrder(f"expected seq {seq + 1}, got {event.seq}")
-            seq = event.seq
-        removed: dict[str, list[OaiRecord]] = {}
-        added: dict[str, list[OaiRecord]] = {}
-        try:
+            replaced: dict[str, list[OaiRecord]] = {}
+            added: dict[str, list[OaiRecord]] = {}
             for object_id in dict.fromkeys(event.object_id for event in events):
-                old, new = self._reconcile(object_id)
-                for fmt in old.keys() | new.keys():
-                    if old.get(fmt) != new.get(fmt):
-                        if fmt in old:
-                            removed.setdefault(fmt, []).append(old[fmt])
-                        if fmt in new:
-                            added.setdefault(fmt, []).append(new[fmt])
-        finally:
-            # even when an object fails, the sequences take what ``records``
-            # took, so a retry that finds those records unchanged stays right
+                for fmt, rec in self._derive(self.repo.store.latest(object_id)).items():
+                    key = (rec.identifier, fmt)
+                    old = self.records.get(key)
+                    if old != rec:
+                        self.records[key] = rec
+                        if old is not None:
+                            replaced.setdefault(fmt, []).append(old)
+                        added.setdefault(fmt, []).append(rec)
             sequences = dict(self.sequences)
-            for fmt in removed.keys() | added.keys():
+            for fmt, recs in added.items():
                 sequences[fmt] = sequences.get(fmt, _EMPTY).updated(
-                    removed.get(fmt, ()), added.get(fmt, ()))
-                if not sequences[fmt]:
-                    del sequences[fmt]
+                    replaced.get(fmt, ()), recs)
             self.sequences = sequences
-        self.last_applied_seq = seq
+            # the feed is gap-free: the store numbers each event it commits
+            self.last_applied_seq += len(events)
+        return len(events)
 
     # ------------------------------------------------------- cache persistence
 

@@ -1,7 +1,9 @@
 """Registry of object types and relationship predicates with domain, range,
 and cardinality rules. Built-in rules model the aggregation graph (memberOf,
-metadataFor, representedBy, aggregatorFor); extensions load from a
-line-oriented config. The registry is immutable after load.
+metadataFor, representedBy, aggregatorFor); ``load`` always adds the built-in
+extension rules that metadata provenance and the harvester need, then the
+types and predicates of a line-oriented config. The registry is immutable
+after load.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ BUILTIN_RULES = (
 
 # Built-in extensions: not part of the aggregation figure, but required by the
 # metadata provenance linkage and the harvester's idempotence bookkeeping.
-# Tests can disable them via include_extensions=False.
 EXTENSION_RULES = (
     _rule(PROVIDED_BY, {"Metadata"}, {"Agent"}, 1, 1),
     _rule(SOURCE_RECORD_ID, {"Metadata"}, (), 0, 1, literal=True),
@@ -86,11 +87,8 @@ class OntologyRegistry:
         self._types: frozenset[str] = frozenset(types)
 
     @classmethod
-    def load(cls, config_text: str = "", include_extensions: bool = True
-             ) -> "OntologyRegistry":
-        rules = list(BUILTIN_RULES)
-        if include_extensions:
-            rules += list(EXTENSION_RULES)
+    def load(cls, config_text: str = "") -> "OntologyRegistry":
+        rules = [*BUILTIN_RULES, *EXTENSION_RULES]
         builtin_iris = {r.predicate for r in rules}
         types = set(BUILTIN_TYPES)
 

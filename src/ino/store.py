@@ -4,7 +4,8 @@ change-event feed, and tombstones.
 A purge writes a tombstone as the object's last version, in Fedora's Deleted
 state: ``modified`` is the purge time, inline datastream bytes are emptied,
 and the rest is kept, so what the object was can be derived from the store.
-Any other version passes ``check_formats``, so a format ends only at a purge.
+Any other version keeps the types its object was created with and passes
+``check_formats``, so a format ends only at a purge.
 
 The log, ``journal.log``, is a run of frames: a ``J <len> <sha256>`` line,
 the payload and a newline. A commit is one frame, appended with one write
@@ -253,13 +254,11 @@ class ObjectStore:
         self,
         object_id: str,
         *,
-        types=None,
         datastreams=None,
         relationships=None,
     ) -> DigitalObject:
         """Commit the live object with each field given here replaced."""
-        fields = {"types": types, "datastreams": datastreams,
-                  "relationships": relationships}
+        fields = {"datastreams": datastreams, "relationships": relationships}
         with self._lock:
             draft = replace(self.get(object_id), **{
                 name: tuple(value) for name, value in fields.items()
@@ -345,6 +344,8 @@ class ObjectStore:
                     obj = replace(op.draft or old, id=oid, state=ACTIVE,
                                   created=old.created if old else now,
                                   modified=now, seq=seq)
+                    if old is not None and obj.types != old.types:
+                        raise InvalidObject("types: a modify may not change types")
                     check_formats(old, obj)
                 validate_object(obj)
                 staged[oid] = obj

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import threading
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -11,11 +12,12 @@ from xml.etree import ElementTree as ET
 
 from ino import oai
 from ino.api import MetadataSpec, Repository, ResourceSpec
-from ino.errors import BadResumptionToken, EventOutOfOrder, InvalidObject
-from ino.model import (Datastream, Term, VirtualClock, format_ts, local_id,
-                       make_draft, parse_ts)
+from ino.errors import BadResumptionToken, InvalidObject
+from ino.model import (METADATA_FOR, Datastream, Term, VirtualClock, format_ts,
+                       local_id, make_draft, parse_ts)
 from ino.ontology import OntologyRegistry
 from ino.oai import OaiProvider, decode_token, encode_token
+from ino.store import BatchOp
 from oai_reference import assert_same_tree, render
 
 
@@ -208,6 +210,14 @@ def listed(provider):
             for f, seq in provider.sequences.items() if seq}
 
 
+def state(repo, provider):
+    """What a refused write leaves as it was: the objects, tombstones and
+    events, the index, and the OAI records and list order."""
+    return (list(repo.store.objects()), list(repo.store.tombstones()),
+            repo.store.changes_since(0), repo.index.triple_set(),
+            dict(provider.records), listed(provider))
+
+
 def churn_batch(repo, rng, batch, live, aggs, agent):
     """One seeded batch of creates, updates, set changes and purges of the
     metadata objects in ``live``."""
@@ -234,7 +244,8 @@ def churn_batch(repo, rng, batch, live, aggs, agent):
 @pytest.mark.parametrize("seed", range(3))
 def test_catch_up_equals_rebuild_under_churn(setup, seed):
     """After each seeded batch of writes, catch_up and a rebuild on a fresh
-    provider agree, deleted records included, in records and list order."""
+    provider agree, deleted records included, in records and list order;
+    and no (identifier, format) key the batch began with is gone."""
     repo, provider, agg, mids = setup
     rng = random.Random(seed)
     agent = repo.add_agent("churn", "Person")
@@ -242,8 +253,10 @@ def test_catch_up_equals_rebuild_under_churn(setup, seed):
         agent, ResourceSpec(content_url="http://example.org/churn"))]
     live = list(mids)
     for batch in range(12):
+        keys = set(provider.records)
         churn_batch(repo, rng, batch, live, aggs, agent)
         provider.catch_up()
+        assert keys <= provider.records.keys(), (seed, batch)
         twin = OaiProvider(repo, page_size=2)
         twin.rebuild_cache()
         assert twin.records == provider.records, (seed, batch)
@@ -296,17 +309,6 @@ def test_purged_resource_or_agent_has_no_records(setup):
     for p in (provider, fresh):
         assert len(p.records) == 10
         assert not {resource, agent} & {r.source_object for r in p.records.values()}
-
-
-def test_apply_event_requires_order(setup):
-    repo, provider, _agg, mids = setup
-    repo.store.modify(mids[0])
-    events = repo.changes_since(provider.last_applied_seq)
-    with pytest.raises(EventOutOfOrder):
-        provider.apply_event(events[-1].__class__(
-            seq=events[-1].seq + 5, kind=events[-1].kind,
-            object_id=events[-1].object_id, timestamp=events[-1].timestamp,
-        ))
 
 
 def test_save_load_cache(setup, tmp_path):
@@ -785,13 +787,7 @@ def test_store_refuses_a_version_that_is_no_format(setup, stream, message):
     InvalidObject and leave the objects, events, index and OAI cache as they
     were. So a record ends only with its object's purge."""
     repo, provider, _agg, mids = setup
-
-    def state():
-        return (list(repo.store.objects()), list(repo.store.tombstones()),
-                repo.store.changes_since(0), repo.index.triple_set(),
-                dict(provider.records), listed(provider))
-
-    before = state()
+    before = state(repo, provider)
     streams = {ds.ds_id: ds for ds in repo.get_object(mids[0]).datastreams}
     if stream is None:
         streams.clear()
@@ -805,7 +801,28 @@ def test_store_refuses_a_version_that_is_no_format(setup, stream, message):
         with pytest.raises(InvalidObject, match=re.escape(message)):
             write()
         provider.catch_up()
-        assert state() == before
+        assert state(repo, provider) == before
+
+
+@pytest.mark.parametrize("which, types", [
+    pytest.param("metadata", ("Resource",), id="metadata-to-resource"),
+    pytest.param("resource", ("Resource", "Metadata"),
+                 id="resource-to-resource-and-metadata"),
+])
+def test_store_refuses_a_modify_that_changes_types(setup, which, types):
+    """An object keeps the types it was created with: a modify past the API
+    that changes them raises InvalidObject and leaves the objects, events,
+    index and OAI cache as they were. So no record of a Metadata object
+    leaves the lists without a deleted header."""
+    repo, provider, _agg, mids = setup
+    meta = repo.store.get(mids[0])
+    obj = meta if which == "metadata" else repo.store.get(next(
+        t.object.value for t in meta.relationships if t.predicate == METADATA_FOR))
+    before = state(repo, provider)
+    with pytest.raises(InvalidObject, match="types: a modify may not change types"):
+        repo.store.commit_batch([BatchOp("modify", obj.id, replace(obj, types=types))])
+    provider.catch_up()
+    assert state(repo, provider) == before
 
 
 # ------------------------------------------------- sequences against the scan

@@ -19,14 +19,14 @@ from ino.model import (
     Term,
     Triple,
 )
-from ino.ontology import OntologyRegistry
+from ino.ontology import BUILTIN_RULES, BUILTIN_TYPES, OntologyRegistry
 
 ANNOTATES = "info:ino/def#annotates"
 ANNOTATES_LINE = f"predicate <{ANNOTATES}> domain Resource range Resource card 0..*"
 
 
 def test_empty_config_builtins_only():
-    registry = OntologyRegistry.load("", include_extensions=False)
+    registry = OntologyRegistry(BUILTIN_RULES, BUILTIN_TYPES)
     assert len(registry.rules) == 4
     assert registry.is_registered(MEMBER_OF)
     assert registry.is_registered(METADATA_FOR)
@@ -39,8 +39,8 @@ def test_extensions_included_by_default():
 
 
 def test_extension_rule_added():
-    registry = OntologyRegistry.load(ANNOTATES_LINE, include_extensions=False)
-    assert len(registry.rules) == 5
+    registry = OntologyRegistry.load(ANNOTATES_LINE)
+    assert len(registry.rules) == len(OntologyRegistry.load().rules) + 1
     rule = registry.rule(ANNOTATES)
     assert rule.domain == {"Resource"} and rule.max_per_subject is None
 
@@ -79,9 +79,8 @@ def test_extension_type_declaration():
 
 
 def test_comments_and_blank_lines():
-    registry = OntologyRegistry.load("# just a comment\n\n  \n",
-                                     include_extensions=False)
-    assert len(registry.rules) == 4
+    registry = OntologyRegistry.load("# just a comment\n\n  \n")
+    assert registry.rules == OntologyRegistry.load().rules
 
 
 def test_validate_relationship():
