@@ -1,8 +1,12 @@
 """Datastream disseminations. An object's format ``f`` is stored in its
-``format_<f>`` datastream, built by ``format_stream``, checked once when the
-store commits it (``check_formats``), and crosswalked one hop through the
-fixed ``CROSSWALKS`` table. ``sources`` is the one map of which datastream
-serves each format. Transforms are pure functions over bytes.
+``format_<f>`` datastream, built by ``format_stream``, and crosswalked one hop
+through the fixed ``CROSSWALKS`` table. ``sources`` is the one map of which
+datastream serves each format. Transforms are pure functions over bytes.
+
+A payload is parsed once, when the store commits it (``check_formats``).
+After that, ``payload_text`` only tests its bytes, so a response splices it
+in without parsing it again. A crosswalk's output needs no check: it writes
+fixed tags around escaped text, so it is well-formed by construction.
 """
 
 from __future__ import annotations
@@ -45,23 +49,25 @@ def is_format_id(value: str) -> bool:
 
 
 def payload_text(payload: bytes) -> str:
-    """``payload`` as text to write into a UTF-8 XML document. It must be a
-    well-formed XML document with every prefix bound. It is written as it is
-    when it starts with ``<`` past any whitespace, has no XML declaration and
-    no DOCTYPE, and is UTF-8; else it is re-serialized by ElementTree (which
-    reads a declaration's encoding and expands a DOCTYPE's entities).
-    ``InvalidObject`` when it is neither, so no response can carry it."""
+    """``payload``, which the commit checked (``check_formats``), as text to
+    write into a UTF-8 XML document. It is written as it is when it starts
+    with ``<`` past any whitespace, has no XML declaration and no DOCTYPE,
+    and is UTF-8; else it is re-serialized by ElementTree (which reads a
+    declaration's encoding and expands a DOCTYPE's entities).
+    ``InvalidObject`` when ElementTree cannot read it."""
+    # a declaration or a DOCTYPE may only open a document; a byte order mark
+    # or a NUL byte (never in well-formed UTF-8 XML) means another encoding
+    if (payload.lstrip()[:1] == b"<" and not payload.startswith(b"<?xml")
+            and b"<!DOCTYPE" not in payload and b"\0" not in payload):
+        return payload.decode().strip()
     try:
-        expat.ParserCreate(namespace_separator=" ").Parse(payload, True)
-        # a declaration or a DOCTYPE may only open a document; a byte order
-        # mark or a NUL byte (never in well-formed UTF-8 XML) means another
-        # encoding
-        if (payload.lstrip()[:1] == b"<" and not payload.startswith(b"<?xml")
-                and b"<!DOCTYPE" not in payload and b"\0" not in payload):
-            return payload.decode().strip()
         return ET.tostring(ET.fromstring(payload), encoding="unicode")
-    except (expat.ExpatError, ET.ParseError) as exc:
-        raise InvalidObject(f"payload: not well-formed XML ({exc})") from exc
+    except ET.ParseError as exc:
+        raise _not_xml(exc) from exc
+
+
+def _not_xml(exc: Exception) -> InvalidObject:
+    return InvalidObject(f"payload: not well-formed XML ({exc})")
 
 
 def format_stream(format_id: str, payload: bytes) -> Datastream:
@@ -73,12 +79,18 @@ def format_stream(format_id: str, payload: bytes) -> Datastream:
 def check_formats(old: DigitalObject | None, new: DigitalObject) -> None:
     """``InvalidObject`` unless ``new``, a live version over ``old`` (or None),
     keeps every ``format_`` datastream of ``old`` and each new or changed one
-    holds inline bytes ``payload_text`` can write under a well-formed id."""
+    holds, under a well-formed id, inline bytes that pass a namespace-aware
+    expat parse (every prefix bound) and that ``payload_text`` can write.
+    This is the one parse a payload gets."""
     stored = {ds.ds_id: ds for ds in old.datastreams} if old else {}
     for ds in new.datastreams:
         if ds.ds_id.startswith(FORMAT_DS_PREFIX) and stored.pop(ds.ds_id, None) != ds:
             if not ds.content:
                 raise InvalidObject("payload: must be non-empty")
+            try:
+                expat.ParserCreate(namespace_separator=" ").Parse(ds.content, True)
+            except expat.ExpatError as exc:
+                raise _not_xml(exc) from exc
             payload_text(ds.content)
             if not is_format_id(fmt := ds.ds_id[len(FORMAT_DS_PREFIX):]):
                 raise InvalidObject(f"formatId: malformed {fmt!r}")

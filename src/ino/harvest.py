@@ -6,6 +6,10 @@ its first http(s) dc:identifier, found by URL or created in that commit;
 provenance triples (sourceRecordId, sourceBaseUrl, sourceSet) make re-harvests
 idempotent. A record deleted upstream purges the live metadata object
 harvested from it, and leaves its resource in place.
+
+A harvest refuses a resumption token it has already followed, so a provider
+that repeats one cannot loop it, and stops past ``MAX_PAGES`` pages, which
+bounds the tokens it keeps.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .model import (
 from .oai import OAI_NS
 
 _BENIGN_ERRORS = {"noRecordsMatch"}
+
+# list pages one harvest follows at most; it keeps the token of each
+MAX_PAGES = 100_000
 
 
 @dataclass
@@ -68,6 +75,7 @@ class Harvester:
             params["set"] = set_spec
         if from_ts:
             params["from"] = from_ts
+        seen: set[str] = set()
         while True:
             url = base_url + "?" + urllib.parse.urlencode(params)
             root = self._request(url, "ListRecords")
@@ -78,11 +86,17 @@ class Harvester:
                 raise RemoteProtocolError("ListRecords: missing result element")
             for record in list_el.findall(_q("record")):
                 self._ingest_record(record, metadata_prefix, agent, agg, stats)
-            token_el = list_el.find(_q("resumptionToken"))
-            if token_el is None or not (token_el.text or "").strip():
+            token = (list_el.findtext(_q("resumptionToken")) or "").strip()
+            if not token:
                 break
-            params = {"verb": "ListRecords",
-                      "resumptionToken": token_el.text.strip()}
+            if token in seen:
+                raise RemoteProtocolError(
+                    f"ListRecords: resumption token {token!r} repeats")
+            if len(seen) == MAX_PAGES - 1:  # the token leads to one page more
+                raise RemoteProtocolError(
+                    f"ListRecords: more than {MAX_PAGES} pages")
+            seen.add(token)
+            params = {"verb": "ListRecords", "resumptionToken": token}
         return stats
 
     # ------------------------------------------------------------- internals

@@ -77,7 +77,13 @@ def utcnow_seconds() -> datetime:
 
 
 def format_ts(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``ts`` in UTC as ``YYYY-MM-DDThh:mm:ssZ``, as ``strftime`` writes it
+    for a four-digit year; formatted by hand, since every OAI record header
+    calls it."""
+    if ts.tzinfo is not timezone.utc:
+        ts = ts.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second)
 
 
 _TS_SHAPE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)

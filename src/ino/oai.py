@@ -26,8 +26,12 @@ sequences. Record payloads are disseminated at response time.
 A response is written as text: a verb returns its body as strings, joined
 once with the envelope. A payload is written as ``payload_text`` gives it:
 spliced in as it is, or re-serialized by ElementTree when it has a
-declaration, a DOCTYPE or another encoding. A deleted record is written as a
-header alone.
+declaration, a DOCTYPE or another encoding. No response parses a payload:
+the commit parsed it once (``check_formats``), and a crosswalk writes
+well-formed XML by construction, so a crosswalked record costs only the
+crosswalk's read of its source. A deleted record is written as a header
+alone. ``responseDate`` is the store's ``now``, the clock that stamps
+commits, so a record committed after a response is dated at or after it.
 """
 
 from __future__ import annotations
@@ -560,7 +564,7 @@ class OaiProvider:
         """``body`` in the envelope, ``params`` the request's attributes."""
         attrs = "".join(f' {k}="{_attr(v)}"' for k, v in params.items())
         return "".join([
-            _HEAD, "<responseDate>", format_ts(self.repo.store.clock.now()),
+            _HEAD, "<responseDate>", format_ts(self.repo.store.now()),
             f"</responseDate><request{attrs}>{escape(self.base_url)}</request>",
             *body, "</OAI-PMH>",
         ]).encode()

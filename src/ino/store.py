@@ -5,7 +5,14 @@ A purge writes a tombstone as the object's last version, in Fedora's Deleted
 state: ``modified`` is the purge time, inline datastream bytes are emptied,
 and the rest is kept, so what the object was can be derived from the store.
 Any other version keeps the types its object was created with and passes
-``check_formats``, so a format ends only at a purge.
+``check_formats``, so a format ends only at a purge. That check is the one
+parse a format payload gets: readers splice the stored bytes.
+
+Commit time never goes back: ``now`` is the later of the clock and the last
+stamp the store handed out, a commit's or a ``responseDate``'s, seeded at
+open from the latest stamp in the log. A ``responseDate`` handed out after
+the last commit is not in the log, so after a restart with the wall clock
+behind it a commit may be dated before it.
 
 The log, ``journal.log``, is a run of frames: a ``J <len> <sha256>`` line,
 the payload and a newline. A commit is one frame, appended with one write
@@ -42,7 +49,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -121,6 +128,7 @@ class ObjectStore:
         self._log_bytes = 0
         self._versions = 0  # versions in the log, superseded ones included
         self._stopped: str | None = None  # why writes are refused, if they are
+        self._last_stamp = datetime.min.replace(tzinfo=timezone.utc)
 
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock_fd = os.open(self.root / "store.lock", os.O_RDWR | os.O_CREAT, 0o644)
@@ -204,6 +212,8 @@ class ObjectStore:
             if stamp not in stamps:
                 stamps[stamp] = parse_ts(stamp)
             self._events.append(ChangeEvent(seq, kind, oid, stamps[stamp]))
+        # an older version's log may hold falling stamps: take the latest
+        self._last_stamp = max(stamps.values(), default=self._last_stamp)
         obj_seq = {ev.object_id: ev.seq for ev in self._events}
         for oid, (start, end) in spans.items():
             obj = deserialize_object(data[start:end]).with_seq(obj_seq.get(oid, 0))
@@ -240,6 +250,13 @@ class ObjectStore:
         self._fds = (fd, self._lock_fd)
         os.close(old)
         self._log_bytes, self._versions = len(frame), len(spans)
+
+    def now(self) -> datetime:
+        """The clock's time, or the last stamp handed out if that is later;
+        the stamp of the next commit or ``responseDate``."""
+        with self._lock:
+            self._last_stamp = max(self.clock.now(), self._last_stamp)
+            return self._last_stamp
 
     @property
     def current_seq(self) -> int:
@@ -318,7 +335,7 @@ class ObjectStore:
         with self._lock:
             if self._stopped:
                 raise StoreFailed(self._stopped)
-            now = self.clock.now()
+            now = self.now()
             seq = self.current_seq
             staged: dict[str, DigitalObject] = {}  # new versions within batch
             applied: list[tuple[str, DigitalObject | None, DigitalObject]] = []

@@ -2,6 +2,7 @@ import urllib.parse
 
 import pytest
 
+from ino import harvest
 from ino.api import Repository
 from ino.corpus import CorpusProfile, generate_corpus
 from ino.errors import RemoteProtocolError
@@ -239,6 +240,38 @@ def test_transport_failure_raises(target):
         raise OSError("connection refused")
     with pytest.raises(RemoteProtocolError):
         Harvester(target, fetch=broken).harvest(BASE_URL, "nsdl_dc")
+
+
+def paging(tokens, bound=5):
+    """A fetch that answers one record per page, the page's resumption token
+    taken from ``tokens`` by fetch number, and fails past ``bound`` fetches."""
+    calls = []
+
+    def fetch(url):
+        calls.append(url)
+        assert len(calls) <= bound, "the harvest went past the fetch bound"
+        return (ENVELOPE % (
+            "<ListRecords>"
+            + record("oai:x:1", "<nsdl_dc><identifier>http://example.org/x"
+                                "</identifier></nsdl_dc>")
+            + "<resumptionToken>%s</resumptionToken></ListRecords>"
+            % tokens(len(calls)))).encode()
+    return fetch, calls
+
+
+def test_repeated_resumption_token_is_refused(target):
+    fetch, calls = paging(lambda n: "same")
+    with pytest.raises(RemoteProtocolError, match="token 'same' repeats"):
+        Harvester(target, fetch=fetch).harvest(BASE_URL, "nsdl_dc")
+    assert len(calls) == 2
+
+
+def test_harvest_stops_at_the_page_cap(target, monkeypatch):
+    monkeypatch.setattr(harvest, "MAX_PAGES", 3)
+    fetch, calls = paging(lambda n: f"t{n}")
+    with pytest.raises(RemoteProtocolError, match="more than 3 pages"):
+        Harvester(target, fetch=fetch).harvest(BASE_URL, "nsdl_dc")
+    assert len(calls) == 3
 
 
 def test_crash_between_provenance_commits_keeps_one_agent(source, tmp_path):

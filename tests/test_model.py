@@ -1,5 +1,5 @@
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -171,3 +171,23 @@ def test_parse_ts_is_no_looser_than_strptime():
             assert parse_ts(text) == expected
         except ValueError:
             assert format_ts(expected) != text  # a form format_ts never writes
+
+
+def test_format_ts_matches_strftime():
+    """``format_ts`` writes what ``strftime`` writes, for any offset and any
+    microseconds, over the UTC years 1000 to 9999; ``parse_ts`` reads it back
+    to the second."""
+    rng = random.Random(11)
+    lo = datetime(1000, 1, 1, tzinfo=timezone.utc)
+    span = int((datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+                - lo).total_seconds())
+    zones = [timezone.utc, timezone(timedelta(0)), timezone(timedelta(hours=5, minutes=30))]
+    for _ in range(3000):
+        utc = lo + timedelta(seconds=rng.randint(0, span),
+                             microseconds=rng.randrange(10 ** 6))
+        zone = rng.choice([*zones, timezone(timedelta(minutes=rng.randint(-1439, 1439)))])
+        ts = utc.astimezone(zone)
+        text = format_ts(ts)
+        assert text == ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert parse_ts(text) == utc.replace(microsecond=0)
+        assert format_ts(parse_ts(text)) == text

@@ -5,12 +5,12 @@ import re
 import sys
 import threading
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from xml.etree import ElementTree as ET
 
-from ino import oai
+from ino import dissemination, oai
 from ino.api import MetadataSpec, Repository, ResourceSpec
 from ino.errors import BadResumptionToken, InvalidObject
 from ino.model import (METADATA_FOR, Datastream, Term, VirtualClock, format_ts,
@@ -19,6 +19,7 @@ from ino.ontology import OntologyRegistry
 from ino.oai import OaiProvider, decode_token, encode_token
 from ino.store import BatchOp
 from oai_reference import assert_same_tree, render
+from util import SteppedClock
 
 
 def parse(xml_bytes):
@@ -728,6 +729,78 @@ def test_writer_matches_elementtree_reference(setup):
     ]
     for params, error in errors:
         assert_renders_as_reference(provider, params, error)
+
+
+def test_responses_parse_no_stored_payload(setup, monkeypatch):
+    """A payload is parsed once, at its commit. A whole nsdl_dc ListRecords,
+    followed over its tokens, and GetRecords of every record parse nothing;
+    an oai_dc list parses each live record once, the crosswalk's read of its
+    source, and not the crosswalk's output. Each response still renders as
+    the reference."""
+    repo, provider, _agg, mids = setup
+    repo.purge_metadata(mids[1])
+    provider.catch_up()
+    live = len(mids) - 1
+    parses = {"expat": 0, "etree": 0}
+
+    def counted(name, parse_fn):
+        def counting(*args, **kwargs):
+            parses[name] += 1
+            return parse_fn(*args, **kwargs)
+        return counting
+
+    idents = ["oai:ndr.local:" + local_id(m) for m in mids]
+    for fmt, etree_parses in (("nsdl_dc", 0), ("oai_dc", live)):
+        lists = list_requests(provider, {"verb": "ListRecords", "metadataPrefix": fmt})
+        gets = [{"verb": "GetRecord", "identifier": i, "metadataPrefix": fmt}
+                for i in idents]
+        for requests in (lists, gets):
+            parses.update(expat=0, etree=0)
+            with monkeypatch.context() as m:
+                m.setattr(dissemination.expat, "ParserCreate",
+                          counted("expat", dissemination.expat.ParserCreate))
+                m.setattr(dissemination.ET, "fromstring",
+                          counted("etree", dissemination.ET.fromstring))
+                bodies = [provider.handle_request(params) for params in requests]
+            assert parses == {"expat": 0, "etree": etree_parses}, (fmt, requests[0])
+            for params, body in zip(requests, bodies):
+                assert parse(body).find("error") is None, body
+                assert_same_tree(body, render(provider, params))
+
+
+def test_commit_time_never_goes_back(tmp_path):
+    """A harvester re-harvests from the responseDate of its last harvest: a
+    record committed after a response is dated at or after it, even when the
+    clock steps back between the two."""
+    noon = datetime(2026, 1, 1, 12, tzinfo=timezone.utc)
+    clock = SteppedClock(noon)
+    repo = Repository(tmp_path / "data", clock=clock)
+    try:
+        agent = repo.add_agent("prov", "Organization")
+
+        def add(i):
+            return repo.add_metadata(MetadataSpec(
+                target=ResourceSpec(content_url=f"http://example.org/r{i}"),
+                format_id="nsdl_dc", payload=doc(f"t{i}"), provider=agent))
+
+        add(0)
+        provider = OaiProvider(repo)
+        provider.rebuild_cache()
+        harvest = parse(provider.handle_request(
+            {"verb": "ListIdentifiers", "metadataPrefix": "nsdl_dc"}))
+        since = harvest.findtext("responseDate")
+        assert since == "2026-01-01T12:00:00Z"
+        clock.at = noon - timedelta(minutes=5)  # as an NTP step would
+        late = "oai:ndr.local:" + local_id(add(1))
+        provider.catch_up()
+        assert late in harvest_identifiers(provider, metadataPrefix="nsdl_dc",
+                                           **{"from": since})
+        assert parse(provider.handle_request(
+            {"verb": "Identify"})).findtext("responseDate") == since
+        stamps = [e.timestamp for e in repo.store.changes_since(0)]
+        assert stamps == sorted(stamps)
+    finally:
+        repo.close()
 
 
 @pytest.mark.parametrize("payload", [

@@ -1,6 +1,7 @@
 import os
 import random
 import time
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -17,7 +18,7 @@ from ino import store as store_module
 from ino.model import (Datastream, Term, Triple, VirtualClock, make_draft,
                        serialize_object)
 from ino.store import CREATED, MODIFIED, PURGED, BatchOp, ObjectStore
-from util import random_object
+from util import SteppedClock, random_object
 
 
 def draft(local, types=("Resource",), **kw):
@@ -556,3 +557,22 @@ def test_lookup_latency_size_independent(tmp_path):
     small.close()
     big.close()
     assert t_big < max(3 * t_small, 50e-6)
+
+
+def test_commit_time_never_goes_back_across_a_reopen(tmp_path):
+    """A store reopened on a clock behind its log's last stamp dates its next
+    commit at that stamp, not before it."""
+    noon = datetime(2026, 1, 1, 12, tzinfo=timezone.utc)
+    store = ObjectStore(tmp_path / "d", clock=SteppedClock(noon))
+    store.create(draft("r1"))
+    store.close()
+    clock = SteppedClock(noon - timedelta(minutes=5))
+    store = ObjectStore(tmp_path / "d", clock=clock)
+    try:
+        assert store.create(draft("r2")).modified == noon
+        clock.at = noon + timedelta(seconds=1)
+        assert store.create(draft("r3")).modified == clock.at
+        stamps = [e.timestamp for e in store.changes_since(0)]
+        assert stamps == [noon, noon, clock.at]
+    finally:
+        store.close()

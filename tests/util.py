@@ -1,10 +1,12 @@
-"""Shared helpers: seeded random object and query generators."""
+"""Shared helpers: seeded random object and query generators, and a clock
+a test sets by hand."""
 
 import random
 import string
 
 from ino.model import (
     INO_NS,
+    Clock,
     Datastream,
     DigitalObject,
     Term,
@@ -51,3 +53,13 @@ def random_object(rng: random.Random, object_id=None) -> DigitalObject:
             obj = Term.literal("lit-" + random_local_id(rng))
         rels.append(Triple(oid, pred, obj))
     return make_draft(oid, types, streams, rels)
+
+
+class SteppedClock(Clock):
+    """A clock that reads ``at`` until a test moves it, either way."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def now(self):
+        return self.at
