@@ -208,7 +208,7 @@ class Repository:
         else:
             ds = Datastream("content", spec.media_type, content=spec.content)
         rels = tuple(
-            Triple(oid, MEMBER_OF, Term.iri(a))
+            Triple(oid, MEMBER_OF, self._iri(a))
             for a in sorted(spec.initial_aggregations)
         )
         draft = make_draft(oid, ("Resource",), datastreams=[ds], relationships=rels)
@@ -228,11 +228,11 @@ class Repository:
                            else self._resource_ops(spec.target))
             oid = self._new_id("metadata")
             rels = [
-                Triple(oid, METADATA_FOR, Term.iri(target)),
-                Triple(oid, PROVIDED_BY, Term.iri(spec.provider)),
+                Triple(oid, METADATA_FOR, self._iri(target)),
+                Triple(oid, PROVIDED_BY, self._iri(spec.provider)),
             ]
             rels += [
-                Triple(oid, MEMBER_OF, Term.iri(a))
+                Triple(oid, MEMBER_OF, self._iri(a))
                 for a in sorted(spec.initial_aggregations)
             ]
             rels += [Triple(oid, p, o) for p, o in extra_relationships]
@@ -259,7 +259,7 @@ class Repository:
             self._require_type(agent, "Agent", UnknownAgent)
             proxy_id, ops = self._resource_ops(proxy)
             agg_id = self._new_id("agg")
-            rels = [Triple(agg_id, REPRESENTED_BY, Term.iri(proxy_id))]
+            rels = [Triple(agg_id, REPRESENTED_BY, self._iri(proxy_id))]
             rels += [Triple(agg_id, p, o) for p, o in extra_relationships]
             agg_draft = make_draft(agg_id, ("Aggregation",), relationships=rels)
             ops.append(BatchOp("create", agg_id, draft=agg_draft))
@@ -287,7 +287,7 @@ class Repository:
             added = members - current
             removed = current - members
             ops = []
-            agg_term = Term.iri(agg)
+            agg_term = self._iri(agg)
             for m in sorted(added):
                 obj = self.store.get(m)
                 rels = obj.relationships + (Triple(m, MEMBER_OF, agg_term),)
@@ -325,11 +325,13 @@ class Repository:
             self._commit([BatchOp("modify", subj,
                                   replace(subject, relationships=rels))])
 
-    @staticmethod
-    def _relationship_term(obj) -> Term:
-        if isinstance(obj, Term):
-            return obj
-        return Term.iri(obj)
+    def _relationship_term(self, obj) -> Term:
+        return self.index.term(obj if isinstance(obj, Term) else Term.iri(obj))
+
+    def _iri(self, object_id: str) -> Term:
+        """The ``Term`` of ``object_id`` as a relationship target: the
+        index's own where it has one, so that equal targets are one object."""
+        return self.index.term(Term.iri(object_id))
 
     def purge_metadata(self, object_id: str) -> None:
         with self._lock:

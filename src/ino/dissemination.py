@@ -12,6 +12,7 @@ fixed tags around escaped text, so it is well-formed by construction.
 from __future__ import annotations
 
 import re
+import sys
 import time
 from collections import deque
 from typing import Callable
@@ -72,8 +73,10 @@ def _not_xml(exc: Exception) -> InvalidObject:
 
 def format_stream(format_id: str, payload: bytes) -> Datastream:
     """The datastream that holds ``payload`` in format ``format_id``; the
-    commit that stores it checks it (``check_formats``)."""
-    return Datastream(FORMAT_DS_PREFIX + format_id, "text/xml", content=payload)
+    commit that stores it checks it (``check_formats``). Its id is interned,
+    as ``make_draft`` interns every datastream id."""
+    return Datastream(sys.intern(FORMAT_DS_PREFIX + format_id), "text/xml",
+                      content=payload)
 
 
 def check_formats(old: DigitalObject | None, new: DigitalObject) -> None:

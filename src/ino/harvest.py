@@ -9,11 +9,16 @@ harvested from it, and leaves its resource in place.
 
 A harvest refuses a resumption token it has already followed, so a provider
 that repeats one cannot loop it, and stops past ``MAX_PAGES`` pages, which
-bounds the tokens it keeps.
+bounds the tokens it keeps. It reads at most ``MAX_RESPONSE_BYTES`` of a
+response and refuses a longer one. A ``503`` whose ``Retry-After`` is a
+number of seconds is OAI-PMH's flow control: the request is sent again after
+that wait, capped at ``MAX_RETRY_WAIT``, up to ``MAX_RETRIES`` times.
 """
 
 from __future__ import annotations
 
+import time
+import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
@@ -35,6 +40,14 @@ _BENIGN_ERRORS = {"noRecordsMatch"}
 # list pages one harvest follows at most; it keeps the token of each
 MAX_PAGES = 100_000
 
+# the largest response read; a longer one is refused
+MAX_RESPONSE_BYTES = 64 * 1024 * 1024
+
+# how often one request is sent again after a 503 with Retry-After, and the
+# longest wait before it, in seconds
+MAX_RETRIES = 3
+MAX_RETRY_WAIT = 60
+
 
 @dataclass
 class IngestStats:
@@ -53,15 +66,21 @@ def _q(tag: str) -> str:
 
 
 class Harvester:
-    def __init__(self, repo: Repository, fetch=None):
+    def __init__(self, repo: Repository, fetch=None, sleep=time.sleep):
         self.repo = repo
-        # fetch(url) -> bytes; injectable for tests and loopback harvests
+        # fetch(url) -> bytes and sleep(seconds); injectable for tests and
+        # loopback harvests
         self._fetch = fetch or self._http_fetch
+        self._sleep = sleep
 
     @staticmethod
     def _http_fetch(url: str) -> bytes:
         with urllib.request.urlopen(url, timeout=60) as resp:
-            return resp.read()
+            data = resp.read(MAX_RESPONSE_BYTES + 1)
+        if len(data) > MAX_RESPONSE_BYTES:
+            raise RemoteProtocolError(
+                f"response over {MAX_RESPONSE_BYTES} bytes from {url}")
+        return data
 
     def harvest(self, base_url: str, metadata_prefix: str,
                 set_spec: str | None = None,
@@ -102,10 +121,17 @@ class Harvester:
     # ------------------------------------------------------------- internals
 
     def _request(self, url: str, verb: str):
-        try:
-            data = self._fetch(url)
-        except OSError as exc:
-            raise RemoteProtocolError(f"{verb}: transport failure: {exc}") from exc
+        for retry in range(MAX_RETRIES + 1):
+            try:
+                data = self._fetch(url)
+                break
+            except urllib.error.HTTPError as exc:
+                wait = _retry_after(exc)
+                if wait is None or retry == MAX_RETRIES:
+                    raise RemoteProtocolError(f"{verb}: HTTP {exc.code}") from exc
+                self._sleep(wait)
+            except OSError as exc:
+                raise RemoteProtocolError(f"{verb}: transport failure: {exc}") from exc
         try:
             root = ET.fromstring(data)
         except ET.ParseError as exc:
@@ -208,3 +234,13 @@ class Harvester:
             agent, ResourceSpec(content_url=base_url),
             extra_relationships=[(SOURCE_SET, Term.literal(key))],
         )
+
+
+def _retry_after(exc: urllib.error.HTTPError) -> int | None:
+    """The wait, in seconds up to ``MAX_RETRY_WAIT``, that a 503 asks for in
+    a delta-seconds ``Retry-After``; None for any other error or header."""
+    value = (exc.headers or {}).get("Retry-After", "").strip()
+    if exc.code != 503 or not (value.isascii() and value.isdigit()):
+        return None
+    # int() refuses a string of over 4300 digits
+    return MAX_RETRY_WAIT if len(value) > 9 else min(int(value), MAX_RETRY_WAIT)

@@ -10,11 +10,14 @@ ontology keeps closed and small, and a step that knows the subject checks
 those few leaves, so no step's cost per row grows with an object's fan-in.
 A triple count is kept for each term in each position, so a pattern's exact
 count is one lookup at any depth, and a term leaves the table when its last
-count goes. ``_choose_path`` picks the order that serves a pattern's known
-positions; ``match``, ``estimate`` and the join are built on it. A join runs
-on tuple rows with a fixed slot per variable, takes next the pattern with
-the fewest estimated matches given the variables already bound, and builds
-``Term``s only at projection.
+count goes. That table is the one long-lived pool of terms: ``term`` gives
+a writer the index's own copy of a relationship target, and an IRI indexed
+as an object keeps the ``Term`` its object holds, so an object and the index
+share each term. ``_choose_path`` picks the order that serves a pattern's
+known positions; ``match``, ``estimate`` and the join are built on it. A
+join runs on tuple rows with a fixed slot per variable, takes next the
+pattern with the fewest estimated matches given the variables already
+bound, and builds ``Term``s only at projection.
 """
 
 from __future__ import annotations
@@ -233,11 +236,22 @@ class TripleIndex:
                 i = len(self._terms)
                 self._terms.append(term)
             self._ids[key] = i
+        elif key is not term:
+            # an IRI, keyed by its text: keep the Term an object holds, and
+            # not one made for the same IRI as a subject
+            self._terms[i] = term
         return i
 
     def _id(self, term: Term) -> int:
         """A constant's id; ``_ABSENT`` when no indexed triple uses it."""
         return self._ids.get(term.value if term.kind == "iri" else term, _ABSENT)
+
+    def term(self, term: Term) -> Term:
+        """The index's own ``Term`` equal to ``term``, or ``term`` itself when
+        no indexed triple uses it. A writer that takes its relationship
+        targets from here holds one copy of each with the index."""
+        i = self._ids.get(term.value if term.kind == "iri" else term)
+        return term if i is None else self._terms[i]
 
     def _add(self, t: Triple) -> None:
         ids = self._ids

@@ -4,6 +4,14 @@ Objects serialize to a canonical XML document (UTF-8, LF, fixed element and
 attribute order) so that serialize(deserialize(serialize(o))) is the identity
 on bytes. The commit sequence number is store bookkeeping derived from the
 event log and is deliberately kept out of the XML and out of value equality.
+
+An object holds many values that other objects hold too, so each is kept
+once. The closed vocabularies (predicates, types, kinds, states, media types
+and datastream ids) are interned by ``make_draft`` and
+``deserialize_object``. A relationship target's ``Term`` is shared through a
+pool: the index's term table for a write (``TripleIndex.term``), and for a
+read of a whole log the ``pool`` and ``stamps`` maps that the reader hands
+each ``deserialize_object`` call, which also share ids and timestamps.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -157,7 +166,7 @@ class Triple(NamedTuple):
     object: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Datastream:
     ds_id: str
     media_type: str
@@ -172,7 +181,7 @@ class Datastream:
 _URL_RE = re.compile(r"https?://[^\s]+$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitalObject:
     id: str
     types: tuple[str, ...]
@@ -240,16 +249,30 @@ def make_draft(
     datastreams=(),
     relationships=(),
 ) -> DigitalObject:
-    """Build an unstored draft; the store assigns timestamps and seq."""
+    """Build an unstored draft; the store assigns timestamps and seq. Its
+    types, datastream ids, media types and predicates are interned."""
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     return DigitalObject(
         id=object_id,
-        types=tuple(types),
+        types=_interned(types),
         created=epoch,
         modified=epoch,
-        datastreams=tuple(datastreams),
-        relationships=tuple(relationships),
+        datastreams=tuple(Datastream(sys.intern(ds.ds_id),
+                                     ds.media_type and sys.intern(ds.media_type),
+                                     ds.content, ds.surrogate)
+                          for ds in datastreams),
+        relationships=tuple(Triple(s, sys.intern(p), o)
+                            for s, p, o in relationships),
     )
+
+
+def _interned(strings) -> tuple[str, ...]:
+    """``strings`` as a tuple of interned strings: the same tuple when it is
+    one already, so a constant tuple of types stays one object."""
+    strings = tuple(strings)
+    if all(sys.intern(s) is s for s in strings):
+        return strings
+    return tuple(map(sys.intern, strings))
 
 
 # --- canonical XML ---
@@ -321,7 +344,18 @@ def _position_of(data: bytes, tag: str) -> tuple[int, int]:
     return line, column
 
 
-def deserialize_object(data: bytes) -> DigitalObject:
+def deserialize_object(data: bytes, pool: dict | None = None,
+                       stamps: dict[str, datetime] | None = None) -> DigitalObject:
+    """The object that ``serialize_object`` wrote as ``data``; ``ParseError``
+    or ``InvalidObject`` for anything else.
+
+    A reader of many documents passes the same ``pool`` and ``stamps`` to
+    every call, so that equal values come out as one object: ``pool`` maps
+    each object id and ``Term`` read to its first copy, ``stamps`` each
+    timestamp's text to its datetime. Both grow with what is read, so keep
+    them no longer than the read."""
+    pool = {} if pool is None else pool
+    stamps = {} if stamps is None else stamps
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -343,11 +377,18 @@ def deserialize_object(data: bytes) -> DigitalObject:
             raise ParseError(f"missing attribute {name!r} on {elem.tag}", line, column)
         return value
 
+    def stamp(name):
+        text = attr(root, name)
+        if text not in stamps:
+            stamps[text] = parse_ts(text)
+        return stamps[text]
+
     object_id = attr(root, "id")
-    state = attr(root, "state")
+    object_id = pool.setdefault(object_id, object_id)
+    state = sys.intern(attr(root, "state"))
     try:
-        created = parse_ts(attr(root, "created"))
-        modified = parse_ts(attr(root, "modified"))
+        created = stamp("created")
+        modified = stamp("modified")
     except ValueError as exc:
         raise ParseError(str(exc), *_position_of(data, "inoObject")) from exc
 
@@ -356,11 +397,11 @@ def deserialize_object(data: bytes) -> DigitalObject:
     relationships: list[Triple] = []
     for section in root:
         if section.tag == "types":
-            types = [t.text or "" for t in section]
+            types = [sys.intern(t.text or "") for t in section]
         elif section.tag == "datastreams":
             for d in section:
-                ds_id = attr(d, "id")
-                media = attr(d, "mediaType")
+                ds_id = sys.intern(attr(d, "id"))
+                media = sys.intern(attr(d, "mediaType"))
                 if len(d) != 1:
                     raise ParseError(
                         f"datastream {ds_id!r} needs exactly one content element",
@@ -387,14 +428,18 @@ def deserialize_object(data: bytes) -> DigitalObject:
                     datastreams.append(Datastream(ds_id, media, content=content))
         elif section.tag == "relationships":
             for t in section:
-                kind = attr(t, "kind")
+                kind = sys.intern(attr(t, "kind"))
                 if kind not in ("iri", "literal"):
                     raise ParseError(
                         f"bad triple kind {kind!r}", *_position_of(data, "triple")
                     )
+                value = attr(t, "object")
+                if kind == "iri":  # an object id, maybe read before as one
+                    value = pool.setdefault(value, value)
+                term = Term(kind, value)
                 relationships.append(
-                    Triple(object_id, attr(t, "predicate"),
-                           Term(kind, attr(t, "object")))
+                    Triple(object_id, sys.intern(attr(t, "predicate")),
+                           pool.setdefault(term, term))
                 )
 
     obj = DigitalObject(

@@ -23,6 +23,11 @@ no request iterates ``records`` and none takes a lock. A list page is a
 bisect plus a slice; resumption tokens are stateless cursors over the
 sequences. Record payloads are disseminated at response time.
 
+A record holds one copy of each value it shares: its datestamp and source
+id are its object's, its identifier is one string for all its formats, its
+format id is interned, and equal set-spec sets are one ``frozenset``, from a
+weak pool that keeps a set only while a record holds it.
+
 A response is written as text: a verb returns its body as strings, joined
 once with the envelope. A payload is written as ``payload_text`` gives it:
 spliced in as it is, or re-serialized by ElementTree when it has a
@@ -40,11 +45,13 @@ import base64
 import json
 import os
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
+from weakref import WeakValueDictionary
 from xml.sax.saxutils import escape
 
 from .dissemination import OAI_DC_NS, payload_text, sources
@@ -93,7 +100,7 @@ _ROOT_NAME = re.compile(r"""(?:\s|<!--.*?-->|<\?.*?\?>)*<([^\s/>]+)(?:\s+(?!xmln
                         r"""[^\s=]+\s*=\s*(?:"[^"]*"|'[^']*'))*(\s+xmlns\s*=)?""", re.S)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OaiRecord:
     identifier: str
     format: str
@@ -254,6 +261,8 @@ class OaiProvider:
         self.records: dict[tuple[str, str], OaiRecord] = {}
         self.sequences: dict[str, RecordSequence] = {}  # by format
         self.last_applied_seq = 0
+        # one copy of each set-spec set, kept while a record holds it
+        self._set_specs = WeakValueDictionary()
 
     # ----------------------------------------------------------- cache build
 
@@ -271,8 +280,10 @@ class OaiProvider:
         identifier = IDENTIFIER_PREFIX + local_id(obj.id)
         sets = frozenset(local_id(t.object.value) for t in obj.relationships
                          if t.predicate == MEMBER_OF)
+        sets = self._set_specs.setdefault(sets, sets)
         return {fmt: OaiRecord(identifier, fmt, obj.modified, sets,
-                               obj.state == DELETED, obj.id) for fmt in sources(obj)}
+                               obj.state == DELETED, obj.id)
+                for fmt in map(sys.intern, sources(obj))}
 
     def _publish(self, records: dict, seq: int) -> None:
         """Publish ``records`` whole, with one sort per format."""
@@ -356,9 +367,11 @@ class OaiProvider:
         data = json.loads(path.read_text())
         records = {}
         for d in data["records"]:
+            sets = frozenset(d["setSpecs"])
             rec = OaiRecord(
-                d["identifier"], d["format"], parse_ts(d["datestamp"]),
-                frozenset(d["setSpecs"]), d["deleted"], d["sourceObject"],
+                d["identifier"], sys.intern(d["format"]), parse_ts(d["datestamp"]),
+                self._set_specs.setdefault(sets, sets), d["deleted"],
+                d["sourceObject"],
             )
             records[(rec.identifier, rec.format)] = rec
         self._publish(records, data["lastAppliedSeq"])

@@ -58,6 +58,10 @@ DEFAULT_CONFIG = {
 # the largest request body read; a longer Content-Length is answered 413
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+# seconds a connection may stay silent, between requests or inside one,
+# before the server closes it and frees its handler thread
+IDLE_TIMEOUT_S = 60
+
 # one JSON line per request at INFO; ``ino serve`` sends it to stderr
 _ACCESS_LOG = logging.getLogger("ino.access")
 
@@ -106,6 +110,7 @@ class Service:
             pass
 
         Handler.service = service
+        Handler.timeout = IDLE_TIMEOUT_S  # the socket timeout of each connection
         return ThreadingHTTPServer((host, port), Handler)
 
     def serve_forever(self, port: int, host: str = "127.0.0.1") -> None:
@@ -299,8 +304,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(413, "application/json", json.dumps(
                 {"error": f"body over {MAX_BODY_BYTES} bytes"}).encode())
             return
+        # a body that stalls past the timeout raises TimeoutError, which
+        # closes the connection (BaseHTTPRequestHandler.handle_one_request)
+        body = self.rfile.read(int(size))
         try:
-            body = self.rfile.read(int(size))
             status, media, data = self.service.handle(
                 method, split.path, query, body, self.headers
             )

@@ -35,6 +35,11 @@ A commit or compaction that fails at or after its write stops the store:
 further commits raise ``StoreFailed`` and ``close`` skips compaction.
 Reopening keeps a failed commit exactly when its whole frame reached the log.
 
+Opening the store reads every version with one pool of the values read, so
+equal ids, ``Term``s and commit stamps come out as one object each, and each
+event holds its object's id string; the pool is dropped when the open ends.
+The index's term table is then the one pool that lasts (``TripleIndex.term``).
+
 ``export`` writes Fedora's layout, one canonical XML file per object under
 ``objects/<xx>/<yy>/<id>.xml``. A data directory in that layout, as older
 versions kept it (``objects/`` or ``events.log``), is refused at open.
@@ -47,6 +52,7 @@ import json
 import hashlib
 import os
 import re
+import sys
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -89,7 +95,7 @@ _COMPACTING = "journal.tmp"
 COMPACT_BYTES = 8 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeEvent:
     seq: int
     kind: str  # Created | Modified | Purged
@@ -205,18 +211,22 @@ class ObjectStore:
                 raise InvalidObject(f"journal corrupt: a whole frame follows byte {self._log_bytes}")
             os.ftruncate(self._log_fd, self._log_bytes)  # a torn tail
 
+        # one copy of each id, Term and commit stamp read, for this open only
+        pool: dict = {}
         stamps: dict[str, datetime] = {}
         for i, (seq, kind, oid, stamp) in enumerate(rows):
             if seq != i + 1:
                 raise InvalidObject(f"journal corrupt: expected seq {i + 1}, found {seq}")
             if stamp not in stamps:
                 stamps[stamp] = parse_ts(stamp)
-            self._events.append(ChangeEvent(seq, kind, oid, stamps[stamp]))
+            self._events.append(ChangeEvent(seq, sys.intern(kind),
+                                            pool.setdefault(oid, oid), stamps[stamp]))
         # an older version's log may hold falling stamps: take the latest
         self._last_stamp = max(stamps.values(), default=self._last_stamp)
         obj_seq = {ev.object_id: ev.seq for ev in self._events}
         for oid, (start, end) in spans.items():
-            obj = deserialize_object(data[start:end]).with_seq(obj_seq.get(oid, 0))
+            obj = deserialize_object(data[start:end], pool, stamps).with_seq(
+                obj_seq.get(oid, 0))
             if obj.state == DELETED:
                 self._tombstones[obj.id] = obj
             else:

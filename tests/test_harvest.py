@@ -1,4 +1,7 @@
+import io
+import urllib.error
 import urllib.parse
+import urllib.request
 
 import pytest
 
@@ -272,6 +275,65 @@ def test_harvest_stops_at_the_page_cap(target, monkeypatch):
     with pytest.raises(RemoteProtocolError, match="more than 3 pages"):
         Harvester(target, fetch=fetch).harvest(BASE_URL, "nsdl_dc")
     assert len(calls) == 3
+
+
+ONE_RECORD = (ENVELOPE % (
+    "<ListRecords>"
+    + record("oai:x:1", "<nsdl_dc><identifier>http://example.org/x"
+                        "</identifier></nsdl_dc>")
+    + "</ListRecords>")).encode()
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-bound", "one-byte-over"])
+def test_response_past_the_bound_is_refused(target, monkeypatch, over):
+    monkeypatch.setattr(harvest, "MAX_RESPONSE_BYTES", len(ONE_RECORD) - over)
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: io.BytesIO(ONE_RECORD))
+    harvester = Harvester(target)
+    if over:
+        with pytest.raises(RemoteProtocolError,
+                           match=f"response over {len(ONE_RECORD) - 1} bytes"):
+            harvester.harvest(BASE_URL, "nsdl_dc")
+        assert count_type(target, "Metadata") == 0
+    else:
+        assert harvester.harvest(BASE_URL, "nsdl_dc").created_metadata == 1
+
+
+def unavailable(answers):
+    """A fetch that raises a 503 with each ``Retry-After`` in ``answers``
+    (None: no such header), then serves ``ONE_RECORD``."""
+    calls = []
+
+    def fetch(url):
+        calls.append(url)
+        if len(calls) > len(answers):
+            return ONE_RECORD
+        wait = answers[len(calls) - 1]
+        headers = {} if wait is None else {"Retry-After": wait}
+        raise urllib.error.HTTPError(url, 503, "Service Unavailable", headers, None)
+    return fetch, calls
+
+
+@pytest.mark.parametrize("wait, slept", [("2", 2), ("3600", harvest.MAX_RETRY_WAIT)])
+def test_503_with_retry_after_is_retried(target, wait, slept):
+    fetch, calls = unavailable([wait, wait])
+    sleeps = []
+    stats = Harvester(target, fetch=fetch, sleep=sleeps.append).harvest(
+        BASE_URL, "nsdl_dc")
+    assert stats.created_metadata == 1 and not stats.failures
+    assert sleeps == [slept, slept] and len(calls) == 3
+
+
+@pytest.mark.parametrize("answers", [
+    [None], ["Fri, 01 Jan 2106 00:00:00 GMT"], ["2"] * (harvest.MAX_RETRIES + 1)],
+    ids=["no-retry-after", "http-date", "past-the-retry-cap"])
+def test_503_that_is_not_retried_raises(target, answers):
+    fetch, calls = unavailable(answers)
+    sleeps = []
+    with pytest.raises(RemoteProtocolError, match="ListRecords: HTTP 503"):
+        Harvester(target, fetch=fetch, sleep=sleeps.append).harvest(
+            BASE_URL, "nsdl_dc")
+    assert len(calls) == len(answers) and sleeps == [2] * (len(answers) - 1)
 
 
 def test_crash_between_provenance_commits_keeps_one_agent(source, tmp_path):

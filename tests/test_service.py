@@ -1,3 +1,4 @@
+import contextlib
 import http.client
 import json
 import logging
@@ -267,17 +268,25 @@ def test_torn_cache_file_is_ignored(tmp_path, caplog):
 
 # ------------------------------------------------------------ live http server
 
-@pytest.fixture
-def live(tmp_path):
+@contextlib.contextmanager
+def serving(tmp_path):
     svc = Service(make_config(tmp_path), clock=VirtualClock())
     server = svc.serve(0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield svc, server.server_address[1]
-    server.shutdown()
-    server.server_close()
-    thread.join()
-    svc.close()
+    try:
+        yield svc, server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+        svc.close()
+
+
+@pytest.fixture
+def live(tmp_path):
+    with serving(tmp_path) as running:
+        yield running
 
 
 def request(port, method, path, body=None, headers=None):
@@ -572,6 +581,31 @@ def test_body_bound_is_inclusive(live, monkeypatch):
         "POST /query HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
         f"Content-Length: {'0' * 5000}{len(body)}\r\n\r\n").encode() + body)
     assert reply.startswith(b"HTTP/1.1 200 ")
+
+
+def test_silent_connections_are_closed(tmp_path, monkeypatch, caplog, capsys):
+    monkeypatch.setattr(service_module, "IDLE_TIMEOUT_S", 0.2)
+    caplog.set_level(logging.DEBUG)
+    stalled = [
+        b"",  # nothing at all
+        b"GET /oai?verb=Ident",  # half a request line
+        b"POST /objects/agent HTTP/1.1\r\nHost: x\r\nX-INO-Key: " + KEY.encode()
+        + b"\r\nContent-Length: 40\r\n\r\n{\"name\": ",  # a short body
+    ]
+    with serving(tmp_path) as (_svc, port):
+        socks = [socket.create_connection(("127.0.0.1", port), timeout=5)
+                 for _ in stalled]
+        try:
+            for sock, payload in zip(socks, stalled):
+                sock.sendall(payload)
+            # b"" once the server closes the socket unanswered; a socket it
+            # left open would time out here after 5 s
+            assert [sock.recv(65536) for sock in socks] == [b""] * 3
+        finally:
+            for sock in socks:
+                sock.close()
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_http09_request_gets_the_body_alone(live):
