@@ -135,9 +135,13 @@ class Repository:
         except NotFound:
             return None
 
-    def _require_type(self, object_id: str, type_name: str, error_cls) -> None:
-        types = self._live_types(object_id)
-        if types is None or type_name not in types:
+    def _require_type(self, object_id: str, predicate: str, error_cls,
+                      subject: bool = False) -> None:
+        """``error_cls`` unless ``object_id`` is live with a type that the
+        rule of ``predicate`` allows at its target, or at its ``subject``."""
+        rule = self.ontology.rule(predicate)
+        if not (rule.domain if subject else rule.range_types).intersection(
+                self._live_types(object_id) or ()):
             raise error_cls(object_id)
 
     def _commit(self, ops: list[BatchOp]) -> list[DigitalObject]:
@@ -196,7 +200,7 @@ class Repository:
         """The live resource at ``spec``'s URL and no ops, else a new id
         and the op that creates the resource."""
         for agg in spec.initial_aggregations:
-            self._require_type(agg, "Aggregation", UnknownAggregation)
+            self._require_type(agg, MEMBER_OF, UnknownAggregation)
         if spec.content_url is not None:
             existing = self.find_resource_by_url(spec.content_url)
             if existing is not None:
@@ -219,10 +223,10 @@ class Repository:
         ResourceSpec with no live resource at its URL, that resource."""
         with self._lock:
             if isinstance(spec.target, str):
-                self._require_type(spec.target, "Resource", UnknownResource)
-            self._require_type(spec.provider, "Agent", UnknownAgent)
+                self._require_type(spec.target, METADATA_FOR, UnknownResource)
+            self._require_type(spec.provider, PROVIDED_BY, UnknownAgent)
             for agg in spec.initial_aggregations:
-                self._require_type(agg, "Aggregation", UnknownAggregation)
+                self._require_type(agg, MEMBER_OF, UnknownAggregation)
             stream = format_stream(spec.format_id, spec.payload)
             target, ops = ((spec.target, []) if isinstance(spec.target, str)
                            else self._resource_ops(spec.target))
@@ -256,7 +260,7 @@ class Repository:
     def create_aggregation(self, agent: str, proxy: ResourceSpec,
                            extra_relationships=()) -> str:
         with self._lock:
-            self._require_type(agent, "Agent", UnknownAgent)
+            self._require_type(agent, AGGREGATOR_FOR, UnknownAgent, subject=True)
             proxy_id, ops = self._resource_ops(proxy)
             agg_id = self._new_id("agg")
             rels = [Triple(agg_id, REPRESENTED_BY, self._iri(proxy_id))]
@@ -277,12 +281,10 @@ class Repository:
 
     def set_aggregation_membership(self, agg: str, members) -> MembershipDelta:
         with self._lock:
-            self._require_type(agg, "Aggregation", UnknownAggregation)
+            self._require_type(agg, MEMBER_OF, UnknownAggregation)
             members = set(members)
             for m in members:
-                types = self._live_types(m)
-                if types is None or not ({"Resource", "Metadata"} & set(types)):
-                    raise UnknownMember(m)
+                self._require_type(m, MEMBER_OF, UnknownMember, subject=True)
             current = self.members_of(agg)
             added = members - current
             removed = current - members

@@ -20,8 +20,8 @@ import base64
 import hashlib
 import re
 import sys
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
@@ -81,10 +81,6 @@ def shard_path(object_id: str) -> str:
     return f"objects/{digest[0:2]}/{digest[2:4]}/{local_id(object_id)}.xml"
 
 
-def utcnow_seconds() -> datetime:
-    return datetime.now(timezone.utc).replace(microsecond=0)
-
-
 def format_ts(ts: datetime) -> str:
     """``ts`` in UTC as ``YYYY-MM-DDThh:mm:ssZ``, as ``strftime`` writes it
     for a four-digit year; formatted by hand, since every OAI record header
@@ -114,7 +110,7 @@ class Clock:
     """Wall clock, truncated to whole seconds UTC."""
 
     def now(self) -> datetime:
-        return utcnow_seconds()
+        return datetime.now(timezone.utc).replace(microsecond=0)
 
 
 class VirtualClock(Clock):
@@ -123,17 +119,12 @@ class VirtualClock(Clock):
     EPOCH = datetime(2006, 1, 1, tzinfo=timezone.utc)
 
     def __init__(self, start: datetime | None = None, step_seconds: int = 1):
-        self._current = (start or self.EPOCH).replace(microsecond=0)
-        self._step = step_seconds
-        self._first = True
+        self._step = timedelta(seconds=step_seconds)
+        # one step back, so that the first call reads ``start``
+        self._current = (start or self.EPOCH).replace(microsecond=0) - self._step
 
     def now(self) -> datetime:
-        if self._first:
-            self._first = False
-            return self._current
-        from datetime import timedelta
-
-        self._current += timedelta(seconds=self._step)
+        self._current += self._step
         return self._current
 
 
@@ -197,9 +188,6 @@ class DigitalObject:
             if ds.ds_id == ds_id:
                 return ds
         return None
-
-    def with_seq(self, seq: int) -> "DigitalObject":
-        return replace(self, seq=seq)
 
 
 def validate_object(obj: DigitalObject) -> None:
@@ -345,9 +333,10 @@ def _position_of(data: bytes, tag: str) -> tuple[int, int]:
 
 
 def deserialize_object(data: bytes, pool: dict | None = None,
-                       stamps: dict[str, datetime] | None = None) -> DigitalObject:
-    """The object that ``serialize_object`` wrote as ``data``; ``ParseError``
-    or ``InvalidObject`` for anything else.
+                       stamps: dict[str, datetime] | None = None, *,
+                       seq: int = 0) -> DigitalObject:
+    """The object that ``serialize_object`` wrote as ``data``, numbered
+    ``seq``; ``ParseError`` or ``InvalidObject`` for anything else.
 
     A reader of many documents passes the same ``pool`` and ``stamps`` to
     every call, so that equal values come out as one object: ``pool`` maps
@@ -450,6 +439,7 @@ def deserialize_object(data: bytes, pool: dict | None = None,
         modified=modified,
         datastreams=tuple(datastreams),
         relationships=tuple(relationships),
+        seq=seq,
     )
     validate_object(obj)
     return obj

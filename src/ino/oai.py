@@ -11,6 +11,12 @@ records only ever grow and deleted records persist
 live object and tombstone, ``catch_up`` to each object the new change events
 touch; neither reads a payload.
 
+Each request takes its ``responseDate`` from the store's ``now``, then runs
+``catch_up``, then reads the cache, so no writer calls ``catch_up``. A commit
+holds the store lock, which ``now`` takes, from its own ``now`` until its
+events are appended: an answer holds every commit dated before its
+``responseDate``, and each commit it lacks is dated at or after it.
+
 The cache is two views of the same records. ``records`` maps (identifier,
 format) to a record for GetRecord; ``catch_up`` writes it one key at a time
 under the repository lock and never pops a key, so a lookup never misses a
@@ -19,9 +25,9 @@ sorted by (datestamp, identifier) in chunks of about ``CHUNK_SIZE``, so its
 keys are the known formats; a published chunk is never changed, so a
 catch-up copies only the chunks it touches and then publishes a new
 sequence. Lists, Identify and ListMetadataFormats read only the sequences, so
-no request iterates ``records`` and none takes a lock. A list page is a
-bisect plus a slice; resumption tokens are stateless cursors over the
-sequences. Record payloads are disseminated at response time.
+no request iterates ``records``; one takes a lock only to catch up. A list
+page is a bisect plus a slice; resumption tokens are stateless cursors over
+the sequences. Record payloads are disseminated at response time.
 
 A record holds one copy of each value it shares: its datestamp and source
 id are its object's, its identifier is one string for all its formats, its
@@ -35,8 +41,7 @@ declaration, a DOCTYPE or another encoding. No response parses a payload:
 the commit parsed it once (``check_formats``), and a crosswalk writes
 well-formed XML by construction, so a crosswalked record costs only the
 crosswalk's read of its source. A deleted record is written as a header
-alone. ``responseDate`` is the store's ``now``, the clock that stamps
-commits, so a record committed after a response is dated at or after it.
+alone.
 """
 
 from __future__ import annotations
@@ -312,6 +317,8 @@ class OaiProvider:
         record the module's rule gives an object they touch over its key,
         then publish each changed format's sequence. Return the number of
         events."""
+        if self.last_applied_seq == self.repo.store.current_seq:
+            return 0  # no new events: a request after no write takes no lock
         with self.repo._lock:
             events = self.repo.changes_since(self.last_applied_seq)
             replaced: dict[str, list[OaiRecord]] = {}
@@ -329,8 +336,9 @@ class OaiProvider:
             for fmt, recs in added.items():
                 sequences[fmt] = sequences.get(fmt, _EMPTY).updated(
                     replaced.get(fmt, ()), recs)
+            # ``sequences`` first, so the unlocked test above never passes
+            # before they hold the events; the store numbers events gap-free
             self.sequences = sequences
-            # the feed is gap-free: the store numbers each event it commits
             self.last_applied_seq += len(events)
         return len(events)
 
@@ -379,6 +387,8 @@ class OaiProvider:
     # --------------------------------------------------------------- requests
 
     def handle_request(self, params: dict[str, str]) -> bytes:
+        stamp = self.repo.store.now()
+        self.catch_up()
         verb = params.get("verb")
         try:
             if _NOT_XML_CHAR.search("".join(chain.from_iterable(params.items()))):
@@ -390,9 +400,9 @@ class OaiProvider:
         except _OaiError as exc:
             # badVerb/badArgument responses must not echo illegal request attrs
             echo = exc.code not in ("badVerb", "badArgument")
-            return self._respond(params if echo else {}, [
+            return self._respond(stamp, params if echo else {}, [
                 f'<error code="{exc.code}">{escape(exc.message)}</error>'])
-        return self._respond(params, [f"<{verb}>", *body, f"</{verb}>"])
+        return self._respond(stamp, params, [f"<{verb}>", *body, f"</{verb}>"])
 
     # verb handlers return their body as XML strings; each checks its
     # arguments first, so the request element echoes only OAI argument names
@@ -573,11 +583,11 @@ class OaiProvider:
         if missing:
             raise _OaiError("badArgument", f"missing arguments {sorted(missing)}")
 
-    def _respond(self, params, body: list[str]) -> bytes:
-        """``body`` in the envelope, ``params`` the request's attributes."""
+    def _respond(self, stamp: datetime, params, body: list[str]) -> bytes:
+        """``body`` in the envelope dated ``stamp``; ``params`` the request's attributes."""
         attrs = "".join(f' {k}="{_attr(v)}"' for k, v in params.items())
         return "".join([
-            _HEAD, "<responseDate>", format_ts(self.repo.store.now()),
+            _HEAD, "<responseDate>", format_ts(stamp),
             f"</responseDate><request{attrs}>{escape(self.base_url)}</request>",
             *body, "</OAI-PMH>",
         ]).encode()

@@ -169,7 +169,6 @@ class Service:
             if not isinstance(doc, dict):
                 raise InvalidObject("body: expected a JSON object")
             oid = self._create_object(parts[1], doc)
-            self.provider.catch_up()
             return 201, "application/json", json.dumps({"id": oid}).encode()
         if (method == "PUT" and len(parts) == 3 and parts[0] == "aggregations"
                 and parts[2] == "members"):
@@ -181,7 +180,6 @@ class Service:
             delta = self.repo.set_aggregation_membership(
                 ID_PREFIX + parts[1], members
             )
-            self.provider.catch_up()
             return 200, "application/json", json.dumps(
                 {"added": sorted(local_id(m) for m in delta.added),
                  "removed": sorted(local_id(m) for m in delta.removed)}

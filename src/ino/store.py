@@ -225,8 +225,8 @@ class ObjectStore:
         self._last_stamp = max(stamps.values(), default=self._last_stamp)
         obj_seq = {ev.object_id: ev.seq for ev in self._events}
         for oid, (start, end) in spans.items():
-            obj = deserialize_object(data[start:end], pool, stamps).with_seq(
-                obj_seq.get(oid, 0))
+            obj = deserialize_object(data[start:end], pool, stamps,
+                                     seq=obj_seq.get(oid, 0))
             if obj.state == DELETED:
                 self._tombstones[obj.id] = obj
             else:

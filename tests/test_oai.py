@@ -803,6 +803,71 @@ def test_commit_time_never_goes_back(tmp_path):
         repo.close()
 
 
+def add_record(repo, agent, i):
+    """A Metadata object in nsdl_dc for a new resource; its id."""
+    return repo.add_metadata(MetadataSpec(
+        target=ResourceSpec(content_url=f"http://example.org/r{i}"),
+        format_id="nsdl_dc", payload=doc(f"t{i}"), provider=agent))
+
+
+def test_a_write_through_the_api_is_in_the_next_answer(tmp_path):
+    """The provider catches up at the start of each request: a record
+    committed through ``Repository``, with no ``catch_up`` call, is found by
+    the next list, GetRecord and ListMetadataFormats."""
+    repo = Repository(tmp_path / "data",
+                      clock=SteppedClock(datetime(2026, 1, 1, 12, tzinfo=timezone.utc)))
+    try:
+        agent = repo.add_agent("prov", "Organization")
+        add_record(repo, agent, 0)
+        provider = OaiProvider(repo)
+        provider.rebuild_cache()
+        identifier = "oai:ndr.local:" + local_id(add_record(repo, agent, 1))
+        assert identifier in harvest_identifiers(provider, metadataPrefix="nsdl_dc")
+        record = parse(provider.handle_request({
+            "verb": "GetRecord", "identifier": identifier,
+            "metadataPrefix": "nsdl_dc"}))
+        assert record.find("error") is None
+        assert record.find("GetRecord").findtext("record/header/identifier") == identifier
+        formats = parse(provider.handle_request(
+            {"verb": "ListMetadataFormats", "identifier": identifier}))
+        assert [f.findtext("metadataPrefix")
+                for f in formats.iter("metadataFormat")] == ["nsdl_dc", "oai_dc"]
+    finally:
+        repo.close()
+
+
+def test_a_commit_during_an_answer_is_dated_at_or_after_it(tmp_path, monkeypatch):
+    """An answer's ``responseDate`` is stamped before it reads the cache, so
+    a commit that lands while a list is being answered, and is not in it, is
+    dated at or after that ``responseDate`` and found by ``from`` it."""
+    noon = datetime(2026, 1, 1, 12, tzinfo=timezone.utc)
+    clock = SteppedClock(noon)
+    repo = Repository(tmp_path / "data", clock=clock)
+    try:
+        agent = repo.add_agent("prov", "Organization")
+        add_record(repo, agent, 0)
+        provider = OaiProvider(repo)
+        provider.rebuild_cache()
+        select, late = provider.select, []
+
+        def commit_then_select(*args, **kwargs):
+            if not late:  # the first call only
+                late.append("oai:ndr.local:" + local_id(add_record(repo, agent, 1)))
+                clock.at = noon + timedelta(seconds=1)
+            return select(*args, **kwargs)
+
+        monkeypatch.setattr(provider, "select", commit_then_select)
+        answer = parse(provider.handle_request(
+            {"verb": "ListIdentifiers", "metadataPrefix": "nsdl_dc"}))
+        assert late[0] not in [h.findtext("identifier") for h in answer.iter("header")]
+        since = answer.findtext("responseDate")
+        assert repo.store.changes_since(0)[-1].timestamp >= parse_ts(since), since
+        assert late[0] in harvest_identifiers(provider, metadataPrefix="nsdl_dc",
+                                              **{"from": since})
+    finally:
+        repo.close()
+
+
 @pytest.mark.parametrize("payload", [
     pytest.param('<?xml version="1.0" encoding="ISO-8859-1"?>\n'
                  '<nsdl_dc><title>café</title>'

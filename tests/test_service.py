@@ -247,6 +247,7 @@ def test_torn_cache_file_is_ignored(tmp_path, caplog):
     written."""
     svc = Service(make_config(tmp_path), clock=VirtualClock())
     _agent, _agg, _resource, metadata = populate(svc)
+    svc.provider.catch_up()
     live = dict(svc.provider.records)
     svc.close()
     cache = tmp_path / "data" / "oai_cache.json"
@@ -444,6 +445,7 @@ def test_each_response_is_one_write(live, monkeypatch):
     after the headers waits for the client's delayed ACK (Nagle)."""
     svc, port = live
     _agent, _agg, resource, _metadata = populate(svc)
+    svc.provider.catch_up()
     record = next(iter(svc.provider.records.values()))
     writes = []
 
