@@ -3,21 +3,21 @@
 an oracle in tests.
 
 Each term is interned to an int id when a triple is indexed, and two maps on
-ids store the access orders SPO and POS. A leaf of one member is that bare
-id, a leaf of more a set. The third order, OSP, is a view of POS: an
-object's node is the leaves of its subjects under each predicate, a set the
-ontology keeps closed and small, and a step that knows the subject checks
-those few leaves, so no step's cost per row grows with an object's fan-in.
-A triple count is kept for each term in each position, so a pattern's exact
-count is one lookup at any depth, and a term leaves the table when its last
-count goes. That table is the one long-lived pool of terms: ``term`` gives
-a writer the index's own copy of a relationship target, and an IRI indexed
-as an object keeps the ``Term`` its object holds, so an object and the index
-share each term. ``_choose_path`` picks the order that serves a pattern's
-known positions; ``match``, ``estimate`` and the join are built on it. A
-join runs on tuple rows with a fixed slot per variable, takes next the
-pattern with the fewest estimated matches given the variables already
-bound, and builds ``Term``s only at projection.
+ids store the predicate-led orders PSO and POS. A leaf of one member is that
+bare id, a leaf of more a set. The term-led orders are views of them: SOP
+of PSO and OSP of POS. A term's node is its leaves under each predicate, a
+set the ontology keeps closed and small, and a step that knows the second
+key checks those few leaves, so no step's cost per row grows with a term's
+fan-out. A triple count is kept for each term in each position, so a
+pattern's exact count is one lookup at any depth, and a term leaves the
+table when its last count goes. That table is the one long-lived pool of
+terms: ``term`` gives a writer the index's own copy of a relationship
+target, and an IRI indexed as an object keeps the ``Term`` its object
+holds, so an object and the index share each term. ``_choose_path`` picks
+the order that serves a pattern's known positions; ``match``, ``estimate``
+and the join are built on it. A join runs on tuple rows with a fixed slot
+per variable, takes next the pattern with the fewest estimated matches
+given the variables already bound, and builds ``Term``s only at projection.
 """
 
 from __future__ import annotations
@@ -50,16 +50,15 @@ RESULT_CAP = 10_000_000  # rows in an intermediate join result
 ORACLE_TRIPLE_CAP = 1_000_000
 
 _ABSENT = -1  # the id of a constant that no indexed triple uses
-_ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # key orders of SPO, POS, OSP
+_ORDERS = ((1, 0, 2), (1, 2, 0), (0, 2, 1), (2, 0, 1))  # PSO, POS, SOP, OSP
 
 
 def _choose_path(bound: int, const: int) -> tuple[int, tuple[int, ...]]:
     """The access path for a pattern whose positions in the bit set ``bound``
     (bit 0 subject, 1 predicate, 2 object) are known, those in ``const``
-    being constants: the order (0 SPO, 1 POS, 2 OSP) whose keys begin with
-    the bound positions, and its key order. Where several orders qualify
-    (all or no positions bound), the one that begins with the most
-    constants, which a join step looks up once and not once per row."""
+    being constants: the first order (0 PSO, 1 POS, 2 SOP, 3 OSP) whose
+    keys begin with the bound positions and with the most constants, which
+    a join step looks up once and not once per row, and its key order."""
     best = None
     for i, order in enumerate(_ORDERS):
         if sum(1 << pos for pos in order[:bound.bit_count()]) == bound:
@@ -160,37 +159,38 @@ def triple_count_formula(obj: DigitalObject) -> int:
     )
 
 
-class _ObjectOrder:
-    """The OSP order as a view of POS: ``get(o)`` looks ``o`` up under each
-    predicate, a set the ontology keeps closed and small, and gives its
-    node, or None where no triple has ``o`` as object."""
+class _TermOrder:
+    """A term-led order as a view of a predicate-led map: SOP of PSO, OSP
+    of POS. ``get(t)`` looks ``t`` up under each predicate, a set the
+    ontology keeps closed and small, and gives its node, or None where no
+    triple has ``t`` in the map's second position."""
 
-    __slots__ = ("_pos",)
+    __slots__ = ("_map",)
 
-    def __init__(self, pos):
-        self._pos = pos
+    def __init__(self, by_predicate):
+        self._map = by_predicate
 
-    def get(self, o):
-        leaves = [(p, subjects) for p, inner in self._pos.items()
-                  if (subjects := inner.get(o)) is not None]
-        return _ObjectNode(leaves) if leaves else None
+    def get(self, t):
+        leaves = [(p, leaf) for p, inner in self._map.items()
+                  if (leaf := inner.get(t)) is not None]
+        return _TermNode(leaves) if leaves else None
 
 
-class _ObjectNode:
-    """``OSP[o]`` as the leaves of ``o``'s subjects under each predicate
-    that reaches it. ``get(s)`` checks each of those leaves for ``s``, so a
-    row costs the number of such predicates and never ``o``'s fan-in."""
+class _TermNode:
+    """``SOP[s]`` or ``OSP[o]``: the term's leaves under each predicate that
+    has it. ``get(k)`` checks those leaves for ``k``, so a row costs the
+    number of such predicates, never the term's fan-out."""
 
     __slots__ = ("_leaves",)
 
     def __init__(self, leaves):
         self._leaves = leaves
 
-    def get(self, s):
-        """The leaf of the predicates from ``s`` to ``o``, or None."""
+    def get(self, k):
+        """The leaf of the predicates between the term and ``k``, or None."""
         found = None
-        for p, subjects in self._leaves:
-            if subjects == s if subjects.__class__ is int else s in subjects:
+        for p, leaf in self._leaves:
+            if leaf == k if leaf.__class__ is int else k in leaf:
                 if found is None:
                     found = p
                 elif found.__class__ is int:
@@ -200,12 +200,12 @@ class _ObjectNode:
         return found
 
     def items(self):
-        """Each ``(s, p)`` under ``o``, ``p`` as a bare leaf."""
-        return [(s, p) for p, subjects in self._leaves for s in _leaf(subjects)]
+        """Each ``(k, p)`` under the term, ``p`` as a bare leaf."""
+        return [(k, p) for p, leaf in self._leaves for k in _leaf(leaf)]
 
 
 class TripleIndex:
-    """In-memory index with subject- and predicate-major maps, and an
+    """In-memory index with two predicate-major maps, and a subject- and an
     object-major view of them, keyed on interned term ids."""
 
     def __init__(self):
@@ -214,14 +214,14 @@ class TripleIndex:
         self._ids: dict[str | Term, int] = {}
         self._terms: list[Term | None] = []  # id -> Term; None while free
         self._free: list[int] = []  # ids of dropped terms, reused first
-        # key -> key -> leaf: one id bare, or a set of two or more
-        self._spo: dict[int, dict[int, int | set[int]]] = {}
+        # predicate -> key -> leaf: one id bare, or a set of two or more
+        self._pso: dict[int, dict[int, int | set[int]]] = {}
         self._pos: dict[int, dict[int, int | set[int]]] = {}
         # the triples that have each term in position i (0 subject, 1
-        # predicate, 2 object), so counts 0 and 1 are by the top-level keys
-        # of SPO and POS
+        # predicate, 2 object)
         self._counts: tuple[dict[int, int], ...] = ({}, {}, {})
-        self._maps = (self._spo, self._pos, _ObjectOrder(self._pos))  # as _ORDERS
+        self._maps = (self._pso, self._pos,  # as _ORDERS
+                      _TermOrder(self._pso), _TermOrder(self._pos))
         self._count = 0
 
     # ------------------------------------------------------------ maintenance
@@ -263,15 +263,25 @@ class TripleIndex:
         p = ids.get(t.predicate)
         if p is None:
             p = self._intern(t.predicate, Term.iri(t.predicate))
-        preds = self._spo.get(s)
-        if preds is not None and (leaf := preds.get(p)) is not None \
+        subjects = self._pso.get(p)
+        if subjects is not None and (leaf := subjects.get(s)) is not None \
                 and _child(leaf, o, 2):
             return
-        _link(self._spo, self._counts[0], s, p, o)
-        _link(self._pos, self._counts[1], p, o, s)
-        counts = self._counts[2]
-        counts[o] = counts.get(o, 0) + 1
+        _link(self._pso, p, s, o)
+        _link(self._pos, p, o, s)
+        for counts, i in zip(self._counts, (s, p, o)):
+            counts[i] = counts.get(i, 0) + 1
         self._count += 1
+
+    def _remove(self, s: int, p: int, o: int) -> None:
+        _unlink(self._pso, p, s, o)
+        _unlink(self._pos, p, o, s)
+        for counts, i in zip(self._counts, (s, p, o)):
+            if counts[i] == 1:
+                del counts[i]
+            else:
+                counts[i] -= 1
+        self._count -= 1
 
     def index_object(self, obj: DigitalObject) -> None:
         self.deindex_object(obj.id)
@@ -282,28 +292,19 @@ class TripleIndex:
         """Remove the triples whose subject is the object or one of its
         datastreams, ``{id}/{dsId}`` under hasDatastream. A local id holds no
         ``/``, so these are exactly the triples ``extract_triples`` gave."""
-        preds = self._spo.get(self._ids.get(object_id))
-        if preds is None:
+        by_subject, by_predicate, by_object = self._counts
+        oid = self._ids.get(object_id)
+        if oid not in by_subject:
             return
         terms = self._terms
-        subjects = [self._ids[object_id]]
-        subjects += [o for o in _leaf(preds.get(self._ids.get(HAS_DATASTREAM), ()))
-                     if terms[o].value.startswith(object_id + "/")]
+        datastreams = self._pso.get(self._ids.get(HAS_DATASTREAM), {}).get(oid, ())
+        subjects = [oid] + [o for o in _leaf(datastreams) if o in by_subject
+                            and terms[o].value.startswith(object_id + "/")]
         touched = set(subjects)
-        by_subject, by_predicate, by_object = self._counts
         for s in subjects:
-            by_subject.pop(s, None)
-            for p, objs in self._spo.pop(s, {}).items():
-                objs = _leaf(objs)
-                for o in objs:
-                    _unlink(self._pos, by_predicate, p, o, s)
-                    if by_object[o] == 1:
-                        del by_object[o]
-                    else:
-                        by_object[o] -= 1
-                self._count -= len(objs)
-                touched.add(p)
-                touched.update(objs)
+            for o, p in self._maps[2].get(s).items():  # from SOP
+                self._remove(s, p, o)
+                touched.update((p, o))
         # a term whose last triple went leaves the table, so it stays bounded
         for i in touched:
             if i not in by_subject and i not in by_predicate and i not in by_object:
@@ -316,7 +317,7 @@ class TripleIndex:
         self._ids.clear()
         self._terms.clear()
         self._free.clear()
-        for m in (self._spo, self._pos) + self._counts:
+        for m in (self._pso, self._pos) + self._counts:
             m.clear()
         self._count = 0
         for obj in objects:
@@ -328,8 +329,8 @@ class TripleIndex:
     def all_triples(self) -> list[Triple]:
         terms = self._terms
         return [Triple(terms[s].value, terms[p].value, terms[o])
-                for s, preds in self._spo.items()
-                for p, objs in preds.items() for o in _leaf(objs)]
+                for p, subjects in self._pso.items()
+                for s, objs in subjects.items() for o in _leaf(objs)]
 
     def triple_set(self) -> set[Triple]:
         return set(self.all_triples())
@@ -566,10 +567,9 @@ def _expand(node, free: int, names=()) -> list[tuple]:
             if all(e[j] == e[f] for j, f in enumerate(first))]
 
 
-def _link(m, counts, a: int, b: int, c: int) -> None:
+def _link(m, a: int, b: int, c: int) -> None:
     """Add the triple ``(a, b, c)`` in ``m``'s key order; a leaf's second
     member turns it from a bare id into a set."""
-    counts[a] = counts.get(a, 0) + 1
     inner = m.get(a)
     if inner is None:
         m[a] = {b: c}
@@ -583,7 +583,7 @@ def _link(m, counts, a: int, b: int, c: int) -> None:
         leaf.add(c)
 
 
-def _unlink(m, counts, a: int, b: int, c: int) -> None:
+def _unlink(m, a: int, b: int, c: int) -> None:
     """Remove the triple ``(a, b, c)`` in ``m``'s key order; a leaf left
     with one member becomes that bare id."""
     inner = m[a]
@@ -595,9 +595,7 @@ def _unlink(m, counts, a: int, b: int, c: int) -> None:
     elif len(inner) > 1:  # the bare id ``c``
         del inner[b]
     else:  # ``a``'s last triple
-        del m[a], counts[a]
-        return
-    counts[a] -= 1
+        del m[a]
 
 
 def _render(p: TriplePattern) -> str:

@@ -130,7 +130,7 @@ class ObjectStore:
         self._tombstones: dict[str, DigitalObject] = {}  # purged id -> last version
         self._events: list[ChangeEvent] = []
         self._crash_point: Callable[[str], None] = lambda name: None
-        self._commit_listeners: list[Callable[[list], None]] = []
+        self._listener: Callable[[list], None] | None = None
         self._log_bytes = 0
         self._versions = 0  # versions in the log, superseded ones included
         self._stopped: str | None = None  # why writes are refused, if they are
@@ -174,9 +174,11 @@ class ObjectStore:
                 pass
 
     def on_commit(self, listener: Callable[[list], None]) -> None:
-        """Register a callback invoked inside the commit critical section with
-        the list of (kind, old_object_or_None, new_object_or_None) applied."""
-        self._commit_listeners.append(listener)
+        """Register the one callback invoked inside the commit critical section
+        with the list of (kind, old_or_None, new_or_None) applied; only once."""
+        if self._listener is not None:
+            raise RuntimeError("the store already has a commit listener")
+        self._listener = listener
 
     def export(self, dest) -> int:
         """Write every live object and tombstone as its own canonical XML file
@@ -407,8 +409,8 @@ class ObjectStore:
                     self._objects[oid] = obj
             self._events.extend(events)
 
-            for listener in self._commit_listeners:
-                listener(applied)
+            if self._listener is not None:
+                self._listener(applied)
             if self._compaction_due():
                 self._compact()
             self._crash_point("committed")

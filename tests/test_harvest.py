@@ -93,7 +93,6 @@ def test_reharvest_picks_up_changes(source, target):
     source_repo.update_metadata_payload(
         victim, "nsdl_dc", b"<nsdl_dc><title>edited</title>"
         b"<identifier>http://corpus.local/4/0</identifier></nsdl_dc>")
-    provider.catch_up()
     stats = h.harvest(BASE_URL, "nsdl_dc")
     assert stats.updated == 1 and stats.unchanged == 8
 
@@ -107,7 +106,6 @@ def test_deleted_records_skipped(source, target):
             Var("?m"), Term.iri(OBJECT_TYPE), Term.iri(type_iri("Metadata"))))
     )
     source_repo.purge_metadata(victim)
-    provider.catch_up()
     stats = h.harvest(BASE_URL, "nsdl_dc")
     assert stats.skipped == 1 and stats.unchanged == 8
 
@@ -126,7 +124,6 @@ def test_upstream_deletion_purges_local_copy(source, target):
     resource = next(t.object.value for t in target.get_object(copy).relationships
                     if t.predicate == METADATA_FOR)
     source_repo.purge_metadata(victim)
-    provider.catch_up()
 
     stats = h.harvest(BASE_URL, "nsdl_dc")
     assert (stats.deleted, stats.skipped, stats.unchanged) == (1, 1, 8)

@@ -590,7 +590,7 @@ def _churned_index(seed):
 
 
 def _by_term(idx):
-    """The stored maps (SPO, POS) and the per-position counts with every id
+    """The stored maps (PSO, POS) and the per-position counts with every id
     turned into its term, a leaf kept as its shape: a bare term, or a set of
     them."""
     terms = idx._terms
@@ -598,28 +598,33 @@ def _by_term(idx):
     def leaf(x):
         return terms[x] if isinstance(x, int) else {terms[i] for i in x}
     maps = [{terms[a]: {terms[b]: leaf(c) for b, c in inner.items()}
-             for a, inner in m.items()} for m in (idx._spo, idx._pos)]
+             for a, inner in m.items()} for m in (idx._pso, idx._pos)]
     counts = [{terms[a]: n for a, n in c.items()} for c in idx._counts]
     return maps, counts
+
+
+def _members(leaf):
+    return (leaf,) if isinstance(leaf, int) else leaf
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_leaves_and_counts_hold_after_churn(seed):
     idx, live = _churned_index(seed)
-    for m, counts in zip((idx._spo, idx._pos), idx._counts):
+    for m in (idx._pso, idx._pos):
         for inner in m.values():
             assert inner
             for leaf in inner.values():
                 assert isinstance(leaf, int) or len(leaf) >= 2
-        assert counts == {
-            a: sum(1 if isinstance(x, int) else len(x) for x in inner.values())
-            for a, inner in m.items()}
-    # no map stores the object order, so its counts are checked against a
-    # recount of SPO's leaves (a stale zero count fails too)
-    per_object = Counter(o for preds in idx._spo.values()
-                         for objs in preds.values()
-                         for o in ((objs,) if isinstance(objs, int) else objs))
-    assert idx._counts[2] == dict(per_object)
+    # both maps hold the same triples, and the counts of each position are
+    # a recount of them (a stale zero count fails too)
+    triples = [(s, p, o) for p, inner in idx._pso.items()
+               for s, objs in inner.items() for o in _members(objs)]
+    assert len(triples) == idx.size()
+    assert set(triples) == {(s, p, o) for p, inner in idx._pos.items()
+                            for o, subjects in inner.items()
+                            for s in _members(subjects)}
+    for pos, counts in enumerate(idx._counts):
+        assert counts == dict(Counter(t[pos] for t in triples))
     fresh = TripleIndex()
     fresh.rebuild(live.values())
     assert _by_term(idx) == _by_term(fresh)
@@ -710,6 +715,53 @@ def test_object_led_shapes_equal_brute_force_after_churn(seed):
         assert expected, text
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_subject_led_shapes_equal_brute_force_after_churn(seed):
+    idx, live = _hub_index(seed)
+    member = next(oid for oid in sorted(live) if len(idx.match(
+        _q(f"SELECT ?o WHERE <{oid}> <memberOf> ?o").patterns[0])) == 2)
+    two = next(oid for oid in sorted(live) if len(idx.match(
+        _q(f"SELECT ?p WHERE <{oid}> ?p <hub>").patterns[0])) == 2)
+    gone = next(oid for oid in (f"info:ino/o{i}" for i in range(300))
+                if oid not in live)
+    # a subject's own triples, from the object that gave them
+    for text, expected in [
+        (f"SELECT ?p ?o WHERE <{member}> ?p ?o",
+         [t for t in extract_triples(live[member]) if t.subject == member]),
+        (f"SELECT ?p WHERE <{two}> ?p <hub>",
+         [t for t in extract_triples(live[two]) if t.object == HUB]),
+        (f"SELECT ?p ?o WHERE <{gone}> ?p ?o", []),
+        ("SELECT ?p ?o WHERE <hub> ?p ?o", []),  # a term only as object
+    ]:
+        p = _q(text).patterns[0]
+        assert idx.match(p) == set(expected), text
+        assert idx.estimate(p) == len(expected), text
+    queries = [
+        # (query, the pattern of the step that must run last, or None)
+        (f"SELECT ?p ?o WHERE <{member}> ?p ?o", None),
+        (f"SELECT ?p WHERE <{two}> ?p <hub>", None),
+        (f"SELECT ?p ?o WHERE <{gone}> ?p ?o", None),
+        ("SELECT ?p ?o WHERE <hub> ?p ?o", None),
+        # ?s bound by the cheaper first step, then the subject-led step
+        ("SELECT ?s ?p ?o WHERE ?s <memberOf> <agg> ; ?s ?p ?o", "?s ?p ?o"),
+        ("SELECT ?s ?p WHERE ?s <memberOf> <agg> ; ?s ?p <hub>", None),
+        (f"SELECT ?p ?o WHERE <{member}> ?p ?o ; ?o ?q <hub>", None),
+    ]
+    nonempty = 0
+    for text, last in queries:
+        q = _q(text)
+        for p in q.patterns:
+            assert idx.estimate(p) == len(idx.match(p)), text
+        expected = idx.evaluate_brute_force(q)
+        for perm in itertools.permutations(q.patterns):
+            permuted = ConjunctiveQuery(perm, q.projected)
+            assert idx.evaluate(permuted) == expected, text
+            if last is not None:
+                assert idx.explain(permuted)[-1]["pattern"] == last
+        nonempty += bool(expected)
+    assert nonempty >= 4
+
+
 def test_object_only_term_leaves_with_its_last_triple():
     target, lit = Term.iri("info:ino/only-object"), Term.literal("only-object")
     a = obj("a", relationships=[Triple("info:ino/a", RELATED_TO, target),
@@ -729,10 +781,11 @@ def test_object_only_term_leaves_with_its_last_triple():
 
 
 # Bytes per triple that a TripleIndex holds over a 500-resource corpus, by
-# tracemalloc: about 228 with the SPO and POS maps and the object order read
-# from POS, on Python 3.10, 3.11 and 3.13; about 365 with a third map stored
-# for that order.
-INDEX_BYTES_PER_TRIPLE = 260
+# tracemalloc: about 188 with the PSO and POS maps and the subject- and
+# object-led orders read from them, on Python 3.10, 3.11 and 3.13; about
+# 225 with an SPO map stored for the subject-led order, and about 365 with
+# a third map stored for the object-led one.
+INDEX_BYTES_PER_TRIPLE = 205
 
 
 def test_index_memory_per_triple(tmp_path):

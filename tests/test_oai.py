@@ -470,7 +470,6 @@ def test_final_page_has_empty_token(setup):
 def test_deleted_record_in_output(setup):
     repo, provider, _agg, mids = setup
     repo.purge_metadata(mids[0])
-    provider.catch_up()
     ident = "oai:ndr.local:" + local_id(mids[0])
     root = parse(provider.handle_request({
         "verb": "GetRecord", "identifier": ident, "metadataPrefix": "oai_dc",
@@ -499,7 +498,6 @@ def test_update_mid_harvest_loses_no_record(setup):
     token = root.find("ListIdentifiers").findtext("resumptionToken")
     sent = next(m for m in mids if "oai:ndr.local:" + local_id(m) == ids[0])
     repo.update_metadata_payload(sent, "nsdl_dc", doc("edited"))
-    provider.catch_up()
     ids += harvest_identifiers(provider, token=token)
     # the updated record moved past the cursor, so it comes again at the end
     assert ids[-1] == ids[0]
@@ -650,7 +648,6 @@ def test_payload_keeps_its_namespaces(setup, payload, tag, child):
     repo, provider, _agg, mids = setup
     provider.page_size = 10  # one page holds every record
     repo.update_metadata_payload(mids[0], "nsdl_dc", payload)
-    provider.catch_up()
     ident = "oai:ndr.local:" + local_id(mids[0])
     for params in ({"verb": "GetRecord", "identifier": ident,
                     "metadataPrefix": "nsdl_dc"},
@@ -739,7 +736,6 @@ def test_responses_parse_no_stored_payload(setup, monkeypatch):
     the reference."""
     repo, provider, _agg, mids = setup
     repo.purge_metadata(mids[1])
-    provider.catch_up()
     live = len(mids) - 1
     parses = {"expat": 0, "etree": 0}
 
@@ -792,7 +788,6 @@ def test_commit_time_never_goes_back(tmp_path):
         assert since == "2026-01-01T12:00:00Z"
         clock.at = noon - timedelta(minutes=5)  # as an NTP step would
         late = "oai:ndr.local:" + local_id(add(1))
-        provider.catch_up()
         assert late in harvest_identifiers(provider, metadataPrefix="nsdl_dc",
                                            **{"from": since})
         assert parse(provider.handle_request(
@@ -882,7 +877,6 @@ def test_payload_with_a_prolog_renders_as_reference(setup, payload):
     through ElementTree, in UTF-8, with the tree it had."""
     repo, provider, _agg, mids = setup
     repo.update_metadata_payload(mids[0], "nsdl_dc", payload)
-    provider.catch_up()
     ident = "oai:ndr.local:" + local_id(mids[0])
     for fmt in ("nsdl_dc", "oai_dc"):
         get = {"verb": "GetRecord", "identifier": ident, "metadataPrefix": fmt}

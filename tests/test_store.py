@@ -146,6 +146,17 @@ def test_change_lifecycle_kinds(store):
     assert kinds == [CREATED, MODIFIED, PURGED]
 
 
+def test_store_keeps_one_commit_listener(store):
+    seen = []
+    store.on_commit(seen.append)
+    with pytest.raises(RuntimeError):
+        store.on_commit(lambda applied: None)
+    store.create(draft("x"))
+    store.purge("info:ino/x")
+    assert [[kind for kind, _old, _new in applied] for applied in seen] == [
+        ["create"], ["purge"]]
+
+
 def test_event_log_soundness_random_ops(tmp_path):
     rng = random.Random(7)
     store = ObjectStore(tmp_path / "d", clock=VirtualClock())
