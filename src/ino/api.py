@@ -24,6 +24,7 @@ from .errors import (
 from .index import ConjunctiveQuery, TripleIndex, TriplePattern, Var, parse_query
 from .model import (
     AGGREGATOR_FOR,
+    DELETED,
     ID_PREFIX,
     LOCATION,
     MEMBER_OF,
@@ -112,12 +113,12 @@ class Repository:
     def close(self) -> None:
         self.store.close()
 
-    def _on_commit(self, applied) -> None:
-        for kind, _old, new in applied:
-            if kind == "purge":
-                self.index.deindex_object(new.id)
+    def _on_commit(self, versions) -> None:
+        for obj in versions:
+            if obj.state == DELETED:
+                self.index.deindex_object(obj.id)
             else:
-                self.index.index_object(new)
+                self.index.index_object(obj)
 
     def _new_id(self, prefix: str) -> str:
         oid = f"{ID_PREFIX}{prefix}-{self._next_id}"

@@ -53,7 +53,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
 from weakref import WeakValueDictionary
@@ -252,7 +252,7 @@ def _parse_window(from_s: str | None, until_s: str | None):
 
 def _parse_bound(value: str | None, end_of_day: int) -> datetime | None:
     if value is not None and len(value) == len("YYYY-MM-DD"):
-        day = datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+        day = parse_ts(value + "T00:00:00Z")  # an ASCII shape, as for seconds
         return day + timedelta(days=end_of_day, seconds=-end_of_day)
     return None if value is None else parse_ts(value)
 

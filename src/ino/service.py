@@ -87,6 +87,9 @@ class Service:
     """Owns the repository, the OAI provider, and their HTTP binding."""
 
     def __init__(self, config: dict, clock=None):
+        page_size = str(config.get("pageSize", "100"))
+        if not (page_size.isascii() and page_size.isdigit() and int(page_size) > 0):
+            raise ConfigError(f"pageSize: expected a positive integer, got {page_size!r}")
         ontology = None
         if config.get("ontologyPath"):
             ontology = OntologyRegistry.load(
@@ -94,8 +97,7 @@ class Service:
             )
         self.repo = Repository(config["dataDir"], ontology=ontology, clock=clock)
         self.api_key = config.get("apiKey", "")
-        self.provider = OaiProvider(self.repo,
-                                    page_size=int(config.get("pageSize", "100")))
+        self.provider = OaiProvider(self.repo, page_size=int(page_size))
         self.provider.rebuild_cache()
 
     def close(self) -> None:

@@ -25,11 +25,17 @@ an interrupted commit either fully applies or vanishes. A durable store
 refuses, as it is, a log where a whole frame follows the bad one: each frame
 was synced before the next was written, so that is corruption.
 
+In memory one map holds each id's last version, live or a tombstone, with a
+count of its tombstones. A commit publishes with one ``update`` of it and hands
+the new versions, one per id, to its one commit listener (the index).
+
 Compaction rewrites the log as one frame that holds every event and the last
 version of every id: into a temporary file, fsynced, then renamed over the
 log. Commits and ``close`` run it once superseded versions outnumber live
 objects plus tombstones and the log is past ``COMPACT_BYTES``, so a log with
-no superseded version is never rewritten.
+no superseded version is never rewritten. Nor is a log that no longer reads
+to its end, as a frame spoiled on disk leaves it: compaction stops the store,
+raises ``StoreFailed`` and leaves the log as it is for the next open to judge.
 
 A commit or compaction that fails at or after its write stops the store:
 further commits raise ``StoreFailed`` and ``close`` skips compaction.
@@ -126,8 +132,8 @@ class ObjectStore:
         self.clock = clock or Clock()
         self.durable = durable
         self._lock = threading.RLock()
-        self._objects: dict[str, DigitalObject] = {}
-        self._tombstones: dict[str, DigitalObject] = {}  # purged id -> last version
+        self._last: dict[str, DigitalObject] = {}  # id -> live object or tombstone
+        self._purged = 0  # tombstones in _last
         self._events: list[ChangeEvent] = []
         self._crash_point: Callable[[str], None] = lambda name: None
         self._listener: Callable[[list], None] | None = None
@@ -175,7 +181,7 @@ class ObjectStore:
 
     def on_commit(self, listener: Callable[[list], None]) -> None:
         """Register the one callback invoked inside the commit critical section
-        with the list of (kind, old_or_None, new_or_None) applied; only once."""
+        with the commit's new last versions, one per id; only once."""
         if self._listener is not None:
             raise RuntimeError("the store already has a commit listener")
         self._listener = listener
@@ -184,7 +190,7 @@ class ObjectStore:
         """Write every live object and tombstone as its own canonical XML file
         under ``dest``, at ``shard_path``; return how many were written."""
         with self._lock:
-            versions = [*self._objects.values(), *self._tombstones.values()]
+            versions = list(self._last.values())
         for obj in versions:
             path = Path(dest) / shard_path(obj.id)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -227,22 +233,21 @@ class ObjectStore:
         self._last_stamp = max(stamps.values(), default=self._last_stamp)
         obj_seq = {ev.object_id: ev.seq for ev in self._events}
         for oid, (start, end) in spans.items():
-            obj = deserialize_object(data[start:end], pool, stamps,
-                                     seq=obj_seq.get(oid, 0))
-            if obj.state == DELETED:
-                self._tombstones[obj.id] = obj
-            else:
-                self._objects[obj.id] = obj
+            self._last[pool.setdefault(oid, oid)] = deserialize_object(
+                data[start:end], pool, stamps, seq=obj_seq.get(oid, 0))
+        self._purged = sum(obj.state == DELETED for obj in self._last.values())
 
     def _compaction_due(self) -> bool:
-        ids = len(self._objects) + len(self._tombstones)
-        return self._log_bytes > COMPACT_BYTES and self._versions - ids > ids
+        return self._log_bytes > COMPACT_BYTES and self._versions > 2 * len(self._last)
 
     def _compact(self) -> None:
         """Rewrite the log as one frame: every event and each id's last version."""
         path, tmp = self.root / _LOG, self.root / _COMPACTING
         data = path.read_bytes()
-        rows, spans, _versions, _end = _read_log(data)
+        rows, spans, _versions, end = _read_log(data)
+        if end != self._log_bytes:  # a frame this store wrote no longer reads
+            self._stopped = f"journal corrupt: a bad frame at byte {end}"
+            raise StoreFailed(self._stopped)
         view = memoryview(data)
         frame = _frame(rows, [(oid, view[a:b]) for oid, (a, b) in spans.items()])
         try:
@@ -299,37 +304,34 @@ class ObjectStore:
 
     def get(self, object_id: str) -> DigitalObject:
         with self._lock:
-            obj = self._objects.get(object_id)
-        if obj is None:
+            obj = self._last.get(object_id)
+        if obj is None or obj.state == DELETED:
             raise NotFound(object_id)
         return obj
 
     def exists(self, object_id: str) -> bool:
-        with self._lock:
-            return object_id in self._objects
+        obj = self.latest(object_id)
+        return obj is not None and obj.state != DELETED
 
     def latest(self, object_id: str) -> DigitalObject | None:
         """The live object or, once purged, its tombstone; else None."""
         with self._lock:
-            return self._objects.get(object_id) or self._tombstones.get(object_id)
+            return self._last.get(object_id)
 
     def ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._objects)
+        return sorted(obj.id for obj in self.objects())
 
     def objects(self) -> Iterator[DigitalObject]:
         with self._lock:
-            snapshot = list(self._objects.values())
-        return iter(snapshot)
+            return iter([obj for obj in self._last.values() if obj.state != DELETED])
 
     def tombstones(self) -> Iterator[DigitalObject]:
         with self._lock:
-            snapshot = list(self._tombstones.values())
-        return iter(snapshot)
+            return iter([obj for obj in self._last.values() if obj.state == DELETED])
 
     def count(self) -> int:
         with self._lock:
-            return len(self._objects)
+            return len(self._last) - self._purged
 
     def changes_since(self, seq: int) -> list[ChangeEvent]:
         with self._lock:
@@ -343,14 +345,14 @@ class ObjectStore:
     # ----------------------------------------------------------- commit path
 
     def commit_batch(self, ops: list[BatchOp]) -> list[DigitalObject]:
-        """Apply a list of ops as one atomic commit; all-or-nothing."""
+        """Apply a list of ops as one atomic commit, all-or-nothing; return
+        the new last version of each id it touches."""
         with self._lock:
             if self._stopped:
                 raise StoreFailed(self._stopped)
             now = self.now()
             seq = self.current_seq
             staged: dict[str, DigitalObject] = {}  # new versions within batch
-            applied: list[tuple[str, DigitalObject | None, DigitalObject]] = []
             events: list[ChangeEvent] = []
 
             for op in ops:
@@ -358,9 +360,9 @@ class ObjectStore:
                     raise ValueError(f"unknown op kind {op.kind!r}")
                 seq += 1
                 oid = op.object_id
-                old = staged[oid] if oid in staged else self._objects.get(oid)
+                old = staged.get(oid) or self._last.get(oid)
                 if op.kind == "create":
-                    if oid in staged or oid in self._objects or oid in self._tombstones:
+                    if old is not None:
                         raise DuplicateId(oid)
                 elif old is None or old.state == DELETED:
                     raise NotFound(oid)
@@ -378,7 +380,6 @@ class ObjectStore:
                     check_formats(old, obj)
                 validate_object(obj)
                 staged[oid] = obj
-                applied.append((op.kind, old, obj))
                 events.append(ChangeEvent(seq, _EVENT_KIND[op.kind], oid, now))
 
             stamp = format_ts(now)
@@ -400,21 +401,18 @@ class ObjectStore:
             self._log_bytes += len(frame)
             self._versions += len(staged)
 
-            # publish in memory
-            for oid, obj in staged.items():
-                if obj.state == DELETED:
-                    self._objects.pop(oid, None)
-                    self._tombstones[oid] = obj
-                else:
-                    self._objects[oid] = obj
+            # publish in memory; a tombstone is never replaced
+            self._last.update(staged)
+            self._purged += sum(obj.state == DELETED for obj in staged.values())
             self._events.extend(events)
 
+            versions = list(staged.values())
             if self._listener is not None:
-                self._listener(applied)
+                self._listener(versions)
             if self._compaction_due():
                 self._compact()
             self._crash_point("committed")
-            return [obj for _kind, _old, obj in applied]
+            return versions
 
 
 def _frame(rows: list, versions: list[tuple[str, bytes]]) -> bytes:

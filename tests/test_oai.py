@@ -604,6 +604,13 @@ def test_protocol_errors(setup):
         ({"verb": "ListSets", "resumptionToken": "junk"}, "badResumptionToken"),
         ({"verb": "ListIdentifiers", "metadataPrefix": "oai_dc",
           "from": "2006-01-01", "until": "2006-01-02T00:00:00Z"}, "badArgument"),
+        # a day datestamp is ASCII digits and a real date, as a seconds one is
+        ({"verb": "ListRecords", "metadataPrefix": "oai_dc",
+          "from": "\uff12\uff10\uff10\uff16-01-01"}, "badArgument"),
+        ({"verb": "ListRecords", "metadataPrefix": "oai_dc",
+          "from": "\u0662\u0660\u0660\u0666-01-01"}, "badArgument"),
+        ({"verb": "ListRecords", "metadataPrefix": "oai_dc",
+          "from": "2006-02-30"}, "badArgument"),
     ]
     for params, code in cases:
         root = parse(provider.handle_request(params))

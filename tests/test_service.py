@@ -78,6 +78,14 @@ def test_load_config_errors(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("page_size", ["0", "-5", "ten", "1.5", "\u0663"])
+def test_bad_page_size_is_refused_before_the_store_opens(tmp_path, page_size):
+    with pytest.raises(ConfigError, match="pageSize: expected a positive integer"):
+        Service(make_config(tmp_path, pageSize=page_size))
+    assert not (tmp_path / "data").exists()  # no store opened, no lock held
+    Service(make_config(tmp_path, pageSize="1")).close()
+
+
 # --------------------------------------------------------------------- routes
 
 def test_create_and_fetch_objects(service):

@@ -151,16 +151,22 @@ def test_store_keeps_one_commit_listener(store):
     store.on_commit(seen.append)
     with pytest.raises(RuntimeError):
         store.on_commit(lambda applied: None)
-    store.create(draft("x"))
+    created = store.create(draft("x"))
     store.purge("info:ino/x")
-    assert [[kind for kind, _old, _new in applied] for applied in seen] == [
-        ["create"], ["purge"]]
+    tombstone = store.latest("info:ino/x")
+    assert seen == [[created], [tombstone]]
+    assert (created.state, tombstone.state) == ("Active", "Deleted")
+    # a batch that touches an id twice hands over its last version only
+    seen.clear()
+    store.commit_batch([BatchOp("create", "info:ino/y", draft=draft("y")),
+                        BatchOp("modify", "info:ino/y")])
+    assert seen == [[store.get("info:ino/y")]] and seen[0][0].seq == 4
 
 
 def test_event_log_soundness_random_ops(tmp_path):
     rng = random.Random(7)
     store = ObjectStore(tmp_path / "d", clock=VirtualClock())
-    live = set()
+    live, dead = set(), set()
     for i in range(300):
         roll = rng.random()
         if roll < 0.5 or not live:
@@ -173,9 +179,23 @@ def test_event_log_soundness_random_ops(tmp_path):
             victim = rng.choice(sorted(live))
             store.purge(victim)
             live.remove(victim)
+            dead.add(victim)
+    # an id created and purged in one commit is a tombstone at once
+    store.commit_batch([BatchOp("create", "info:ino/brief", draft=draft("brief")),
+                        BatchOp("purge", "info:ino/brief")])
+    dead.add("info:ino/brief")
     created = {e.object_id for e in store.changes_since(0) if e.kind == CREATED}
     purged = {e.object_id for e in store.changes_since(0) if e.kind == PURGED}
-    assert created - purged == set(store.ids()) == live
+    assert created - purged == set(store.ids()) == live and purged == dead
+    for reopen in (False, True):
+        if reopen:
+            store.close()
+            store = ObjectStore(tmp_path / "d", clock=VirtualClock())
+        assert store.count() == len(live) and store.ids() == sorted(live)
+        assert {t.id for t in store.tombstones()} == dead
+        assert all(store.latest(oid).state == "Deleted" for oid in dead)
+        assert all(store.latest(oid) == store.get(oid) for oid in live)
+        assert store.latest("info:ino/never") is None
     store.close()
 
 
@@ -379,6 +399,31 @@ def test_durable_store_refuses_a_log_with_a_bad_frame_before_whole_ones(tmp_path
                            match="journal corrupt: a whole frame follows byte 0"):
             ObjectStore(root, clock=VirtualClock(), durable=True)
         assert (root / "journal.log").read_bytes() == log
+
+
+def test_compaction_refuses_a_log_with_a_bad_frame(tmp_path, monkeypatch):
+    """A frame spoiled on disk after its commit is not compacted away: the
+    compaction that close runs stops the store and leaves the log as it is,
+    so the next open refuses it as corrupt."""
+    root = tmp_path / "d"
+    store = ObjectStore(root, clock=VirtualClock(), durable=True)
+    names = ("r1", "r2", "r3")
+    for name in names:
+        store.create(draft(name))
+    for name in names * 2:
+        store.modify(f"info:ino/{name}")
+    log = bytearray((root / "journal.log").read_bytes())
+    log[log.index(b"<") + 5] ^= 1  # inside the first frame's XML
+    (root / "journal.log").write_bytes(log)
+    monkeypatch.setattr(store_module, "COMPACT_BYTES", 0)
+    with pytest.raises(StoreFailed, match="journal corrupt: a bad frame at byte 0"):
+        store.close()
+    assert (root / "journal.log").read_bytes() == log
+    with pytest.raises(StoreFailed):
+        store.create(draft("r4"))
+    with pytest.raises(InvalidObject,
+                       match="journal corrupt: a whole frame follows byte 0"):
+        ObjectStore(root, clock=VirtualClock(), durable=True)
 
 
 def test_durable_commit_does_one_fsync(store, monkeypatch):
