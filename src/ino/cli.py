@@ -87,8 +87,8 @@ def _run(args) -> int:
         logging.basicConfig(level=logging.INFO,
                             format="%(asctime)s %(name)s %(message)s")
         service = Service(config)
-        print(f"serving on {args.host}:{config['port']}")
-        service.serve_forever(int(config["port"]), args.host)
+        print(f"serving on {args.host}:{service.port}")
+        service.serve_forever(service.port, args.host)
         return 0
 
     if args.command == "harvest":

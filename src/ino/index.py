@@ -4,25 +4,30 @@ an oracle in tests.
 
 Each term is interned to an int id when a triple is indexed, and two maps on
 ids store the predicate-led orders PSO and POS. A leaf of one member is that
-bare id, a leaf of more a set. The term-led orders are views of them: SOP
-of PSO and OSP of POS. A term's node is its leaves under each predicate, a
-set the ontology keeps closed and small, and a step that knows the second
-key checks those few leaves, so no step's cost per row grows with a term's
-fan-out. A triple count is kept for each term in each position, so a
-pattern's exact count is one lookup at any depth, and a term leaves the
-table when its last count goes. That table is the one long-lived pool of
-terms: ``term`` gives a writer the index's own copy of a relationship
-target, and an IRI indexed as an object keeps the ``Term`` its object
-holds, so an object and the index share each term. ``_choose_path`` picks
-the order that serves a pattern's known positions; ``match``, ``estimate``
-and the join are built on it. A join runs on tuple rows with a fixed slot
-per variable, takes next the pattern with the fewest estimated matches
-given the variables already bound, and builds ``Term``s only at projection.
+bare id, a leaf of 2 to ``SMALL_LEAF`` a tuple, and a larger one a ``_Big``:
+its members sorted in an ``array('i')`` and a byte map indexed by id, so a
+membership test is one index in C whatever the leaf's size. No leaf is a
+hash set. The term-led orders are views of them: SOP of PSO and OSP of POS.
+A term's node is its leaves under each predicate, a set the ontology keeps
+closed and small, and a step that knows the second key checks those few
+leaves, so no step's cost per row grows with a term's fan-out. A triple
+count is kept for each term in each position, so a pattern's exact count is
+one lookup at any depth, and a term leaves the table when its last count
+goes. That table is the one long-lived pool of terms: ``term`` gives a
+writer the index's own copy of a relationship target, and an IRI indexed as
+an object keeps the ``Term`` its object holds, so an object and the index
+share each term. ``_choose_path`` picks the order that serves a pattern's
+known positions; ``match``, ``estimate`` and the join are built on it. A
+join runs on tuple rows with a fixed slot per variable, takes next the
+pattern with the fewest estimated matches given the variables already bound,
+and builds ``Term``s only at projection.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -48,8 +53,11 @@ _VAR_RE = re.compile(r"\?[a-z][a-z0-9]*$")
 MAX_PATTERNS = 8
 RESULT_CAP = 10_000_000  # rows in an intermediate join result
 ORACLE_TRIPLE_CAP = 1_000_000
+SMALL_LEAF = 64  # the most members a tuple leaf holds
 
-_ABSENT = -1  # the id of a constant that no indexed triple uses
+# the id of a constant that no indexed triple uses: past every id an
+# ``array('i')`` holds, so a byte-map probe ``k < len(has)`` misses it
+_ABSENT = 1 << 31
 _ORDERS = ((1, 0, 2), (1, 2, 0), (0, 2, 1), (2, 0, 1))  # PSO, POS, SOP, OSP
 
 
@@ -190,7 +198,13 @@ class _TermNode:
         """The leaf of the predicates between the term and ``k``, or None."""
         found = None
         for p, leaf in self._leaves:
-            if leaf == k if leaf.__class__ is int else k in leaf:
+            if leaf.__class__ is int:
+                hit = leaf == k
+            elif leaf.__class__ is _Big:
+                hit = k < len(leaf.has) and leaf.has[k]
+            else:
+                hit = k in leaf
+            if hit:
                 if found is None:
                     found = p
                 elif found.__class__ is int:
@@ -214,9 +228,10 @@ class TripleIndex:
         self._ids: dict[str | Term, int] = {}
         self._terms: list[Term | None] = []  # id -> Term; None while free
         self._free: list[int] = []  # ids of dropped terms, reused first
-        # predicate -> key -> leaf: one id bare, or a set of two or more
-        self._pso: dict[int, dict[int, int | set[int]]] = {}
-        self._pos: dict[int, dict[int, int | set[int]]] = {}
+        # predicate -> key -> leaf: one id bare, a tuple of 2 to SMALL_LEAF
+        # or a _Big
+        self._pso: dict[int, dict[int, int | tuple[int, ...] | _Big]] = {}
+        self._pos: dict[int, dict[int, int | tuple[int, ...] | _Big]] = {}
         # the triples that have each term in position i (0 subject, 1
         # predicate, 2 object)
         self._counts: tuple[dict[int, int], ...] = ({}, {}, {})
@@ -477,6 +492,10 @@ class TripleIndex:
         first, *rest = [slot[atoms[pos].name] if key[pos] is None
                         else (None, key[pos]) for pos in order[depth:known]]
         if not rest and not free:  # a check against one leaf
+            if node.__class__ is _Big:
+                has = node.has
+                n = len(has)
+                return [row for row in rows if (k := row[first]) < n and has[k]]
             members = _leaf(node)
             return [row for row in rows if row[first] in members]
         get = node.get
@@ -534,16 +553,44 @@ def _atoms(p: TriplePattern) -> tuple[Atom, Atom, Atom]:
 
 def _child(node, key, depth):
     """One key down from ``node``, which lies ``depth`` keys under a map's
-    root: a dict or a leaf, or for the third key True if the leaf holds it;
-    None where absent (test ``is None``: a bare leaf may be the falsy 0)."""
+    root: a dict or a leaf, or for the third key True if the leaf (or the
+    set of predicates ``_TermNode.get`` gives) holds it; None where absent
+    (test ``is None``: a bare leaf may be the falsy 0)."""
     if depth < 2:
         return node.get(key)
+    if node.__class__ is _Big:
+        return True if key < len(node.has) and node.has[key] else None
     return True if (node == key if node.__class__ is int else key in node) else None
 
 
 def _leaf(leaf):
     """The members of a leaf: a bare id stands for a leaf of one."""
     return (leaf,) if leaf.__class__ is int else leaf
+
+
+class _Big:
+    """A leaf of more than ``SMALL_LEAF`` members: ``ids``, the members in
+    ascending order, to iterate, and ``has``, a byte per term id that is 1
+    for a member, so a membership test is ``k < len(has) and has[k]``, one
+    index in C. ``has`` grows to the largest member's id, and ``_unlink``
+    clears a member's byte when it leaves, since a freed id is given to the
+    next new term. A ``_Big`` turns back into a tuple once it holds
+    ``SMALL_LEAF // 2`` members or fewer, so a leaf that goes back and forth
+    across ``SMALL_LEAF`` does not change shape at each step."""
+
+    __slots__ = ("ids", "has")
+
+    def __init__(self, members):
+        self.ids = array("i", sorted(members))
+        self.has = bytearray(self.ids[-1] + 1)
+        for k in self.ids:
+            self.has[k] = 1
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __iter__(self):
+        return iter(self.ids)
 
 
 def _expand(node, free: int, names=()) -> list[tuple]:
@@ -568,8 +615,9 @@ def _expand(node, free: int, names=()) -> list[tuple]:
 
 
 def _link(m, a: int, b: int, c: int) -> None:
-    """Add the triple ``(a, b, c)`` in ``m``'s key order; a leaf's second
-    member turns it from a bare id into a set."""
+    """Add the triple ``(a, b, c)``, not yet held, in ``m``'s key order; a
+    leaf's second member turns it from a bare id into a tuple, and its
+    member past ``SMALL_LEAF`` into a ``_Big``."""
     inner = m.get(a)
     if inner is None:
         m[a] = {b: c}
@@ -578,20 +626,37 @@ def _link(m, a: int, b: int, c: int) -> None:
     if leaf is None:
         inner[b] = c
     elif leaf.__class__ is int:
-        inner[b] = {leaf, c}
+        inner[b] = (leaf, c)
+    elif leaf.__class__ is tuple:
+        inner[b] = leaf + (c,) if len(leaf) < SMALL_LEAF else _Big(leaf + (c,))
     else:
-        leaf.add(c)
+        has = leaf.has
+        if c < len(has):
+            insort(leaf.ids, c)
+        else:  # past the byte map, so past every member
+            has += bytes(c + 1 - len(has))
+            leaf.ids.append(c)
+        has[c] = 1
 
 
 def _unlink(m, a: int, b: int, c: int) -> None:
     """Remove the triple ``(a, b, c)`` in ``m``'s key order; a leaf left
-    with one member becomes that bare id."""
+    with one member becomes that bare id, and a ``_Big`` left with
+    ``SMALL_LEAF // 2`` a tuple."""
     inner = m[a]
     leaf = inner[b]
-    if leaf.__class__ is not int:  # a set of two or more
-        leaf.discard(c)
-        if len(leaf) == 1:
-            inner[b] = leaf.pop()
+    if leaf.__class__ is tuple:
+        if len(leaf) == 2:
+            inner[b] = leaf[leaf[0] == c]  # the other member
+        else:
+            i = leaf.index(c)
+            inner[b] = leaf[:i] + leaf[i + 1:]
+    elif leaf.__class__ is _Big:
+        leaf.has[c] = 0
+        ids = leaf.ids
+        del ids[bisect_left(ids, c)]
+        if len(ids) <= SMALL_LEAF // 2:
+            inner[b] = tuple(ids)
     elif len(inner) > 1:  # the bare id ``c``
         del inner[b]
     else:  # ``a``'s last triple

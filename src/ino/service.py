@@ -90,6 +90,10 @@ class Service:
         page_size = str(config.get("pageSize", "100"))
         if not (page_size.isascii() and page_size.isdigit() and int(page_size) > 0):
             raise ConfigError(f"pageSize: expected a positive integer, got {page_size!r}")
+        port = str(config.get("port", DEFAULT_CONFIG["port"]))
+        if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+            raise ConfigError(f"port: expected an integer in 0..65535, got {port!r}")
+        self.port = int(port)  # 0: any free port
         ontology = None
         if config.get("ontologyPath"):
             ontology = OntologyRegistry.load(

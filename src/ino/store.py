@@ -31,11 +31,10 @@ the new versions, one per id, to its one commit listener (the index).
 
 Compaction rewrites the log as one frame that holds every event and the last
 version of every id: into a temporary file, fsynced, then renamed over the
-log. Commits and ``close`` run it once superseded versions outnumber live
-objects plus tombstones and the log is past ``COMPACT_BYTES``, so a log with
-no superseded version is never rewritten. Nor is a log that no longer reads
-to its end, as a frame spoiled on disk leaves it: compaction stops the store,
-raises ``StoreFailed`` and leaves the log as it is for the next open to judge.
+log. It runs once superseded versions outnumber live objects plus tombstones
+and the log is past ``COMPACT_BYTES``, so a log with no superseded version is
+never rewritten, nor is a log that no longer reads to its end. After a commit
+it is a step of its own: its failure is logged, and the commit stands.
 
 A commit or compaction that fails at or after its write stops the store:
 further commits raise ``StoreFailed`` and ``close`` skips compaction.
@@ -56,6 +55,7 @@ from __future__ import annotations
 import fcntl
 import json
 import hashlib
+import logging
 import os
 import re
 import sys
@@ -241,16 +241,15 @@ class ObjectStore:
         return self._log_bytes > COMPACT_BYTES and self._versions > 2 * len(self._last)
 
     def _compact(self) -> None:
-        """Rewrite the log as one frame: every event and each id's last version."""
+        """Rewrite the log as one frame; any failure stops the store."""
         path, tmp = self.root / _LOG, self.root / _COMPACTING
-        data = path.read_bytes()
-        rows, spans, _versions, end = _read_log(data)
-        if end != self._log_bytes:  # a frame this store wrote no longer reads
-            self._stopped = f"journal corrupt: a bad frame at byte {end}"
-            raise StoreFailed(self._stopped)
-        view = memoryview(data)
-        frame = _frame(rows, [(oid, view[a:b]) for oid, (a, b) in spans.items()])
         try:
+            data = path.read_bytes()
+            rows, spans, _versions, end = _read_log(data)
+            if end != self._log_bytes:  # a frame this store wrote no longer reads
+                raise StoreFailed(f"journal corrupt: a bad frame at byte {end}")
+            view = memoryview(data)
+            frame = _frame(rows, [(oid, view[a:b]) for oid, (a, b) in spans.items()])
             tmp.write_bytes(frame)
             if self.durable:
                 _fsync_path(tmp)
@@ -260,8 +259,8 @@ class ObjectStore:
             if self.durable:
                 _fsync_path(self.root)
             fd = os.open(path, os.O_RDWR | os.O_APPEND)
-        except BaseException:
-            self._stopped = "a compaction failed; reopen the store"
+        except BaseException as exc:
+            self._stopped = f"a compaction failed ({exc}); reopen the store"
             raise
         old, self._log_fd = self._log_fd, fd
         self._fds = (fd, self._lock_fd)
@@ -284,13 +283,8 @@ class ObjectStore:
     def create(self, draft: DigitalObject) -> DigitalObject:
         return self.commit_batch([BatchOp("create", draft.id, draft=draft)])[0]
 
-    def modify(
-        self,
-        object_id: str,
-        *,
-        datastreams=None,
-        relationships=None,
-    ) -> DigitalObject:
+    def modify(self, object_id: str, *, datastreams=None,
+               relationships=None) -> DigitalObject:
         """Commit the live object with each field given here replaced."""
         fields = {"datastreams": datastreams, "relationships": relationships}
         with self._lock:
@@ -409,9 +403,12 @@ class ObjectStore:
             versions = list(staged.values())
             if self._listener is not None:
                 self._listener(versions)
-            if self._compaction_due():
-                self._compact()
             self._crash_point("committed")
+            if self._compaction_due():
+                try:  # its own step: the commit above stands whatever it meets
+                    self._compact()
+                except (OSError, StoreFailed):  # the next write learns of it
+                    logging.getLogger(__name__).exception("compaction failed")
             return versions
 
 

@@ -780,12 +780,182 @@ def test_object_only_term_leaves_with_its_last_triple():
     assert _term_table(idx) == _term_table(fresh)
 
 
+# ------------------------------------------------------------- leaf shapes
+
+SMALL = index_mod.SMALL_LEAF
+
+
+def _shape_holds(leaf):
+    """A leaf's shape fits its size: a bare id, a tuple of 2 to SMALL_LEAF,
+    or a _Big of more than SMALL_LEAF // 2 whose byte map marks exactly its
+    members, which it holds in ascending order."""
+    if isinstance(leaf, int):
+        return True
+    if isinstance(leaf, tuple):
+        return 2 <= len(leaf) <= SMALL and len(set(leaf)) == len(leaf)
+    ids = list(leaf.ids)
+    return (isinstance(leaf, index_mod._Big) and len(ids) > SMALL // 2
+            and ids == sorted(set(ids)) and list(leaf) == ids
+            and {k for k, b in enumerate(leaf.has) if b} == set(ids))
+
+
+def _agg_leaf(idx):
+    """The leaf of ``memberOf agg`` in POS, or None."""
+    return idx._pos.get(idx._ids.get(MEMBER_OF), {}).get(idx._ids.get(AGG.value))
+
+
+def _member(i, types=("Resource",)):
+    return obj(f"m{i}", types=types,
+               relationships=[Triple(f"info:ino/m{i}", MEMBER_OF, AGG)])
+
+
+def _check_against_rebuild(idx, live):
+    for m in (idx._pso, idx._pos):
+        for inner in m.values():
+            assert all(_shape_holds(leaf) for leaf in inner.values())
+    fresh = TripleIndex()
+    fresh.rebuild(live.values())
+    assert _by_term(idx) == _by_term(fresh)
+    q = _q("SELECT ?m WHERE ?m <memberOf> <agg>")
+    assert idx.evaluate(q) == idx.evaluate_brute_force(q) == fresh.evaluate(q)
+
+
+def test_a_leaf_grows_past_small_leaf_and_churns_back():
+    """``memberOf agg`` grows one member at a time to a _Big, and keeps that
+    shape down to SMALL_LEAF // 2 + 1 members, also when it grows again on
+    the way; each step matches a rebuild."""
+    idx, live = TripleIndex(), {}
+    shapes = []
+
+    def add(i):
+        live[f"info:ino/m{i}"] = _member(i)
+        idx.index_object(live[f"info:ino/m{i}"])
+
+    def drop(i):
+        idx.deindex_object(f"info:ino/m{i}")
+        del live[f"info:ino/m{i}"]
+
+    steps = ([(add, i) for i in range(SMALL + 6)]
+             + [(drop, i) for i in range(SMALL // 2)]
+             + [(add, i) for i in range(SMALL + 6, SMALL + 16)]
+             + [(drop, i) for i in range(SMALL // 2, SMALL + 16)])
+    for step, i in steps:
+        step(i)
+        leaf = _agg_leaf(idx)
+        shapes.append((len(live), type(leaf).__name__))
+        _check_against_rebuild(idx, live)
+    kinds = [kind for _n, kind in shapes]
+    assert shapes[:2] == [(1, "int"), (2, "tuple")]
+    assert shapes[SMALL - 1:SMALL + 1] == [(SMALL, "tuple"), (SMALL + 1, "_Big")]
+    # once big, it stays big above SMALL_LEAF // 2, then shrinks to a tuple
+    first_big = kinds.index("_Big")
+    back = kinds.index("tuple", first_big)
+    assert set(kinds[first_big:back]) == {"_Big"}
+    assert shapes[back - 1][0] == SMALL // 2 + 1 and shapes[back][0] == SMALL // 2
+    assert shapes[-1] == (0, "NoneType") and kinds[-2] == "int"
+
+
+def test_a_reused_id_is_no_member_of_a_big_leaf_that_held_it():
+    """A member's id, freed when its object goes and given to a new term,
+    does not read as a member of the _Big whose byte map marked it."""
+    idx, live = TripleIndex(), {}
+    for i in range(SMALL + 10):
+        live[f"info:ino/m{i}"] = _member(i)
+        idx.index_object(live[f"info:ino/m{i}"])
+    leaf = _agg_leaf(idx)
+    assert isinstance(leaf, index_mod._Big)
+    gone = "info:ino/m7"
+    freed = idx._ids[gone]
+    assert leaf.has[freed]
+    idx.deindex_object(gone)
+    del live[gone]
+    assert freed in idx._free and not leaf.has[freed]
+    newcomer = obj("n1", types=("Thing",))  # not a member of agg
+    idx.index_object(newcomer)
+    live[newcomer.id] = newcomer
+    assert idx._terms[freed] is not None  # the id went to one of its terms
+    _check_against_rebuild(idx, live)
+    for text in [f"SELECT ?p WHERE <{newcomer.id}> ?p <agg>",
+                 "SELECT ?m WHERE ?m ?p <agg>",
+                 "SELECT ?m ?t WHERE ?m <objectType> ?t ; ?m <memberOf> <agg>",
+                 "SELECT ?m ?p WHERE ?m <objectType> ?t ; ?m ?p <agg>"]:
+        q = _q(text.replace("<objectType>", f"<{OBJECT_TYPE}>"))
+        expected = idx.evaluate_brute_force(q)
+        for perm in itertools.permutations(q.patterns):
+            assert idx.evaluate(ConjunctiveQuery(perm, q.projected)) == expected
+    assert idx.estimate(TriplePattern(Term.iri(newcomer.id), Term.iri(MEMBER_OF),
+                                      AGG)) == 0
+
+
+def test_term_id_zero_in_a_big_leaf():
+    """Term id 0, the first object indexed, as a member of a _Big: found by
+    the leaf's own path and by a join's check against the leaf, and gone
+    when its triple goes. A constant no triple uses is never found."""
+    first = obj("a", types=("Thing",))  # id 0 is the IRI of type Thing
+    zero = Term.iri(type_iri("Thing"))
+    targets = [zero] + [Term.iri(f"info:ino/t{i}") for i in range(SMALL + 4)]
+    hub = obj("hub", relationships=[Triple("info:ino/hub", RELATED_TO, t)
+                                    for t in targets])
+    idx = TripleIndex()
+    for o in (first, hub):
+        idx.index_object(o)
+    assert idx._terms[0] == zero
+    leaf = idx._pso[idx._ids[RELATED_TO]][idx._ids["info:ino/hub"]]
+    assert isinstance(leaf, index_mod._Big) and leaf.ids[0] == 0 and leaf.has[0]
+    ground = TriplePattern(Term.iri("info:ino/hub"), Term.iri(RELATED_TO), zero)
+    assert idx.estimate(ground) == 1 and len(idx.match(ground)) == 1
+    # a constant that no triple uses is no member either
+    absent = replace(ground, object=Term.iri("info:ino/none"))
+    assert idx.estimate(absent) == 0 and idx.match(absent) == set()
+    q = parse_query(f"SELECT ?o WHERE <info:ino/a> <{OBJECT_TYPE}> ?o ; "
+                    f"<info:ino/hub> <{RELATED_TO}> ?o")
+    assert idx.explain(q)[-1]["pattern"] == f"<info:ino/hub> <{RELATED_TO}> ?o"
+    expected = {SolutionRow.of({"?o": zero})}
+    assert idx.evaluate(q) == idx.evaluate_brute_force(q) == expected
+    fewer = replace(hub, relationships=hub.relationships[1:])
+    idx.index_object(fewer)  # hub drops its link to id 0
+    assert idx._terms[0] == zero and not idx.estimate(ground)
+    assert idx.evaluate(q) == set() == idx.evaluate_brute_force(q)
+    fresh = TripleIndex()
+    fresh.rebuild([first, fewer])
+    assert _by_term(idx) == _by_term(fresh)
+
+
+def test_a_join_checks_big_leaves_by_one_leaf_and_by_term_node():
+    """``?m memberOf agg`` first, then a check of each row against the _Big
+    of ``objectType Resource`` (one leaf) and against ``agg``'s node, whose
+    ``memberOf`` leaf is a _Big (``_TermNode.get``); some rows fail each."""
+    idx, live = TripleIndex(), {}
+    for i in range(SMALL + 20):
+        o = _member(i, types=("Resource",) if i % 4 else ("Thing",))
+        if i % 3 == 0:
+            o = replace(o, relationships=(
+                *o.relationships, Triple(o.id, RELATED_TO, AGG)))
+        live[o.id] = o
+    for i in range(SMALL + 5):  # resources outside agg
+        live[f"info:ino/r{i}"] = obj(f"r{i}")
+    idx.rebuild(live.values())
+    resource = idx._pos[idx._ids[OBJECT_TYPE]][idx._ids[type_iri("Resource")]]
+    assert isinstance(resource, index_mod._Big)
+    assert isinstance(_agg_leaf(idx), index_mod._Big)
+    q = _q(f"SELECT ?m ?p WHERE ?m <memberOf> <agg> ; "
+           f"?m <{OBJECT_TYPE}> <{type_iri('Resource')}> ; ?m ?p <agg>")
+    expected = idx.evaluate_brute_force(q)
+    assert len({row["?m"] for row in expected}) == (SMALL + 20) * 3 // 4
+    assert len(expected) > len({row["?m"] for row in expected})  # two ?p
+    for perm in itertools.permutations(q.patterns):
+        permuted = ConjunctiveQuery(perm, q.projected)
+        assert idx.evaluate(permuted) == expected
+        assert idx.explain(permuted)[0]["pattern"] == f"?m <{MEMBER_OF}> <{AGG.value}>"
+
+
 # Bytes per triple that a TripleIndex holds over a 500-resource corpus, by
-# tracemalloc: about 188 with the PSO and POS maps and the subject- and
-# object-led orders read from them, on Python 3.10, 3.11 and 3.13; about
-# 225 with an SPO map stored for the subject-led order, and about 365 with
-# a third map stored for the object-led one.
-INDEX_BYTES_PER_TRIPLE = 205
+# tracemalloc: about 164 on Python 3.11 with tuple and _Big leaves (151 at
+# 10k resources). With set leaves it was about 188 on Python 3.10, 3.11 and
+# 3.13; about 225 with an SPO map stored for the subject-led order, and
+# about 365 with a third map stored for the object-led one. The bound keeps
+# a margin for the other interpreters' object sizes.
+INDEX_BYTES_PER_TRIPLE = 175
 
 
 def test_index_memory_per_triple(tmp_path):

@@ -86,6 +86,16 @@ def test_bad_page_size_is_refused_before_the_store_opens(tmp_path, page_size):
     Service(make_config(tmp_path, pageSize="1")).close()
 
 
+@pytest.mark.parametrize("port", ["abc", "", "-1", "65536", "80.5", "٨٠"])
+def test_bad_port_is_refused_before_the_store_opens(tmp_path, port):
+    with pytest.raises(ConfigError, match="port: expected an integer in 0..65535"):
+        Service(make_config(tmp_path, port=port))
+    assert not (tmp_path / "data").exists()  # no store opened, no lock held
+    svc = Service(make_config(tmp_path, port="65535"))
+    assert svc.port == 65535
+    svc.close()
+
+
 # --------------------------------------------------------------------- routes
 
 def test_create_and_fetch_objects(service):

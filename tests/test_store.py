@@ -426,6 +426,35 @@ def test_compaction_refuses_a_log_with_a_bad_frame(tmp_path, monkeypatch):
         ObjectStore(root, clock=VirtualClock(), durable=True)
 
 
+def test_a_failed_compaction_does_not_fail_the_commit_before_it(
+        tmp_path, monkeypatch, caplog):
+    """A commit that makes compaction due stands when the compaction fails:
+    its caller gets the new version, the failure is logged and stops the
+    store, and the log is left for the next open to refuse."""
+    root = tmp_path / "d"
+    store = ObjectStore(root, clock=VirtualClock(), durable=True)
+    for name in ("r1", "r2"):
+        store.create(draft(name))
+    store.modify("info:ino/r1")
+    store.modify("info:ino/r1")
+    log = bytearray((root / "journal.log").read_bytes())
+    log[log.index(b"<") + 5] ^= 1  # inside the first frame's XML
+    (root / "journal.log").write_bytes(log)
+    monkeypatch.setattr(store_module, "COMPACT_BYTES", 0)
+    modified = store.modify("info:ino/r2")  # five versions over two ids: due
+    assert modified.seq == 5 == store.current_seq
+    assert store.get("info:ino/r2") == modified
+    assert "compaction failed" in caplog.text
+    assert "journal corrupt: a bad frame at byte 0" in caplog.text
+    assert (root / "journal.log").read_bytes().startswith(log)
+    with pytest.raises(StoreFailed, match="a bad frame at byte 0"):
+        store.create(draft("r3"))
+    store.abandon()
+    with pytest.raises(InvalidObject,
+                       match="journal corrupt: a whole frame follows byte 0"):
+        ObjectStore(root, clock=VirtualClock(), durable=True)
+
+
 def test_durable_commit_does_one_fsync(store, monkeypatch):
     calls = []
     real_fsync = os.fsync
