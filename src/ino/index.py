@@ -11,16 +11,16 @@ hash set. The term-led orders are views of them: SOP of PSO and OSP of POS.
 A term's node is its leaves under each predicate, a set the ontology keeps
 closed and small, and a step that knows the second key checks those few
 leaves, so no step's cost per row grows with a term's fan-out. A triple
-count is kept for each term in each position, so a pattern's exact count is
-one lookup at any depth, and a term leaves the table when its last count
-goes. That table is the one long-lived pool of terms: ``term`` gives a
-writer the index's own copy of a relationship target, and an IRI indexed as
-an object keeps the ``Term`` its object holds, so an object and the index
-share each term. ``_choose_path`` picks the order that serves a pattern's
-known positions; ``match``, ``estimate`` and the join are built on it. A
-join runs on tuple rows with a fixed slot per variable, takes next the
-pattern with the fewest estimated matches given the variables already bound,
-and builds ``Term``s only at projection.
+count is kept for each term in each position, in columns indexed by id, so
+a pattern's exact count is one lookup at any depth, and a term leaves the
+table when its last count goes. That table is the one long-lived pool of
+terms: ``term`` gives a writer the index's own copy of a relationship
+target, and an IRI indexed as an object keeps the ``Term`` its object holds,
+so an object and the index share each term. ``_choose_path`` picks the order
+that serves a pattern's known positions; ``match``, ``estimate`` and the
+join are built on it. A join runs on tuple rows with a fixed slot per
+variable, takes next the pattern with the fewest estimated matches given the
+variables already bound, and builds ``Term``s only at projection.
 """
 
 from __future__ import annotations
@@ -233,8 +233,10 @@ class TripleIndex:
         self._pso: dict[int, dict[int, int | tuple[int, ...] | _Big]] = {}
         self._pos: dict[int, dict[int, int | tuple[int, ...] | _Big]] = {}
         # the triples that have each term in position i (0 subject, 1
-        # predicate, 2 object)
-        self._counts: tuple[dict[int, int], ...] = ({}, {}, {})
+        # predicate, 2 object), a column indexed by term id (0 for a free
+        # id), and the distinct terms there, the column's nonzero entries
+        self._counts = (array("i"), array("i"), array("i"))
+        self._distinct = [0, 0, 0]
         self._maps = (self._pso, self._pos,  # as _ORDERS
                       _TermOrder(self._pso), _TermOrder(self._pos))
         self._count = 0
@@ -250,6 +252,8 @@ class TripleIndex:
             else:
                 i = len(self._terms)
                 self._terms.append(term)
+                for counts in self._counts:
+                    counts.append(0)
             self._ids[key] = i
         elif key is not term:
             # an IRI, keyed by its text: keep the Term an object holds, and
@@ -284,18 +288,23 @@ class TripleIndex:
             return
         _link(self._pso, p, s, o)
         _link(self._pos, p, o, s)
-        for counts, i in zip(self._counts, (s, p, o)):
-            counts[i] = counts.get(i, 0) + 1
+        cs, cp, co = self._counts
+        distinct = self._distinct  # each count going 0 -> 1 adds a term
+        distinct[0] += not cs[s]
+        distinct[1] += not cp[p]
+        distinct[2] += not co[o]
+        cs[s] += 1
+        cp[p] += 1
+        co[o] += 1
         self._count += 1
 
     def _remove(self, s: int, p: int, o: int) -> None:
         _unlink(self._pso, p, s, o)
         _unlink(self._pos, p, o, s)
-        for counts, i in zip(self._counts, (s, p, o)):
-            if counts[i] == 1:
-                del counts[i]
-            else:
-                counts[i] -= 1
+        distinct = self._distinct
+        for pos, counts, i in zip(range(3), self._counts, (s, p, o)):
+            counts[i] -= 1
+            distinct[pos] -= counts[i] == 0  # a count going 1 -> 0
         self._count -= 1
 
     def index_object(self, obj: DigitalObject) -> None:
@@ -309,11 +318,11 @@ class TripleIndex:
         ``/``, so these are exactly the triples ``extract_triples`` gave."""
         by_subject, by_predicate, by_object = self._counts
         oid = self._ids.get(object_id)
-        if oid not in by_subject:
+        if oid is None or not by_subject[oid]:
             return
         terms = self._terms
         datastreams = self._pso.get(self._ids.get(HAS_DATASTREAM), {}).get(oid, ())
-        subjects = [oid] + [o for o in _leaf(datastreams) if o in by_subject
+        subjects = [oid] + [o for o in _leaf(datastreams) if by_subject[o]
                             and terms[o].value.startswith(object_id + "/")]
         touched = set(subjects)
         for s in subjects:
@@ -322,18 +331,18 @@ class TripleIndex:
                 touched.update((p, o))
         # a term whose last triple went leaves the table, so it stays bounded
         for i in touched:
-            if i not in by_subject and i not in by_predicate and i not in by_object:
+            if not (by_subject[i] or by_predicate[i] or by_object[i]):
                 term = terms[i]
                 del self._ids[term.value if term.kind == "iri" else term]
                 terms[i] = None
                 self._free.append(i)
 
     def rebuild(self, objects) -> None:
-        self._ids.clear()
-        self._terms.clear()
-        self._free.clear()
-        for m in (self._pso, self._pos) + self._counts:
+        for m in (self._ids, self._terms, self._free, self._pso, self._pos):
             m.clear()
+        for counts in self._counts:
+            del counts[:]
+        self._distinct[:] = (0, 0, 0)
         self._count = 0
         for obj in objects:
             self.index_object(obj)
@@ -419,10 +428,11 @@ class TripleIndex:
             return {SolutionRow(())}
         terms = self._terms
         keys = set(map(itemgetter(*[slot[v] for v in names]), rows))
+        new = tuple.__new__  # a SolutionRow without its Python-level __new__
         if len(names) == 1:
             name = names[0]
-            return {SolutionRow(((name, terms[k]),)) for k in keys}
-        return {SolutionRow(tuple(zip(names, map(terms.__getitem__, k))))
+            return {new(SolutionRow, (((name, terms[k]),),)) for k in keys}
+        return {new(SolutionRow, (tuple(zip(names, map(terms.__getitem__, k))),))
                 for k in keys}
 
     def explain(self, q: ConjunctiveQuery) -> list[dict]:
@@ -451,7 +461,7 @@ class TripleIndex:
             est = counts[i]
             for pos, atom in enumerate(atoms[i]):
                 if isinstance(atom, Var) and atom.name in slot:
-                    est /= len(self._counts[pos]) or 1  # distinct terms there
+                    est /= self._distinct[pos] or 1  # distinct terms there
             return est
 
         todo = list(range(len(atoms)))

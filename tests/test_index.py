@@ -592,19 +592,35 @@ def _churned_index(seed):
 def _by_term(idx):
     """The stored maps (PSO, POS) and the per-position counts with every id
     turned into its term, a leaf kept as its shape: a bare term, or a set of
-    them."""
+    them. A count column gives its nonzero entries, and each column is a
+    recount of the triples (``_check_counts``)."""
     terms = idx._terms
 
     def leaf(x):
         return terms[x] if isinstance(x, int) else {terms[i] for i in x}
     maps = [{terms[a]: {terms[b]: leaf(c) for b, c in inner.items()}
              for a, inner in m.items()} for m in (idx._pso, idx._pos)]
-    counts = [{terms[a]: n for a, n in c.items()} for c in idx._counts]
+    _check_counts(idx)
+    counts = [{terms[a]: n for a, n in enumerate(c) if n} for c in idx._counts]
     return maps, counts
 
 
 def _members(leaf):
     return (leaf,) if isinstance(leaf, int) else leaf
+
+
+def _check_counts(idx):
+    """Each count column is as long as the id space, holds a recount of the
+    triples in PSO at each id that has them in its position and 0 at every
+    other id (so a stale count fails), and each distinct counter is its
+    column's nonzero entries. Returns the triples."""
+    triples = [(s, p, o) for p, inner in idx._pso.items()
+               for s, objs in inner.items() for o in _members(objs)]
+    for pos, counts in enumerate(idx._counts):
+        recount = Counter(t[pos] for t in triples)
+        assert list(counts) == [recount[i] for i in range(len(idx._terms))]
+        assert idx._distinct[pos] == len(recount) == sum(1 for n in counts if n)
+    return triples
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -616,15 +632,12 @@ def test_leaves_and_counts_hold_after_churn(seed):
             for leaf in inner.values():
                 assert isinstance(leaf, int) or len(leaf) >= 2
     # both maps hold the same triples, and the counts of each position are
-    # a recount of them (a stale zero count fails too)
-    triples = [(s, p, o) for p, inner in idx._pso.items()
-               for s, objs in inner.items() for o in _members(objs)]
+    # a recount of them (a stale count fails too)
+    triples = _check_counts(idx)
     assert len(triples) == idx.size()
     assert set(triples) == {(s, p, o) for p, inner in idx._pos.items()
                             for o, subjects in inner.items()
                             for s in _members(subjects)}
-    for pos, counts in enumerate(idx._counts):
-        assert counts == dict(Counter(t[pos] for t in triples))
     fresh = TripleIndex()
     fresh.rebuild(live.values())
     assert _by_term(idx) == _by_term(fresh)
@@ -778,6 +791,58 @@ def test_object_only_term_leaves_with_its_last_triple():
     fresh = TripleIndex()
     fresh.rebuild([replace(a, relationships=())])
     assert _term_table(idx) == _term_table(fresh)
+
+
+def test_a_reused_id_counts_from_zero_in_every_position():
+    """A subject, a predicate and an object lose their last triple, and new
+    terms take their ids: each count starts from 0, so the columns, the
+    estimates and the plans are those of a rebuild, also after one."""
+    only_p = INO_NS + "onlyPredicate"
+    gone = obj("a", relationships=[
+        Triple("info:ino/a", only_p, Term.iri("info:ino/only-target")),
+        Triple("info:ino/a", RELATED_TO, Term.literal("only-literal"))])
+    kept = obj("b", relationships=[Triple("info:ino/b", RELATED_TO, AGG)])
+    idx = TripleIndex()
+    for o in (gone, kept):
+        idx.index_object(o)
+    ids = [idx._ids[k] for k in ("info:ino/a", only_p, "info:ino/only-target")]
+    ids.append(idx._ids[Term.literal("only-literal")])
+    idx.deindex_object(gone.id)
+    assert set(ids) <= set(idx._free)
+    q = _q(f"SELECT ?x ?z WHERE ?x <{RELATED_TO}> ?z ; ?x <{OBJECT_TYPE}> ?t ; "
+           f"?v <{OBJECT_TYPE}> ?t")
+    fresh = TripleIndex()
+    fresh.rebuild([kept])
+    _check_counts(idx)
+    for perm in itertools.permutations(q.patterns):  # the free ids count for none
+        permuted = ConjunctiveQuery(perm, q.projected)
+        assert idx.explain(permuted) == fresh.explain(permuted)
+    new_p = INO_NS + "newPredicate"
+    newcomer = obj("n", relationships=[
+        *(Triple("info:ino/n", new_p, Term.iri(f"info:ino/new{i}"))
+          for i in range(4)),
+        Triple("info:ino/n", RELATED_TO, Term.literal("new-literal")),
+        Triple("info:ino/n", RELATED_TO, AGG)])
+    idx.index_object(newcomer)
+    assert all(idx._terms[i] is not None for i in ids)  # every id reused
+    live = {kept.id: kept, newcomer.id: newcomer}
+    fresh = TripleIndex()
+    fresh.rebuild(live.values())
+    assert _by_term(idx) == _by_term(fresh)
+    n, p, t = Term.iri(newcomer.id), Term.iri(new_p), Term.iri("info:ino/new0")
+    x, y, z = Var("?x"), Var("?y"), Var("?z")
+    for pattern in [TriplePattern(n, y, z), TriplePattern(x, p, z),
+                    TriplePattern(x, y, t), TriplePattern(x, y, AGG),
+                    TriplePattern(x, Term.iri(RELATED_TO), Term.literal("new-literal")),
+                    TriplePattern(x, y, Term.literal("only-literal"))]:
+        assert idx.estimate(pattern) == fresh.estimate(pattern)
+    q = _q(f"SELECT ?x ?z WHERE ?x <{new_p}> ?z ; ?x <{RELATED_TO}> ?w ; "
+           f"?v <{RELATED_TO}> ?w")
+    for perm in itertools.permutations(q.patterns):
+        permuted = ConjunctiveQuery(perm, q.projected)
+        assert idx.explain(permuted) == fresh.explain(permuted)
+    idx.rebuild(live.values())
+    assert _by_term(idx) == _by_term(fresh)
 
 
 # ------------------------------------------------------------- leaf shapes
@@ -950,12 +1015,13 @@ def test_a_join_checks_big_leaves_by_one_leaf_and_by_term_node():
 
 
 # Bytes per triple that a TripleIndex holds over a 500-resource corpus, by
-# tracemalloc: about 164 on Python 3.11 with tuple and _Big leaves (151 at
-# 10k resources). With set leaves it was about 188 on Python 3.10, 3.11 and
-# 3.13; about 225 with an SPO map stored for the subject-led order, and
-# about 365 with a third map stored for the object-led one. The bound keeps
-# a margin for the other interpreters' object sizes.
-INDEX_BYTES_PER_TRIPLE = 175
+# tracemalloc: about 147 to 149 on Python 3.10, 3.11 and 3.13 with the
+# per-position counts in array('i') columns by term id (133 at 10k
+# resources, on 3.11). With those counts in dicts it was about 162 to 164
+# (152 at 10k); about 188 with set leaves, about 225 with an SPO map stored
+# for the subject-led order, and about 365 with a third map stored for the
+# object-led one. The bound keeps a margin of 10 or more on each of them.
+INDEX_BYTES_PER_TRIPLE = 160
 
 
 def test_index_memory_per_triple(tmp_path):
