@@ -32,6 +32,7 @@ from .model import (
     SOURCE_RECORD_ID,
     SOURCE_SET,
     Term,
+    parse_int,
 )
 from .oai import OAI_NS
 
@@ -240,7 +241,5 @@ def _retry_after(exc: urllib.error.HTTPError) -> int | None:
     """The wait, in seconds up to ``MAX_RETRY_WAIT``, that a 503 asks for in
     a delta-seconds ``Retry-After``; None for any other error or header."""
     value = (exc.headers or {}).get("Retry-After", "").strip()
-    if exc.code != 503 or not (value.isascii() and value.isdigit()):
-        return None
-    # int() refuses a string of over 4300 digits
-    return MAX_RETRY_WAIT if len(value) > 9 else min(int(value), MAX_RETRY_WAIT)
+    wait = parse_int(value, MAX_RETRY_WAIT)
+    return None if exc.code != 503 or wait is None else min(wait, MAX_RETRY_WAIT)

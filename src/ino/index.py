@@ -195,23 +195,11 @@ class _TermNode:
         self._leaves = leaves
 
     def get(self, k):
-        """The leaf of the predicates between the term and ``k``, or None."""
-        found = None
-        for p, leaf in self._leaves:
-            if leaf.__class__ is int:
-                hit = leaf == k
-            elif leaf.__class__ is _Big:
-                hit = k < len(leaf.has) and leaf.has[k]
-            else:
-                hit = k in leaf
-            if hit:
-                if found is None:
-                    found = p
-                elif found.__class__ is int:
-                    found = {found, p}
-                else:
-                    found.add(p)
-        return found
+        """The predicates between the term and ``k`` as a leaf, or None."""
+        found = [p for p, leaf in self._leaves if _child(leaf, k, 2)]
+        if len(found) > 1:
+            return tuple(found)
+        return found[0] if found else None
 
     def items(self):
         """Each ``(k, p)`` under the term, ``p`` as a bare leaf."""
@@ -563,9 +551,8 @@ def _atoms(p: TriplePattern) -> tuple[Atom, Atom, Atom]:
 
 def _child(node, key, depth):
     """One key down from ``node``, which lies ``depth`` keys under a map's
-    root: a dict or a leaf, or for the third key True if the leaf (or the
-    set of predicates ``_TermNode.get`` gives) holds it; None where absent
-    (test ``is None``: a bare leaf may be the falsy 0)."""
+    root: a dict or a leaf, or for the third key True if the leaf holds it;
+    None where absent (test ``is None``: a bare leaf may be the falsy 0)."""
     if depth < 2:
         return node.get(key)
     if node.__class__ is _Big:

@@ -106,6 +106,20 @@ def parse_ts(text: str) -> datetime:
     raise ValueError(f"bad timestamp {text!r}")
 
 
+def parse_int(text: str, limit: int) -> int | None:
+    """The one reader of an integer from outside text: None unless ``text``
+    is one or more ASCII digits, and ``limit + 1`` for a value over
+    ``limit``. It converts no more digits than ``limit`` has, so text of
+    any length reads in linear time and never meets ``int``'s limit of 4300
+    digits."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    digits = text.lstrip("0")
+    if len(digits) > len(str(limit)):
+        return limit + 1
+    return min(int(digits or "0"), limit + 1)
+
+
 class Clock:
     """Wall clock, truncated to whole seconds UTC."""
 
@@ -321,15 +335,14 @@ def serialize_object(obj: DigitalObject) -> bytes:
     return "".join(out).encode("utf-8")
 
 
-def _position_of(data: bytes, tag: str) -> tuple[int, int]:
-    # best-effort line/column of the first occurrence of an element
-    idx = data.find(b"<" + tag.encode("utf-8"))
-    if idx < 0:
-        return 0, 0
-    prefix = data[:idx]
-    line = prefix.count(b"\n") + 1
-    column = idx - (prefix.rfind(b"\n") + 1)
-    return line, column
+def _parse_error(message: str, data: bytes, at: str | tuple[int, int]) -> ParseError:
+    """A ``ParseError`` for a bad stored document ``data``, at the given
+    line and column or, best effort, at the first ``<at`` in it."""
+    if isinstance(at, str):
+        i = data.find(b"<" + at.encode("utf-8"))
+        at = (0, 0) if i < 0 else (data.count(b"\n", 0, i) + 1,
+                                   i - data.rfind(b"\n", 0, i) - 1)
+    return ParseError(message, *at)
 
 
 def deserialize_object(data: bytes, pool: dict | None = None,
@@ -348,22 +361,19 @@ def deserialize_object(data: bytes, pool: dict | None = None,
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
-        line, column = getattr(exc, "position", (0, 0))
-        raise ParseError(f"malformed XML: {exc.msg if hasattr(exc, 'msg') else exc}",
-                         line, column) from exc
+        raise _parse_error(f"malformed XML: {exc.msg if hasattr(exc, 'msg') else exc}",
+                           data, getattr(exc, "position", (0, 0))) from exc
     for elem in root.iter():
         if elem.tag not in _KNOWN_ELEMENTS:
-            line, column = _position_of(data, elem.tag)
-            raise ParseError(f"unknown element {elem.tag!r}", line, column)
+            raise _parse_error(f"unknown element {elem.tag!r}", data, elem.tag)
     if root.tag != "inoObject":
-        line, column = _position_of(data, root.tag)
-        raise ParseError(f"unexpected root element {root.tag!r}", line, column)
+        raise _parse_error(f"unexpected root element {root.tag!r}", data, root.tag)
 
     def attr(elem, name):
         value = elem.get(name)
         if value is None:
-            line, column = _position_of(data, elem.tag)
-            raise ParseError(f"missing attribute {name!r} on {elem.tag}", line, column)
+            raise _parse_error(f"missing attribute {name!r} on {elem.tag}",
+                               data, elem.tag)
         return value
 
     def stamp(name):
@@ -379,7 +389,7 @@ def deserialize_object(data: bytes, pool: dict | None = None,
         created = stamp("created")
         modified = stamp("modified")
     except ValueError as exc:
-        raise ParseError(str(exc), *_position_of(data, "inoObject")) from exc
+        raise _parse_error(str(exc), data, "inoObject") from exc
 
     types: list[str] = []
     datastreams: list[Datastream] = []
@@ -392,10 +402,9 @@ def deserialize_object(data: bytes, pool: dict | None = None,
                 ds_id = sys.intern(attr(d, "id"))
                 media = sys.intern(attr(d, "mediaType"))
                 if len(d) != 1:
-                    raise ParseError(
+                    raise _parse_error(
                         f"datastream {ds_id!r} needs exactly one content element",
-                        *_position_of(data, "datastream"),
-                    )
+                        data, "datastream")
                 inner = d[0]
                 if inner.tag == "surrogate":
                     datastreams.append(
@@ -403,25 +412,20 @@ def deserialize_object(data: bytes, pool: dict | None = None,
                     )
                 else:
                     if inner.get("encoding") != "base64":
-                        raise ParseError(
+                        raise _parse_error(
                             "inline content must declare base64 encoding",
-                            *_position_of(data, "inline"),
-                        )
+                            data, "inline")
                     try:
                         content = base64.b64decode(inner.text or "", validate=True)
                     except Exception as exc:
-                        raise ParseError(
-                            f"bad base64 in datastream {ds_id!r}",
-                            *_position_of(data, "inline"),
-                        ) from exc
+                        raise _parse_error(f"bad base64 in datastream {ds_id!r}",
+                                           data, "inline") from exc
                     datastreams.append(Datastream(ds_id, media, content=content))
         elif section.tag == "relationships":
             for t in section:
                 kind = sys.intern(attr(t, "kind"))
                 if kind not in ("iri", "literal"):
-                    raise ParseError(
-                        f"bad triple kind {kind!r}", *_position_of(data, "triple")
-                    )
+                    raise _parse_error(f"bad triple kind {kind!r}", data, "triple")
                 value = attr(t, "object")
                 if kind == "iri":  # an object id, maybe read before as one
                     value = pool.setdefault(value, value)

@@ -9,6 +9,7 @@ after load.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,6 +31,7 @@ from .model import (
     SOURCE_BASE_URL,
     SOURCE_RECORD_ID,
     SOURCE_SET,
+    parse_int,
 )
 
 BUILTIN_TYPES = frozenset({"Resource", "Metadata", "Agent", "Aggregation"})
@@ -76,7 +78,7 @@ EXTENSION_RULES = (
 )
 
 _CONFIG_LINE_RE = re.compile(
-    r"predicate\s+<([^<>\s]+)>\s+domain\s+(\S+)\s+range\s+(\S+)\s+card\s+(\d+)\.\.(\d+|\*)$"
+    r"predicate\s+<([^<>\s]+)>\s+domain\s+(\S+)\s+range\s+(\S+)\s+card\s+([0-9]+)\.\.([0-9]+|\*)$"
 )
 _TYPE_LINE_RE = re.compile(r"type\s+([A-Za-z][A-Za-z0-9]*)$")
 
@@ -132,8 +134,11 @@ class OntologyRegistry:
                 for t in range_types:
                     if t not in types:
                         raise InvalidRule(f"line {lineno}: unknown type {t!r}")
-            max_c = UNBOUNDED if max_s == "*" else int(max_s)
-            rule = _rule(predicate, domain, range_types, int(min_s), max_c,
+            min_c, max_c = (UNBOUNDED if s == "*" else parse_int(s, sys.maxsize)
+                            for s in (min_s, max_s))
+            if max(min_c, max_c or 0) > sys.maxsize:
+                raise InvalidRule(f"line {lineno}: card bound over {sys.maxsize}")
+            rule = _rule(predicate, domain, range_types, min_c, max_c,
                          literal=allows_literal)
             seen[predicate] = rule
         rules += list(seen.values())

@@ -8,6 +8,7 @@ import base64
 import json
 import logging
 import secrets
+import sys
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -33,7 +34,7 @@ from .errors import (
     UnknownPredicate,
     UnknownResource,
 )
-from .model import ID_PREFIX, format_ts, local_id
+from .model import ID_PREFIX, format_ts, local_id, parse_int
 from .oai import OaiProvider
 from .ontology import OntologyRegistry
 
@@ -70,8 +71,9 @@ def load_config(path) -> dict:
     config = dict(DEFAULT_CONFIG)
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        # a value may hold '#' (an apiKey may), so comments are whole lines
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
@@ -87,13 +89,16 @@ class Service:
     """Owns the repository, the OAI provider, and their HTTP binding."""
 
     def __init__(self, config: dict, clock=None):
-        page_size = str(config.get("pageSize", "100"))
-        if not (page_size.isascii() and page_size.isdigit() and int(page_size) > 0):
-            raise ConfigError(f"pageSize: expected a positive integer, got {page_size!r}")
-        port = str(config.get("port", DEFAULT_CONFIG["port"]))
-        if not (port.isascii() and port.isdigit() and int(port) <= 65535):
-            raise ConfigError(f"port: expected an integer in 0..65535, got {port!r}")
-        self.port = int(port)  # 0: any free port
+        # a page takes islice(records, page_size + 1), which stops at maxsize
+        text = str(config.get("pageSize", "100"))
+        page_size = parse_int(text, sys.maxsize - 1)
+        if not (page_size and page_size < sys.maxsize):
+            raise ConfigError(f"pageSize: expected a positive integer below "
+                              f"{sys.maxsize}, got {text!r}")
+        text = str(config.get("port", DEFAULT_CONFIG["port"]))
+        self.port = parse_int(text, 65535)  # 0: any free port
+        if self.port is None or self.port > 65535:
+            raise ConfigError(f"port: expected an integer in 0..65535, got {text!r}")
         ontology = None
         if config.get("ontologyPath"):
             ontology = OntologyRegistry.load(
@@ -101,7 +106,7 @@ class Service:
             )
         self.repo = Repository(config["dataDir"], ontology=ontology, clock=clock)
         self.api_key = config.get("apiKey", "")
-        self.provider = OaiProvider(self.repo, page_size=int(page_size))
+        self.provider = OaiProvider(self.repo, page_size=page_size)
         self.provider.rebuild_cache()
 
     def close(self) -> None:
@@ -294,52 +299,42 @@ class _Handler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         query = dict(parse_qsl(split.query))
         length = self.headers.get("Content-Length", "0")
-        if not (length.isascii() and length.isdigit()):
-            # the body's end is unknown, so nothing more on this connection
-            # can be read as a request
+        size = parse_int(length, MAX_BODY_BYTES)
+        if size is None or size > MAX_BODY_BYTES:
+            # the body's end is unknown, or the body is left unread: nothing
+            # more on this connection can be read as a request
             self.close_connection = True
-            self._send(400, "application/json", json.dumps(
-                {"error": f"bad Content-Length: {length!r}"}).encode())
-            return
-        size = length.lstrip("0") or "0"  # int() refuses over 4300 digits
-        if len(size) > len(str(MAX_BODY_BYTES)) or int(size) > MAX_BODY_BYTES:
-            # the body is left unread, so the connection cannot go on
-            self.close_connection = True
-            self._send(413, "application/json", json.dumps(
-                {"error": f"body over {MAX_BODY_BYTES} bytes"}).encode())
-            return
+            if size is None:
+                return self._send_error(400, error=f"bad Content-Length: {length!r}")
+            return self._send_error(413, error=f"body over {MAX_BODY_BYTES} bytes")
         # a body that stalls past the timeout raises TimeoutError, which
         # closes the connection (BaseHTTPRequestHandler.handle_one_request)
-        body = self.rfile.read(int(size))
+        body = self.rfile.read(size)
         try:
             status, media, data = self.service.handle(
                 method, split.path, query, body, self.headers
             )
         except PermissionError as exc:
-            self._send(403, "application/json",
-                       json.dumps({"error": str(exc)}).encode())
-            return
+            return self._send_error(403, error=str(exc))
         except InoError as exc:
-            self._send(_status_for(exc), "application/json",
-                       json.dumps({"error": type(exc).__name__,
-                                   "message": str(exc)}).encode())
-            return
+            return self._send_error(_status_for(exc), error=type(exc).__name__,
+                                    message=str(exc))
         except ValueError as exc:  # bad JSON, UTF-8 or base64
-            self._send(400, "application/json",
-                       json.dumps({"error": f"bad request body: {exc}"}).encode())
-            return
+            return self._send_error(400, error=f"bad request body: {exc}")
         except Exception as exc:  # every request gets a response
             # the id ties the answer the client saw to the logged traceback
             error_id = secrets.token_hex(4)
             logging.getLogger(__name__).exception(
                 "%s %s failed (errorId %s)", method, self.path, error_id)
-            self._send(500, "application/json",
-                       json.dumps({"error": type(exc).__name__,
-                                   "message": str(exc),
-                                   "errorId": error_id}).encode(),
-                       error_id=error_id)
-            return
+            return self._send_error(500, error=type(exc).__name__,
+                                    message=str(exc), errorId=error_id)
         self._send(status, media, data)
+
+    def _send_error(self, status, **body):
+        """Answer with ``body`` as the JSON error document, its keys in the
+        order given; an ``errorId`` also goes to the access log."""
+        self._send(status, "application/json", json.dumps(body).encode(),
+                   error_id=body.get("errorId"))
 
     def _send(self, status, media, data, error_id=None):
         """Answer the request: ``media`` is the Content-Type, or the Location

@@ -95,6 +95,9 @@ _EVENT_KIND = {"create": CREATED, "modify": MODIFIED, "purge": PURGED}
 
 _LOG = "journal.log"
 _COMPACTING = "journal.tmp"
+# a frame's first line: the payload's length, in no more digits than a
+# 64-bit size takes, and its sha256
+_FRAME_HEAD = re.compile(rb"J ([0-9]{1,19}) ([0-9a-f]{64})\n")
 
 # Log size below which superseded versions are kept: compaction reads and
 # rewrites the whole log, so it waits until that work is worth doing.
@@ -213,9 +216,8 @@ class ObjectStore:
         data = path.read_bytes()
         rows, spans, self._versions, self._log_bytes = _read_log(data)
         if self._log_bytes < len(data):
-            head = re.compile(rb"J \d+ [0-9a-f]{64}\n")  # a frame's first line
             if self.durable and any(_read_log(data, m.start())[3] > m.start()
-                                    for m in head.finditer(data, self._log_bytes + 1)):
+                                    for m in _FRAME_HEAD.finditer(data, self._log_bytes + 1)):
                 raise InvalidObject(f"journal corrupt: a whole frame follows byte {self._log_bytes}")
             os.ftruncate(self._log_fd, self._log_bytes)  # a torn tail
 
@@ -433,17 +435,15 @@ def _read_log(data: bytes, pos: int = 0) -> tuple[list, dict[str, tuple[int, int
     rows: list = []
     spans: dict[str, tuple[int, int]] = {}
     versions = 0
-    while (nl := data.find(b"\n", pos)) >= 0:
-        header = data[pos:nl].split(b" ")
-        if len(header) != 3 or header[0] != b"J" or not header[1].isdigit():
-            break
-        end = nl + 1 + int(header[1])
+    while (frame := _FRAME_HEAD.match(data, pos)) is not None:
+        start = frame.end()
+        end = start + int(frame[1])
         if (data[end:end + 1] != b"\n"
-                or hashlib.sha256(memoryview(data)[nl + 1:end]).hexdigest().encode()
-                != header[2]):
+                or hashlib.sha256(memoryview(data)[start:end]).hexdigest().encode()
+                != frame[2]):
             break
-        at = data.index(b"\n", nl + 1) + 1
-        head = json.loads(data[nl + 1:at])
+        at = data.index(b"\n", start) + 1
+        head = json.loads(data[start:at])
         rows += head["events"]
         for oid, size in head["versions"]:
             spans[oid] = (at, at + size)

@@ -145,6 +145,16 @@ def test_harvest_over_real_http(tmp_path, capsys):
         svc.close()
 
 
+@pytest.mark.parametrize("line", ["port=" + "9" * 5000, "pageSize=" + "9" * 5000],
+                         ids=["port", "page-size"])
+def test_serve_refuses_an_overlong_number_with_an_error_line(tmp_path, capsys, line):
+    config = tmp_path / "bad.conf"
+    config.write_text(f"dataDir={tmp_path / 'data'}\n{line}\n")
+    assert main(["serve", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "data").exists()
+
+
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -321,6 +321,17 @@ def test_503_with_retry_after_is_retried(target, wait, slept):
     assert sleeps == [slept, slept] and len(calls) == 3
 
 
+@pytest.mark.parametrize("wait, slept", [
+    ("0", 0), ("007", 7), ("9" * 5000, harvest.MAX_RETRY_WAIT),
+    (" 5 ", 5), (None, None), ("-1", None), ("\u0663", None), ("1.5", None)])
+def test_retry_after_reads_delta_seconds(wait, slept):
+    headers = {} if wait is None else {"Retry-After": wait}
+    exc = urllib.error.HTTPError("u", 503, "Service Unavailable", headers, None)
+    assert harvest._retry_after(exc) == slept
+    exc = urllib.error.HTTPError("u", 500, "Internal Server Error", headers, None)
+    assert harvest._retry_after(exc) is None
+
+
 @pytest.mark.parametrize("answers", [
     [None], ["Fri, 01 Jan 2106 00:00:00 GMT"], ["2"] * (harvest.MAX_RETRIES + 1)],
     ids=["no-retry-after", "http-date", "past-the-retry-cap"])

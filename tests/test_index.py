@@ -380,6 +380,33 @@ def test_evaluate_shapes_equal_brute_force(patterns, projected):
         assert idx.evaluate(ConjunctiveQuery(perm, projected)) == expected
 
 
+def test_terms_linked_by_several_predicates():
+    """Two terms linked by three predicates: a subject- or object-led step
+    that knows both terms finds all three, as the oracle does."""
+    preds = [Term.iri(INO_NS + name) for name in ("cites", "annotates", "extends")]
+    idx = TripleIndex()
+    idx.index_object(obj("a", types=("Thing",), relationships=[
+        Triple("info:ino/a", p.value, Term.iri("info:ino/b")) for p in preds]))
+    idx.index_object(obj("b", types=("Other",)))
+    a, b = Term.iri("info:ino/a"), Term.iri("info:ino/b")
+    thing = TriplePattern(Var("?s"), Term.iri(OBJECT_TYPE), Term.iri(type_iri("Thing")))
+    other = TriplePattern(Var("?o"), Term.iri(OBJECT_TYPE), Term.iri(type_iri("Other")))
+    queries = [
+        ((TriplePattern(a, Var("?p"), b),), ("?p",)),
+        ((thing, other, TriplePattern(Var("?s"), Var("?p"), Var("?o"))),
+         ("?s", "?p", "?o")),
+        ((thing, TriplePattern(Var("?s"), Var("?p"), b)), ("?s", "?p")),
+        ((other, TriplePattern(a, Var("?p"), Var("?o"))), ("?o", "?p")),
+    ]
+    for patterns, projected in queries:
+        expected = idx.evaluate_brute_force(ConjunctiveQuery(patterns, projected))
+        assert {row["?p"] for row in expected} == set(preds)
+        for perm in itertools.permutations(patterns):
+            assert idx.evaluate(ConjunctiveQuery(perm, projected)) == expected
+    assert idx.match(TriplePattern(a, Var("?p"), b)) == {
+        Triple(a.value, p.value, b) for p in preds}
+
+
 def test_self_loop_and_literal_rows():
     idx = _random_index(random.Random(8))
     loop = ConjunctiveQuery((TriplePattern(Var("?x"), Var("?p"), Var("?x")),),

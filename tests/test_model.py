@@ -1,4 +1,5 @@
 import random
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -11,6 +12,7 @@ from ino.model import (
     Triple,
     deserialize_object,
     format_ts,
+    parse_int,
     parse_ts,
     serialize_object,
     shard_path,
@@ -82,6 +84,34 @@ def test_unknown_element_is_parse_error():
         deserialize_object(bad)
     assert "bogus" in str(exc.value)
     assert exc.value.line > 0
+
+
+@pytest.mark.parametrize("old, new, message, line, column", [
+    (b' state="Active"', b"", "missing attribute 'state' on inoObject", 2, 0),
+    (CANONICAL, b'<?xml version="1.0" encoding="UTF-8"?>\n'
+                b"<types><type>Resource</type></types>\n",
+     "unexpected root element 'types'", 2, 0),
+    (b'created="2006-01-01', b'created="2006-13-01',
+     "bad timestamp '2006-13-01T00:00:00Z'", 2, 0),
+    # the position is the first "<datastream", that of the section
+    (b'<surrogate href="http://example.org/page"/>',
+     b'<surrogate href="http://example.org/page"/>' * 2,
+     "datastream 'content' needs exactly one content element", 4, 2),
+    (b'<inline encoding="base64">', b"<inline>",
+     "inline content must declare base64 encoding", 6, 49),
+    (b"aGk=", b"a!k=", "bad base64 in datastream 'note'", 6, 49),
+    (b'kind="iri"', b'kind="uri"', "bad triple kind 'uri'", 9, 4),
+    (b"</inoObject>", b"</inoObjekt>",
+     "malformed XML: mismatched tag: line 11, column 2", 11, 2),
+], ids=["missing-attribute", "unexpected-root", "bad-timestamp",
+        "two-content-elements", "inline-not-base64", "bad-base64",
+        "bad-triple-kind", "malformed-xml"])
+def test_bad_document_is_a_parse_error_at_its_element(old, new, message,
+                                                     line, column):
+    with pytest.raises(ParseError) as exc:
+        deserialize_object(CANONICAL.replace(old, new, 1))
+    assert str(exc.value) == f"{message} (line {line}, column {column})"
+    assert (exc.value.line, exc.value.column) == (line, column)
 
 
 def test_malformed_xml_reports_position():
@@ -171,6 +201,27 @@ def test_parse_ts_is_no_looser_than_strptime():
             assert parse_ts(text) == expected
         except ValueError:
             assert format_ts(expected) != text  # a form format_ts never writes
+
+
+@pytest.mark.parametrize("text, limit, value", [
+    ("0", 10, 0), ("10", 10, 10), ("11", 10, 11), ("007", 10, 7),
+    ("12345", 10, 11),
+    ("0" * 5000 + "7", 10, 7),  # int() refuses over 4300 digits
+    ("9" * 5000, 10, 11),
+    ("65535", 65535, 65535), ("65536", 65535, 65536),
+    (str(sys.maxsize), sys.maxsize - 1, sys.maxsize),
+    ("9" * 20, sys.maxsize, sys.maxsize + 1),
+])
+def test_parse_int_caps_at_one_past_the_limit(text, limit, value):
+    assert parse_int(text, limit) == value
+
+
+@pytest.mark.parametrize("text", [
+    "", " 1", "1 ", "-1", "+1", "1.0", "1e3", "0x10", "1_000",
+    "\u0663", "1\u0663", "\u00b2",  # an Arabic-Indic three, a superscript two
+])
+def test_parse_int_takes_ascii_digits_only(text):
+    assert parse_int(text, 10) is None
 
 
 def test_format_ts_matches_strftime():

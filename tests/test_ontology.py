@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ino.errors import (
@@ -64,6 +66,27 @@ def test_config_errors():
         )
     with pytest.raises(InvalidRule):
         OntologyRegistry.load(ANNOTATES_LINE + "\n" + ANNOTATES_LINE)
+
+
+@pytest.mark.parametrize("card", [
+    f"0..{sys.maxsize + 1}", f"{'9' * 20}..*", f"0..{'9' * 5000}",
+    f"{'9' * 5000}..*"], ids=["max-maxsize+1", "min-20-digits", "max-5000-digits",
+                              "min-5000-digits"])
+def test_card_bound_past_maxsize_is_an_invalid_rule(card):
+    """The bound is named with its line, also past int()'s 4300 digits."""
+    config = f"type Thing\npredicate <info:x> domain Thing range Thing card {card}"
+    with pytest.raises(InvalidRule, match=f"^line 2: card bound over {sys.maxsize}$"):
+        OntologyRegistry.load(config)
+
+
+def test_card_takes_ascii_digits_only():
+    with pytest.raises(ParseError, match="unrecognized ontology line"):
+        OntologyRegistry.load(
+            "predicate <info:x> domain Resource range Resource card \u0660..\u0661")
+    rule = OntologyRegistry.load(
+        f"predicate <info:x> domain Resource range Resource card 007..{sys.maxsize}"
+    ).rule("info:x")
+    assert (rule.min_per_subject, rule.max_per_subject) == (7, sys.maxsize)
 
 
 def test_extension_type_declaration():

@@ -3,6 +3,7 @@ import http.client
 import json
 import logging
 import socket
+import sys
 import threading
 import urllib.parse
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from ino import index as index_module
 from ino import service as service_module
 from ino.corpus import CorpusProfile, generate_corpus
-from ino.errors import ConfigError, StoreLocked
+from ino.errors import ConfigError, NotFound, StoreLocked
 from ino.model import VirtualClock
 from ino.service import Service, load_config
 
@@ -94,6 +95,58 @@ def test_bad_port_is_refused_before_the_store_opens(tmp_path, port):
     svc = Service(make_config(tmp_path, port="65535"))
     assert svc.port == 65535
     svc.close()
+
+
+def test_config_comments_are_whole_lines(tmp_path):
+    """A ``#`` inside a value is part of it: cut there, ``apiKey=ab#cd``
+    would make ``ab`` the key the service accepts."""
+    p = tmp_path / "svc.conf"
+    p.write_text("  # a comment\napiKey=ab#cd\n# port=1\n")
+    config = load_config(p)
+    assert config["apiKey"] == "ab#cd"
+    assert config["port"] == "8080"
+    svc = Service(make_config(tmp_path, apiKey=config["apiKey"]),
+                  clock=VirtualClock())
+    try:
+        with pytest.raises(PermissionError):
+            call(svc, "POST", "/objects/agent",
+                 {"name": "x", "kind": "Person"}, key="ab")
+        call(svc, "POST", "/objects/agent",
+             {"name": "x", "kind": "Person"}, key="ab#cd")
+    finally:
+        svc.close()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("port", "9" * 5000, "port: expected an integer in 0..65535"),
+    ("pageSize", "9" * 5000, "pageSize: expected a positive integer"),
+    ("pageSize", str(sys.maxsize), "pageSize: expected a positive integer"),
+    ("pageSize", "9" * 20, "pageSize: expected a positive integer"),
+], ids=["port-5000-digits", "page-size-5000-digits", "page-size-maxsize",
+        "page-size-20-digits"])
+def test_out_of_range_number_is_refused_before_the_store_opens(
+        tmp_path, key, value, message):
+    """A value past int()'s 4300 digits is refused like any other, and a
+    page size that ``islice(records, page_size + 1)`` cannot take is
+    refused at start, not at every list request."""
+    with pytest.raises(ConfigError, match=message):
+        Service(make_config(tmp_path, **{key: value}))
+    assert not (tmp_path / "data").exists()  # no store opened, no lock held
+
+
+def test_largest_page_size_serves_lists(tmp_path):
+    svc = Service(make_config(tmp_path, pageSize=str(sys.maxsize - 1)),
+                  clock=VirtualClock())
+    try:
+        populate(svc)
+        for verb in ("ListRecords", "ListIdentifiers"):
+            status, _m, data = svc.handle(
+                "GET", "/oai", {"verb": verb, "metadataPrefix": "oai_dc"},
+                b"", {})
+            assert status == 200 and b"<error" not in data
+            assert b"resumptionToken" not in data
+    finally:
+        svc.close()
 
 
 # --------------------------------------------------------------------- routes
@@ -201,6 +254,16 @@ def test_error_statuses(service):
             assert isinstance(exc, InoError), (path, exc)
             status = _status_for(exc)
         assert status == expected, (method, path)
+
+
+def test_unknown_route_and_missing_datastream_are_not_found(service):
+    _agent, _agg, resource, _metadata = populate(service)
+    with pytest.raises(NotFound, match="^/nowhere/at/all$"):
+        call(service, "GET", "/nowhere/at/all")
+    with pytest.raises(NotFound, match="^datastream ghost$"):
+        call(service, "GET", f"/objects/{resource}/datastreams/ghost")
+    from ino.service import _status_for
+    assert _status_for(NotFound("x")) == 404
 
 
 def test_auth_required(service):
@@ -601,6 +664,39 @@ def test_body_bound_is_inclusive(live, monkeypatch):
         "POST /query HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
         f"Content-Length: {'0' * 5000}{len(body)}\r\n\r\n").encode() + body)
     assert reply.startswith(b"HTTP/1.1 200 ")
+
+
+def test_error_bodies_are_pinned(live, monkeypatch):
+    """The byte-exact JSON body of each kind of error answer."""
+    svc, port = live
+
+    def body(reply):
+        return reply.split(b"\r\n\r\n", 1)[1]
+
+    reply = raw_exchange(port, b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                               b"Content-Length: abc\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert body(reply) == b'{"error": "bad Content-Length: \'abc\'"}'
+    reply = raw_exchange(port, b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                               b"Content-Length: 99999999\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert body(reply) == b'{"error": "body over 16777216 bytes"}'
+    status, _h, data = request(port, "POST", "/objects/agent", b"{}")
+    assert (status, data) == (403, b'{"error": "bad or missing X-INO-Key"}')
+    status, _h, data = request(port, "GET", "/nowhere")
+    assert (status, data) == (404, b'{"error": "NotFound", "message": "/nowhere"}')
+    status, _h, data = request(port, "POST", "/objects/agent", b"{not json",
+                               {"X-INO-Key": KEY})
+    assert (status, data) == (400, b'{"error": "bad request body: Expecting '
+                              b'property name enclosed in double quotes: '
+                              b'line 1 column 2 (char 1)"}')
+    monkeypatch.setattr(svc.repo, "add_agent", fail)
+    status, _h, data = request(port, "POST", "/objects/agent",
+                               b'{"name": "n", "kind": "Person"}',
+                               {"X-INO-Key": KEY})
+    error_id = json.loads(data)["errorId"]
+    assert (status, data) == (500, b'{"error": "RuntimeError", "message": '
+                              b'"unexpected", "errorId": "%s"}' % error_id.encode())
 
 
 def test_silent_connections_are_closed(tmp_path, monkeypatch, caplog, capsys):

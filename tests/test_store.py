@@ -382,6 +382,29 @@ def test_torn_tail_sweep(tmp_path):
             again.close()
 
 
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+@pytest.mark.parametrize("length", ["9" * 5000, "9" * 20, "1" + "0" * 19],
+                         ids=["5000-digits", "20-nines", "10**19"])
+def test_frame_header_with_an_overlong_length_is_a_torn_tail(
+        tmp_path, durable, length):
+    """A frame length of more digits than any log holds is a torn tail,
+    also past int()'s 4300 digits: the reopen cuts it."""
+    root = tmp_path / "d"
+    store = ObjectStore(root, clock=VirtualClock(), durable=durable)
+    store.create(draft("r1"))
+    before = _state(store)
+    store.close()
+    log = (root / "journal.log").read_bytes()
+    (root / "journal.log").write_bytes(
+        log + f"J {length} {'0' * 64}\n".encode() + b"x" * 100)
+    reopened = ObjectStore(root, clock=VirtualClock(), durable=durable)
+    try:
+        assert _state(reopened) == before
+        assert (root / "journal.log").read_bytes() == log
+    finally:
+        reopened.close()
+
+
 def test_durable_store_refuses_a_log_with_a_bad_frame_before_whole_ones(tmp_path):
     """A flipped bit in the first of three durable commits is corruption, not
     a torn tail, since the two frames after it are whole: open refuses the
