@@ -4,15 +4,17 @@ the repository through the high-level API, following resumption tokens.
 Each harvested record is one addMetadata commit, its target the resource at
 its first http(s) dc:identifier, found by URL or created in that commit;
 provenance triples (sourceRecordId, sourceBaseUrl, sourceSet) make re-harvests
-idempotent. A record deleted upstream purges the live metadata object
-harvested from it, and leaves its resource in place.
+idempotent, so a record without a header or an identifier is a listed
+failure. A record deleted upstream purges the live metadata object harvested
+from it, and leaves its resource in place.
 
 A harvest refuses a resumption token it has already followed, so a provider
 that repeats one cannot loop it, and stops past ``MAX_PAGES`` pages, which
-bounds the tokens it keeps. It reads at most ``MAX_RESPONSE_BYTES`` of a
-response and refuses a longer one. A ``503`` whose ``Retry-After`` is a
-number of seconds is OAI-PMH's flow control: the request is sent again after
-that wait, capped at ``MAX_RETRY_WAIT``, up to ``MAX_RETRIES`` times.
+bounds the tokens it keeps. It refuses a response longer than
+``MAX_RESPONSE_BYTES``, however fetched, and reads one byte more at most. A
+``503`` whose ``Retry-After`` is a number of seconds is OAI-PMH's flow
+control: the request is sent again after that wait, capped at
+``MAX_RETRY_WAIT``, up to ``MAX_RETRIES`` times.
 """
 
 from __future__ import annotations
@@ -76,12 +78,9 @@ class Harvester:
 
     @staticmethod
     def _http_fetch(url: str) -> bytes:
+        # one byte past the bound is enough for ``_request`` to refuse it
         with urllib.request.urlopen(url, timeout=60) as resp:
-            data = resp.read(MAX_RESPONSE_BYTES + 1)
-        if len(data) > MAX_RESPONSE_BYTES:
-            raise RemoteProtocolError(
-                f"response over {MAX_RESPONSE_BYTES} bytes from {url}")
-        return data
+            return resp.read(MAX_RESPONSE_BYTES + 1)
 
     def harvest(self, base_url: str, metadata_prefix: str,
                 set_spec: str | None = None,
@@ -133,6 +132,9 @@ class Harvester:
                 self._sleep(wait)
             except OSError as exc:
                 raise RemoteProtocolError(f"{verb}: transport failure: {exc}") from exc
+        if len(data) > MAX_RESPONSE_BYTES:  # whatever fetched it
+            raise RemoteProtocolError(
+                f"{verb}: response over {MAX_RESPONSE_BYTES} bytes from {url}")
         try:
             root = ET.fromstring(data)
         except ET.ParseError as exc:
@@ -152,6 +154,9 @@ class Harvester:
             stats.failures.append("record without header")
             return
         oai_id = (header.findtext(_q("identifier")) or "").strip()
+        if not oai_id:  # re-harvests find a record by it
+            stats.failures.append("record without identifier")
+            return
         if header.get("status") == "deleted":
             stats.skipped += 1
             self._purge_deleted(oai_id, stats)

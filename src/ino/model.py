@@ -22,6 +22,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import islice
 from typing import NamedTuple
 from xml.etree import ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
@@ -335,11 +336,17 @@ def serialize_object(obj: DigitalObject) -> bytes:
     return "".join(out).encode("utf-8")
 
 
-def _parse_error(message: str, data: bytes, at: str | tuple[int, int]) -> ParseError:
-    """A ``ParseError`` for a bad stored document ``data``, at the given
-    line and column or, best effort, at the first ``<at`` in it."""
-    if isinstance(at, str):
-        i = data.find(b"<" + at.encode("utf-8"))
+def _parse_error(message: str, data: bytes, at: ET.Element | tuple[int, int],
+                 root: ET.Element | None = None) -> ParseError:
+    """A ``ParseError`` for a bad stored document ``data``, at the given line
+    and column or, best effort, at the element ``at`` of ``root``: the n-th
+    start tag of its name in the text, where ``at`` is the n-th element of
+    that name in document order."""
+    if not isinstance(at, tuple):
+        n = next(i for i, e in enumerate(root.iter(at.tag)) if e is at)
+        tags = re.finditer(b"<" + re.escape(at.tag.encode("utf-8")) + rb"[\s/>]", data)
+        found = next(islice(tags, n, None), None)
+        i = found.start() if found else -1
         at = (0, 0) if i < 0 else (data.count(b"\n", 0, i) + 1,
                                    i - data.rfind(b"\n", 0, i) - 1)
     return ParseError(message, *at)
@@ -365,15 +372,15 @@ def deserialize_object(data: bytes, pool: dict | None = None,
                            data, getattr(exc, "position", (0, 0))) from exc
     for elem in root.iter():
         if elem.tag not in _KNOWN_ELEMENTS:
-            raise _parse_error(f"unknown element {elem.tag!r}", data, elem.tag)
+            raise _parse_error(f"unknown element {elem.tag!r}", data, elem, root)
     if root.tag != "inoObject":
-        raise _parse_error(f"unexpected root element {root.tag!r}", data, root.tag)
+        raise _parse_error(f"unexpected root element {root.tag!r}", data, root, root)
 
     def attr(elem, name):
         value = elem.get(name)
         if value is None:
             raise _parse_error(f"missing attribute {name!r} on {elem.tag}",
-                               data, elem.tag)
+                               data, elem, root)
         return value
 
     def stamp(name):
@@ -389,7 +396,7 @@ def deserialize_object(data: bytes, pool: dict | None = None,
         created = stamp("created")
         modified = stamp("modified")
     except ValueError as exc:
-        raise _parse_error(str(exc), data, "inoObject") from exc
+        raise _parse_error(str(exc), data, root, root) from exc
 
     types: list[str] = []
     datastreams: list[Datastream] = []
@@ -404,7 +411,7 @@ def deserialize_object(data: bytes, pool: dict | None = None,
                 if len(d) != 1:
                     raise _parse_error(
                         f"datastream {ds_id!r} needs exactly one content element",
-                        data, "datastream")
+                        data, d, root)
                 inner = d[0]
                 if inner.tag == "surrogate":
                     datastreams.append(
@@ -414,18 +421,18 @@ def deserialize_object(data: bytes, pool: dict | None = None,
                     if inner.get("encoding") != "base64":
                         raise _parse_error(
                             "inline content must declare base64 encoding",
-                            data, "inline")
+                            data, inner, root)
                     try:
                         content = base64.b64decode(inner.text or "", validate=True)
                     except Exception as exc:
                         raise _parse_error(f"bad base64 in datastream {ds_id!r}",
-                                           data, "inline") from exc
+                                           data, inner, root) from exc
                     datastreams.append(Datastream(ds_id, media, content=content))
         elif section.tag == "relationships":
             for t in section:
                 kind = sys.intern(attr(t, "kind"))
                 if kind not in ("iri", "literal"):
-                    raise _parse_error(f"bad triple kind {kind!r}", data, "triple")
+                    raise _parse_error(f"bad triple kind {kind!r}", data, t, root)
                 value = attr(t, "object")
                 if kind == "iri":  # an object id, maybe read before as one
                     value = pool.setdefault(value, value)

@@ -91,18 +91,20 @@ _FORMAT_NAMESPACES = {
     "oai_dc": (OAI_DC_NS, "http://www.openarchives.org/OAI/2.0/oai_dc.xsd"),
 }
 
-VERBS = {
-    "Identify", "ListMetadataFormats", "ListSets",
-    "ListIdentifiers", "ListRecords", "GetRecord",
-}
+# each verb's arguments: those it takes, and those of them it needs unless
+# it is given a resumptionToken, which stands alone (OAI-PMH 2.0 §3.4)
+_ARGUMENTS = {verb: (frozenset(takes.split()), frozenset(needs.split()))
+              for verb, takes, needs in (
+    ("Identify", "", ""),
+    ("ListMetadataFormats", "identifier", ""),
+    ("ListSets", "resumptionToken", ""),
+    ("GetRecord", "identifier metadataPrefix", "identifier metadataPrefix"),
+    ("ListIdentifiers", "metadataPrefix set from until resumptionToken", "metadataPrefix"),
+    ("ListRecords", "metadataPrefix set from until resumptionToken", "metadataPrefix"),
+)}
 
 # the characters XML 1.0 forbids that a request argument can hold
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
-
-# a payload's root element name, past any comments and processing
-# instructions, then its attributes up to a default namespace declaration
-_ROOT_NAME = re.compile(r"""(?:\s|<!--.*?-->|<\?.*?\?>)*<([^\s/>]+)(?:\s+(?!xmlns\s*=)"""
-                        r"""[^\s=]+\s*=\s*(?:"[^"]*"|'[^']*'))*(\s+xmlns\s*=)?""", re.S)
 
 
 @dataclass(frozen=True, slots=True)
@@ -386,17 +388,23 @@ class OaiProvider:
 
     # --------------------------------------------------------------- requests
 
-    def handle_request(self, params: dict[str, str]) -> bytes:
+    def handle_request(self, params: dict[str, str],
+                       repeated: frozenset[str] = frozenset()) -> bytes:
+        """The response to ``params``, one value per argument; ``repeated``
+        names the arguments the request gave more than once."""
         stamp = self.repo.store.now()
         self.catch_up()
         verb = params.get("verb")
         try:
+            if "verb" in repeated:
+                raise _OaiError("badVerb", "verb is repeated")
             if _NOT_XML_CHAR.search("".join(chain.from_iterable(params.items()))):
                 # a response that names it would not parse
                 raise _OaiError("badArgument", "a character XML forbids")
-            if verb not in VERBS:
+            if verb not in _ARGUMENTS:
                 raise _OaiError("badVerb", f"unknown verb {verb!r}")
-            body = getattr(self, "_verb_" + verb)(dict(params))
+            _check_arguments(*_ARGUMENTS[verb], params, repeated)
+            body = getattr(self, "_verb_" + verb)(params)
         except _OaiError as exc:
             # badVerb/badArgument responses must not echo illegal request attrs
             echo = exc.code not in ("badVerb", "badArgument")
@@ -404,11 +412,10 @@ class OaiProvider:
                 f'<error code="{exc.code}">{escape(exc.message)}</error>'])
         return self._respond(stamp, params, [f"<{verb}>", *body, f"</{verb}>"])
 
-    # verb handlers return their body as XML strings; each checks its
-    # arguments first, so the request element echoes only OAI argument names
+    # verb handlers return their body as XML strings; ``handle_request`` has
+    # checked the argument names, so the request element echoes only those
 
     def _verb_Identify(self, params):
-        self._reject_extra_args(params, set())
         earliest = min((seq.chunks[0][0].datestamp
                         for seq in self.sequences.values()), default=None)
         return [_el(tag, value) for tag, value in (
@@ -423,7 +430,6 @@ class OaiProvider:
         )]
 
     def _verb_ListMetadataFormats(self, params):
-        self._reject_extra_args(params, {"identifier"})
         identifier = params.get("identifier")
         if identifier is not None:
             formats = sorted(self._records_of(identifier))
@@ -442,7 +448,6 @@ class OaiProvider:
         return out
 
     def _verb_ListSets(self, params):
-        self._reject_extra_args(params, {"resumptionToken"})
         if "resumptionToken" in params:  # ListSets is never paged
             raise _OaiError("badResumptionToken", "ListSets issues no tokens")
         aggs = sorted(self.repo.subjects(OBJECT_TYPE,
@@ -465,8 +470,6 @@ class OaiProvider:
         return out
 
     def _verb_GetRecord(self, params):
-        self._reject_extra_args(params, {"identifier", "metadataPrefix"},
-                                required={"identifier", "metadataPrefix"})
         identifier = params["identifier"]
         prefix = params["metadataPrefix"]
         rec = self.records.get((identifier, prefix))
@@ -513,18 +516,11 @@ class OaiProvider:
         """A list page with each record written by ``write``."""
         token = params.get("resumptionToken")
         if token is not None:
-            if set(params) - {"verb", "resumptionToken"}:
-                raise _OaiError("badArgument",
-                                "resumptionToken is an exclusive argument")
             try:
                 fmt, set_spec, from_s, until_s, after = decode_token(token)
             except BadResumptionToken as exc:
                 raise _OaiError("badResumptionToken", str(exc)) from exc
         else:
-            self._reject_extra_args(
-                params, {"metadataPrefix", "set", "from", "until"},
-                required={"metadataPrefix"},
-            )
             fmt, set_spec = params["metadataPrefix"], params.get("set")
             from_s, until_s = params.get("from"), params.get("until")
             after = None
@@ -556,32 +552,21 @@ class OaiProvider:
     # writers ----------------------------------------------------------------
 
     def _record(self, rec: OaiRecord) -> str:
-        metadata = "" if rec.deleted else f"<metadata>{self._metadata(rec)}</metadata>"
+        # <oai:metadata> undeclares the default namespace, so an element the
+        # payload leaves unprefixed is in none (Namespaces in XML 1.0, §6.2)
+        metadata = ("" if rec.deleted else
+                    f'<oai:metadata xmlns="">{self._metadata(rec)}</oai:metadata>')
         return f"<record>{_header(rec)}{metadata}</record>"
 
     def _metadata(self, rec: OaiRecord) -> str:
         """The payload of ``rec`` as ``payload_text`` writes it.
         ``cannotDisseminateFormat`` when it cannot be had or written."""
         try:
-            text = payload_text(self.repo.get_dissemination(rec.source_object,
+            return payload_text(self.repo.get_dissemination(rec.source_object,
                                                             rec.format)[0])
         except (NotFound, FormatUnavailable, TransformError, InvalidObject) as exc:
             raise _OaiError("cannotDisseminateFormat",
                             f"{rec.identifier}: {exc}") from exc
-        # in <metadata> the OAI namespace is the default, so an unprefixed
-        # element would take it unless the payload's root sets its own
-        root = _ROOT_NAME.match(text)
-        if root.group(2) is None:
-            text = f'{text[:root.end(1)]} xmlns=""{text[root.end(1):]}'
-        return text
-
-    def _reject_extra_args(self, params, allowed: set, required: set = frozenset()):
-        extra = set(params) - allowed - {"verb"}
-        if extra:
-            raise _OaiError("badArgument", f"illegal arguments {sorted(extra)}")
-        missing = required - set(params)
-        if missing:
-            raise _OaiError("badArgument", f"missing arguments {sorted(missing)}")
 
     def _respond(self, stamp: datetime, params, body: list[str]) -> bytes:
         """``body`` in the envelope dated ``stamp``; ``params`` the request's attributes."""
@@ -601,8 +586,22 @@ class _OaiError(Exception):
 
 
 _HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n'
-         f'<OAI-PMH xmlns="{OAI_NS}" xmlns:xsi="{XSI_NS}" '
+         f'<OAI-PMH xmlns="{OAI_NS}" xmlns:oai="{OAI_NS}" xmlns:xsi="{XSI_NS}" '
          f'xsi:schemaLocation="{OAI_NS} {OAI_SCHEMA}">')
+
+
+def _check_arguments(takes: frozenset[str], needs: frozenset[str], params,
+                     repeated: frozenset[str]) -> None:
+    """``badArgument`` unless ``params`` gives each argument once, only those
+    the verb ``takes``, and a resumptionToken alone or all the verb ``needs``."""
+    given = params.keys() - {"verb"}
+    token = "resumptionToken" in given
+    for kind, names in (("repeated", repeated), ("illegal", given - takes),
+                        ("missing", () if token else needs - given)):
+        if names:
+            raise _OaiError("badArgument", f"{kind} arguments {sorted(names)}")
+    if token and len(given) > 1:
+        raise _OaiError("badArgument", "resumptionToken is an exclusive argument")
 
 
 def _attr(value: str) -> str:

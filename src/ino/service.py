@@ -10,6 +10,7 @@ import logging
 import secrets
 import sys
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
@@ -137,12 +138,15 @@ class Service:
     # -------------------------------------------------------------- handlers
 
     def handle(self, method: str, path: str, query: dict, body: bytes,
-               headers) -> tuple[int, str, bytes]:
+               headers, repeated: frozenset[str] = frozenset()
+               ) -> tuple[int, str, bytes]:
+        """The status, media type and body that answer a request;
+        ``repeated`` names the arguments its query gives more than once."""
         parts = [p for p in path.split("/") if p]
         if path == "/oai":
             if method == "POST":  # OAI-PMH allows form-encoded arguments
-                query = dict(parse_qsl(body.decode("utf-8")))
-            return 200, "text/xml", self.provider.handle_request(query)
+                query, repeated = _arguments(body.decode("utf-8"))
+            return 200, "text/xml", self.provider.handle_request(query, repeated)
 
         if method == "GET" and len(parts) == 2 and parts[0] == "objects":
             obj = self.repo.get_object(ID_PREFIX + parts[1])
@@ -231,6 +235,15 @@ class Service:
         return local_id(oid)
 
 
+def _arguments(text: str) -> tuple[dict[str, str], frozenset[str]]:
+    """The form-encoded arguments in ``text`` that have a value, the last
+    value of each, and the names it gives more than once, blank or not."""
+    pairs = parse_qsl(text, keep_blank_values=True)
+    counts = Counter(name for name, _ in pairs)
+    return ({name: value for name, value in pairs if value},
+            frozenset(name for name, n in counts.items() if n > 1))
+
+
 def _resource_spec(body: dict) -> ResourceSpec:
     content = _field(body, "content", default=None)
     if content is not None:
@@ -297,7 +310,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str):
         self._started = time.perf_counter()
         split = urlsplit(self.path)
-        query = dict(parse_qsl(split.query))
+        query, repeated = _arguments(split.query)
         length = self.headers.get("Content-Length", "0")
         size = parse_int(length, MAX_BODY_BYTES)
         if size is None or size > MAX_BODY_BYTES:
@@ -312,7 +325,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = self.rfile.read(size)
         try:
             status, media, data = self.service.handle(
-                method, split.path, query, body, self.headers
+                method, split.path, query, body, self.headers, repeated
             )
         except PermissionError as exc:
             return self._send_error(403, error=str(exc))

@@ -1,16 +1,20 @@
 import io
+import random
+import re
 import urllib.error
 import urllib.parse
 import urllib.request
 
+from collections import Counter
+
 import pytest
 
-from ino import harvest
+from ino import harvest, service
 from ino.api import Repository
 from ino.corpus import CorpusProfile, generate_corpus
 from ino.errors import RemoteProtocolError
 from ino.harvest import Harvester
-from ino.index import TriplePattern, Var
+from ino.index import TriplePattern, Var, extract_triples
 from ino.model import (
     METADATA_FOR,
     OBJECT_TYPE,
@@ -213,6 +217,26 @@ def test_record_without_http_identifier_skipped(target):
     stats = Harvester(target, fetch=canned_fetch([page.encode()])).harvest(
         BASE_URL, "nsdl_dc")
     assert stats.skipped == 2 and stats.created_metadata == 1
+
+
+@pytest.mark.parametrize("identifier", [
+    "", "<identifier></identifier>", "<identifier> </identifier>"],
+    ids=["absent", "empty", "blank"])
+def test_record_without_identifier_is_a_failure(target, identifier):
+    """Re-harvests find a record by its identifier, so one without is not
+    ingested: two such records would be one object, one record's payload
+    describing the other's resource."""
+    def nameless(url):
+        return ("<record><header>%s<datestamp>2006-01-01T00:00:00Z</datestamp>"
+                "</header><metadata><nsdl_dc><identifier>%s</identifier>"
+                "</nsdl_dc></metadata></record>" % (identifier, url))
+    page = ENVELOPE % ("<ListRecords>" + nameless("http://a.org/1")
+                       + nameless("http://a.org/2") + "</ListRecords>")
+    stats = Harvester(target, fetch=canned_fetch([page.encode()])).harvest(
+        BASE_URL, "nsdl_dc")
+    assert stats.failures == ["record without identifier"] * 2
+    assert stats.records == 2 and stats.created_metadata == stats.updated == 0
+    assert count_type(target, "Metadata") == 0 and target.audit() == []
 
 
 def test_remote_error_raises(target):
@@ -433,3 +457,182 @@ def test_crash_mid_harvest_leaves_whole_records(source, tmp_path):
         assert repo.audit() == []
     finally:
         repo.close()
+
+
+def test_injected_fetch_is_bounded_too(target, monkeypatch):
+    """The response bound holds for any fetch, not only the HTTP one: a
+    well-formed page padded past it is refused."""
+    monkeypatch.setattr(harvest, "MAX_RESPONSE_BYTES", len(ONE_RECORD))
+    padded = ONE_RECORD + b" "
+    with pytest.raises(RemoteProtocolError,
+                       match=f"response over {len(ONE_RECORD)} bytes"):
+        Harvester(target, fetch=canned_fetch([padded])).harvest(
+            BASE_URL, "nsdl_dc")
+    assert count_type(target, "Metadata") == 0
+
+
+# ---------------------------------------------------- a seeded hostile provider
+
+HOSTILE_SEEDS = 200
+HOSTILE_BOUND = 1 << 14  # MAX_RESPONSE_BYTES while the hostile provider runs
+TOKEN = re.compile(rb"(<resumptionToken[^>]*>)[^<]+(</resumptionToken>)")
+
+
+def _drop(pattern, keep=b""):
+    """A break that removes one match of ``pattern``, chosen at random,
+    leaving the expansion of ``keep``."""
+    def drop(data, rng, followed):
+        found = list(re.finditer(pattern, data, re.S))
+        if not found:
+            return data
+        m = rng.choice(found)
+        return data[:m.start()] + m.expand(keep) + data[m.end():]
+    return drop
+
+
+def _loop_token(data, rng, followed):
+    """The page's token made one the harvest has followed: the last one (a
+    loop) or an earlier one (a cycle)."""
+    if not followed:
+        return data
+    return TOKEN.sub(lambda m: m[1] + rng.choice(followed).encode() + m[2], data)
+
+
+def _error(codes):
+    def error(data, rng, followed):
+        head, _, _ = data.partition(b"</request>")
+        code = rng.choice(codes).encode()
+        return head + b'</request><error code="' + code + b'">x</error></OAI-PMH>'
+    return error
+
+
+def _unavailable(retry_after):
+    def unavailable(data, rng, followed):
+        headers = {"Retry-After": str(rng.randrange(5))} if retry_after else {}
+        raise urllib.error.HTTPError(BASE_URL, 503, "Service Unavailable",
+                                     headers, None)
+    return unavailable
+
+
+# each way the hostile provider breaks a response, and whether a harvest
+# that meets it must end in RemoteProtocolError
+BREAKS = {
+    "cut": (lambda data, rng, followed: data[:rng.randrange(len(data))], True),
+    "loop-token": (_loop_token, True),
+    "not-xml": (lambda data, rng, followed: rng.choice(
+        [b"", b"Service Unavailable", b"<OAI-PMH", b"\xff\xfe\x00"]), True),
+    "error": (_error(["badArgument", "badResumptionToken", "badVerb",
+                      "cannotDisseminateFormat", "idDoesNotExist"]), True),
+    "past-bound": (lambda data, rng, followed:
+                   data + b" " * (HOSTILE_BOUND + 1 - len(data)), True),
+    "503": (_unavailable(retry_after=False), True),
+    "503-retry-after": (_unavailable(retry_after=True), False),
+    "no-records-match": (_error(["noRecordsMatch"]), False),
+    "drop-header": (_drop(rb"<header[ >].*?</header>"), False),
+    "drop-identifier": (_drop(rb"(<header[^>]*>)<identifier>[^<]*</identifier>",
+                              rb"\1"), False),
+    "drop-metadata": (_drop(rb"<(?:oai:)?metadata[ >].*?</(?:oai:)?metadata>"),
+                      False),
+}
+
+
+def hostile(provider, rng, applied):
+    """A fetch that answers from ``provider`` and breaks about half of its
+    answers, each in one way from ``BREAKS`` chosen by ``rng``; the name of
+    each break that changed an answer is appended to ``applied``. It answers
+    503 with a Retry-After at most ``MAX_RETRIES`` times, so those are
+    always retried, and fails past a bound on fetches."""
+    followed = []
+    calls = []
+
+    def fetch(url):
+        calls.append(url)
+        assert len(calls) <= 20, "the harvest went past the fetch bound"
+        query, repeated = service._arguments(urllib.parse.urlsplit(url).query)
+        if "resumptionToken" in query:
+            followed.append(query["resumptionToken"])
+        data = provider.handle_request(query, repeated)
+        assert len(data) <= HOSTILE_BOUND
+        name = rng.choice(list(BREAKS)) if rng.random() < 0.5 else None
+        if name == "503-retry-after" and applied.count(name) == harvest.MAX_RETRIES:
+            name = None
+        if name is None:
+            return data
+        if name.startswith("503"):  # its break raises
+            applied.append(name)
+        broken = BREAKS[name][0](data, rng, followed)
+        if broken != data:
+            applied.append(name)
+        return broken
+    return fetch
+
+
+def harvested_payloads(repo):
+    """The payload of each live harvested metadata object, by source record."""
+    out = {}
+    for obj in repo.store.objects():
+        if "Metadata" in obj.types:
+            source_id = next(t.object.value for t in obj.relationships
+                             if t.predicate == SOURCE_RECORD_ID)
+            out[source_id] = obj.datastream("format_nsdl_dc").content
+    return out
+
+
+def type_counts(repo):
+    return Counter(t for obj in repo.store.objects() for t in obj.types)
+
+
+def test_seeded_hostile_provider(source, tmp_path, monkeypatch):
+    """Harvests from a provider that breaks its answers at random end in
+    ``RemoteProtocolError`` exactly when a break calls for it, else list a
+    failure per record without a header or an identifier, and raise nothing
+    else. The target stays consistent throughout, and a clean harvest then
+    leaves what a clean harvest from scratch leaves."""
+    source_repo, provider = source
+    source_repo.purge_metadata(min(o.id for o in source_repo.store.objects()
+                                   if "Metadata" in o.types))
+    provider.page_size = 2  # several pages, so tokens can loop
+    monkeypatch.setattr(harvest, "MAX_RESPONSE_BYTES", HOSTILE_BOUND)
+    target = Repository(tmp_path / "hostile", clock=VirtualClock(), durable=False)
+    seen, sleeps, refused = Counter(), [], 0
+    try:
+        for seed in range(HOSTILE_SEEDS):
+            applied = []
+            fetch = hostile(provider, random.Random(seed), applied)
+            harvester = Harvester(target, fetch=fetch, sleep=sleeps.append)
+            try:
+                stats = harvester.harvest(BASE_URL, "nsdl_dc")
+            except RemoteProtocolError:
+                assert any(BREAKS[name][1] for name in applied), (seed, applied)
+                refused += 1
+            else:
+                assert not any(BREAKS[name][1] for name in applied), (seed, applied)
+                lost = {"drop-header": "record without header",
+                        "drop-identifier": "record without identifier"}
+                assert sorted(stats.failures) == sorted(
+                    lost[name] for name in applied if name in lost), seed
+            seen.update(applied)
+            assert target.audit() == [], seed
+            expected = {t for obj in target.store.objects()
+                        for t in extract_triples(obj)}
+            assert target.index.triple_set() == expected, seed
+            assert target.index.size() == len(expected), seed
+        assert set(seen) == set(BREAKS) and 0 < refused < HOSTILE_SEEDS
+        assert all(0 <= s <= harvest.MAX_RETRY_WAIT for s in sleeps)
+
+        clean = Harvester(target, fetch=loopback(provider)).harvest(
+            BASE_URL, "nsdl_dc")
+        assert clean.failures == []
+        fresh = Repository(tmp_path / "fresh", clock=VirtualClock(), durable=False)
+        try:
+            Harvester(fresh, fetch=loopback(provider)).harvest(BASE_URL, "nsdl_dc")
+            assert harvested_payloads(target) == harvested_payloads(fresh)
+            assert len(harvested_payloads(fresh)) == 8
+            assert type_counts(target) == type_counts(fresh)
+        finally:
+            fresh.close()
+        again = Harvester(target, fetch=loopback(provider)).harvest(
+            BASE_URL, "nsdl_dc")
+        assert again.unchanged == 8 and again.failures == []
+    finally:
+        target.close()

@@ -93,19 +93,26 @@ def test_unknown_element_is_parse_error():
      "unexpected root element 'types'", 2, 0),
     (b'created="2006-01-01', b'created="2006-13-01',
      "bad timestamp '2006-13-01T00:00:00Z'", 2, 0),
-    # the position is the first "<datastream", that of the section
     (b'<surrogate href="http://example.org/page"/>',
      b'<surrogate href="http://example.org/page"/>' * 2,
-     "datastream 'content' needs exactly one content element", 4, 2),
+     "datastream 'content' needs exactly one content element", 5, 4),
+    # an element is placed at its own tag, not at one its name begins
+    (b"</type></types>", b"</type><typ/></types>", "unknown element 'typ'",
+     3, 30),
     (b'<inline encoding="base64">', b"<inline>",
      "inline content must declare base64 encoding", 6, 49),
     (b"aGk=", b"a!k=", "bad base64 in datastream 'note'", 6, 49),
     (b'kind="iri"', b'kind="uri"', "bad triple kind 'uri'", 9, 4),
+    # the second of two triples is placed on its own line
+    (b'kind="iri"/>\n', b'kind="iri"/>\n    <triple predicate="info:ino/def#'
+                       b'memberOf" object="info:ino/agg2" kind="uri"/>\n',
+     "bad triple kind 'uri'", 10, 4),
     (b"</inoObject>", b"</inoObjekt>",
      "malformed XML: mismatched tag: line 11, column 2", 11, 2),
 ], ids=["missing-attribute", "unexpected-root", "bad-timestamp",
-        "two-content-elements", "inline-not-base64", "bad-base64",
-        "bad-triple-kind", "malformed-xml"])
+        "two-content-elements", "unknown-element-in-a-section",
+        "inline-not-base64", "bad-base64", "bad-triple-kind",
+        "bad-second-triple-kind", "malformed-xml"])
 def test_bad_document_is_a_parse_error_at_its_element(old, new, message,
                                                      line, column):
     with pytest.raises(ParseError) as exc:

@@ -617,6 +617,54 @@ def test_protocol_errors(setup):
         assert root.find("error").get("code") == code, (params, code)
 
 
+@pytest.mark.parametrize("params, repeated, code", [
+    ({"verb": "Identify"}, {"verb"}, "badVerb"),
+    ({"verb": "Bogus"}, {"verb"}, "badVerb"),
+    ({"verb": "ListIdentifiers", "metadataPrefix": "oai_dc"},
+     {"metadataPrefix"}, "badArgument"),
+    ({"verb": "ListRecords", "resumptionToken": "x"},
+     {"resumptionToken"}, "badArgument"),
+    ({"verb": "Identify", "set": "x"}, {"set"}, "badArgument"),
+], ids=["verb", "unknown-verb", "metadataPrefix", "resumptionToken",
+        "illegal-argument"])
+def test_repeated_argument_is_refused(setup, params, repeated, code):
+    """OAI-PMH 2.0 §3.6: a repeated verb is badVerb, any other repeated
+    argument badArgument, and neither echoes the request's arguments."""
+    _repo, provider, _agg, _mids = setup
+    root = parse(provider.handle_request(params, frozenset(repeated)))
+    assert root.find("error").get("code") == code
+    assert root.find("request").attrib == {}
+
+
+def test_each_verb_takes_the_arguments_its_row_names(setup):
+    """Each verb's arguments are those its table row names, and a
+    resumptionToken stands alone."""
+    _repo, provider, _agg, mids = setup
+    ident = "oai:ndr.local:" + local_id(mids[0])
+    token = parse(provider.handle_request(
+        {"verb": "ListRecords", "metadataPrefix": "oai_dc"})).findtext(
+        "ListRecords/resumptionToken")
+    cases = [
+        ({"verb": "GetRecord", "identifier": ident},
+         "missing arguments ['metadataPrefix']"),
+        ({"verb": "GetRecord", "identifier": ident, "metadataPrefix": "oai_dc",
+          "set": "x"}, "illegal arguments ['set']"),
+        ({"verb": "ListMetadataFormats", "metadataPrefix": "oai_dc"},
+         "illegal arguments ['metadataPrefix']"),
+        ({"verb": "ListSets", "set": "x"}, "illegal arguments ['set']"),
+        ({"verb": "ListIdentifiers", "resumptionToken": token, "set": "x"},
+         "resumptionToken is an exclusive argument"),
+        ({"verb": "Identify", "resumptionToken": token},
+         "illegal arguments ['resumptionToken']"),
+    ]
+    for params, message in cases:
+        error = parse(provider.handle_request(params)).find("error")
+        assert (error.get("code"), error.text) == ("badArgument", message), params
+    page = parse(provider.handle_request(
+        {"verb": "ListRecords", "resumptionToken": token}))
+    assert page.find("error") is None and page.findall("ListRecords/record")
+
+
 def test_bad_argument_response_omits_request_attrs(setup):
     _repo, provider, _agg, _mids = setup
     raw = provider.handle_request({"verb": "ListRecords"})

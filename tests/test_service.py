@@ -7,6 +7,7 @@ import sys
 import threading
 import urllib.parse
 from pathlib import Path
+from xml.etree import ElementTree as ET
 
 import pytest
 
@@ -15,6 +16,7 @@ from ino import service as service_module
 from ino.corpus import CorpusProfile, generate_corpus
 from ino.errors import ConfigError, NotFound, StoreLocked
 from ino.model import VirtualClock
+from ino.oai import OAI_NS
 from ino.service import Service, load_config
 
 KEY = "sekrit"
@@ -409,6 +411,43 @@ def test_http_end_to_end(live):
         port, "POST", "/oai", form,
         {"Content-Type": "application/x-www-form-urlencoded"})
     assert status == 200 and b"<repositoryName>" in data2
+
+
+def oai_error(data):
+    """The code of the OAI error in ``data``, and the request's attributes."""
+    root = ET.fromstring(data)
+    return (root.find(f"{{{OAI_NS}}}error").get("code"),
+            root.find(f"{{{OAI_NS}}}request").attrib)
+
+
+@pytest.mark.parametrize("query, code", [
+    ("verb=ListIdentifiers&metadataPrefix=nsdl_dc&metadataPrefix=oai_dc",
+     "badArgument"),
+    ("verb=Identify&verb=Identify", "badVerb"),
+    ("verb=Identify&verb=ListSets", "badVerb"),
+    ("verb=Identify&verb=", "badVerb"),
+], ids=["metadataPrefix", "verb", "two-verbs", "blank-verb"])
+def test_repeated_oai_argument_is_refused_over_http(live, query, code):
+    """OAI-PMH 2.0 §3.6, for GET and for a form-encoded POST; the answer
+    does not echo the request's arguments."""
+    svc, port = live
+    populate(svc)
+    status, _h, data = request(port, "GET", "/oai?" + query)
+    assert status == 200 and oai_error(data) == (code, {})
+    status, _h, data = request(
+        port, "POST", "/oai", query,
+        {"Content-Type": "application/x-www-form-urlencoded"})
+    assert status == 200 and oai_error(data) == (code, {})
+
+
+@pytest.mark.parametrize("text, query, repeated", [
+    ("", {}, set()),
+    ("a=1&b=2", {"a": "1", "b": "2"}, set()),
+    ("a=1&b=2&a=3&b=2&c=", {"a": "3", "b": "2"}, {"a", "b"}),
+    ("a=1&a=&c=", {"a": "1"}, {"a"}),
+], ids=["empty", "each-once", "two-repeated", "repeated-blank"])
+def test_arguments_name_the_repeated_ones(text, query, repeated):
+    assert service_module._arguments(text) == (query, repeated)
 
 
 def test_http_redirect_for_surrogate(live):
