@@ -146,16 +146,23 @@ class Repository:
             raise error_cls(object_id)
 
     def _commit(self, ops: list[BatchOp]) -> list[DigitalObject]:
-        """Check the final relationship list of every object the batch
-        creates or relinks against the ontology, raise the first violation,
-        then commit the batch all-or-nothing. Relationship targets may be
-        objects that the same batch creates."""
+        """The gate of every write batch: check the final relationship list
+        of every object the batch creates or relinks against the ontology,
+        refuse to purge an object that another live object targets, raise
+        the first violation, then commit the batch all-or-nothing.
+        Relationship targets may be objects that the same batch creates."""
         created = {op.object_id: op.draft.types for op in ops if op.kind == "create"}
 
         def types_of(object_id):
             return created.get(object_id) or self._live_types(object_id)
 
         for op in ops:
+            if op.kind == "purge":  # one OSP lookup, whatever the predicate
+                dependents = {t.subject for t in self.index.match(TriplePattern(
+                    Var("?s"), Var("?p"), Term.iri(op.object_id)))} - {op.object_id}
+                if dependents:
+                    raise HasDependents(sorted(dependents))
+                continue
             new = op.draft
             if new is None or (op.kind == "modify" and new.relationships
                                == self.store.get(op.object_id).relationships):
@@ -268,12 +275,8 @@ class Repository:
             rels += [Triple(agg_id, p, o) for p, o in extra_relationships]
             agg_draft = make_draft(agg_id, ("Aggregation",), relationships=rels)
             ops.append(BatchOp("create", agg_id, draft=agg_draft))
-            agent_obj = self.store.get(agent)
-            agent_rels = agent_obj.relationships + (
-                Triple(agent, AGGREGATOR_FOR, Term.iri(agg_id)),
-            )
-            ops.append(BatchOp("modify", agent,
-                               replace(agent_obj, relationships=agent_rels)))
+            ops.append(self._relink(Triple(agent, AGGREGATOR_FOR, Term.iri(agg_id)),
+                                    add=True))
             self._commit(ops)
             return agg_id
 
@@ -289,19 +292,10 @@ class Repository:
             current = self.members_of(agg)
             added = members - current
             removed = current - members
-            ops = []
             agg_term = self._iri(agg)
-            for m in sorted(added):
-                obj = self.store.get(m)
-                rels = obj.relationships + (Triple(m, MEMBER_OF, agg_term),)
-                ops.append(BatchOp("modify", m, replace(obj, relationships=rels)))
-            for m in sorted(removed):
-                obj = self.store.get(m)
-                rels = tuple(
-                    t for t in obj.relationships
-                    if not (t.predicate == MEMBER_OF and t.object == agg_term)
-                )
-                ops.append(BatchOp("modify", m, replace(obj, relationships=rels)))
+            ops = [self._relink(Triple(m, MEMBER_OF, agg_term), add)
+                   for add, ids in ((True, added), (False, removed))
+                   for m in sorted(ids)]
             if ops:
                 self._commit(ops)
             return MembershipDelta(frozenset(added), frozenset(removed))
@@ -309,24 +303,29 @@ class Repository:
     def add_relationship(self, subj: str, predicate: str, obj) -> None:
         """obj: an object id (str) or a literal Term."""
         with self._lock:
-            subject = self.store.get(subj)  # NotFound if not live
-            triple = Triple(subj, predicate, self._relationship_term(obj))
-            if triple in subject.relationships:
-                return  # relationships are a set; re-asserting is a no-op
-            rels = subject.relationships + (triple,)
-            self._commit([BatchOp("modify", subj,
-                                  replace(subject, relationships=rels))])
+            op = self._relink(Triple(subj, predicate, self._relationship_term(obj)),
+                              add=True)
+            if op is not None:  # relationships are a set; re-asserting is a no-op
+                self._commit([op])
 
     def remove_relationship(self, subj: str, predicate: str, obj) -> None:
         with self._lock:
-            subject = self.store.get(subj)
-            term = self._relationship_term(obj)
-            triple = Triple(subj, predicate, term)
-            if triple not in subject.relationships:
+            op = self._relink(Triple(subj, predicate, self._relationship_term(obj)),
+                              add=False)
+            if op is None:
                 raise NotFound(f"no such relationship on {subj}")
-            rels = tuple(t for t in subject.relationships if t != triple)
-            self._commit([BatchOp("modify", subj,
-                                  replace(subject, relationships=rels))])
+            self._commit([op])
+
+    def _relink(self, triple: Triple, add: bool) -> BatchOp | None:
+        """The modify op that appends ``triple`` to its subject's
+        relationships, or drops it from them unless ``add``; None when they
+        already hold it, or lack it. NotFound unless the subject is live."""
+        obj = self.store.get(triple.subject)
+        if (triple in obj.relationships) == add:
+            return None
+        rels = (obj.relationships + (triple,) if add
+                else tuple(t for t in obj.relationships if t != triple))
+        return BatchOp("modify", obj.id, replace(obj, relationships=rels))
 
     def _relationship_term(self, obj) -> Term:
         return self.index.term(obj if isinstance(obj, Term) else Term.iri(obj))
@@ -337,22 +336,15 @@ class Repository:
         return self.index.term(Term.iri(object_id))
 
     def purge_metadata(self, object_id: str) -> None:
-        with self._lock:
-            obj = self.store.get(object_id)
-            if "Metadata" not in obj.types:
-                raise NotFound(f"{object_id} is not a Metadata object")
-            self._commit([BatchOp("purge", object_id)])
+        self._purge(object_id, "Metadata")
 
     def purge_resource(self, object_id: str) -> None:
+        self._purge(object_id, "Resource")
+
+    def _purge(self, object_id: str, kind: str) -> None:
         with self._lock:
-            obj = self.store.get(object_id)
-            if "Resource" not in obj.types:
-                raise NotFound(f"{object_id} is not a Resource object")
-            target = Term.iri(object_id)
-            dependents = (self.subjects(METADATA_FOR, target)
-                          | self.subjects(REPRESENTED_BY, target))
-            if dependents:
-                raise HasDependents(sorted(dependents))
+            if kind not in self.store.get(object_id).types:
+                raise NotFound(f"{object_id} is not a {kind} object")
             self._commit([BatchOp("purge", object_id)])
 
     # ---------------------------------------------------------------- queries

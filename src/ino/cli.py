@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_dir(p)
     p.add_argument("--resources", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metadata-ratio", type=float, default=0.75)
 
     p = sub.add_parser("bench", help="run the benchmark suite")
     _add_data_dir(p)
@@ -75,7 +74,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except InoError as exc:
+    except (InoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -87,7 +86,6 @@ def _run(args) -> int:
         logging.basicConfig(level=logging.INFO,
                             format="%(asctime)s %(name)s %(message)s")
         service = Service(config)
-        print(f"serving on {args.host}:{service.port}")
         service.serve_forever(service.port, args.host)
         return 0
 
@@ -108,8 +106,7 @@ def _run(args) -> int:
         try:
             stats = generate_corpus(
                 repo,
-                CorpusProfile(resources=args.resources, seed=args.seed,
-                              metadata_per_resource=args.metadata_ratio),
+                CorpusProfile(resources=args.resources, seed=args.seed),
             )
             print(json.dumps(stats.__dict__, indent=2))
         finally:

@@ -23,7 +23,6 @@ _EXTRA_ELEMENTS = ("audience", "educationLevel", "interactivityType")
 @dataclass(frozen=True)
 class CorpusProfile:
     resources: int
-    metadata_per_resource: float = 0.75
     aggregations: int | None = None  # default max(1, resources // 1000)
     agents: int = 10
     seed: int = 0
@@ -36,7 +35,7 @@ class CorpusProfile:
 
     @property
     def metadata_count(self) -> int:
-        return int(self.resources * self.metadata_per_resource)
+        return self.resources * 3 // 4
 
 
 @dataclass(frozen=True)

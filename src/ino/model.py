@@ -121,6 +121,16 @@ def parse_int(text: str, limit: int) -> int | None:
     return min(int(digits or "0"), limit + 1)
 
 
+def config_lines(text: str):
+    """The one reader of config text: each line's number and its stripped
+    text, skipping blank lines and comments. A value or an IRI may hold
+    ``#``, so a comment is a whole line that starts with it."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 class Clock:
     """Wall clock, truncated to whole seconds UTC."""
 

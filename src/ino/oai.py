@@ -273,6 +273,11 @@ class OaiProvider:
 
     # ----------------------------------------------------------- cache build
 
+    def _formats(self) -> set[str]:
+        """The repository's formats: ``oai_dc``, which OAI-PMH 2.0 requires
+        of every repository, and every format a record has."""
+        return {"oai_dc", *self.sequences}
+
     def _records_of(self, identifier: str) -> dict[str, OaiRecord]:
         """The records of ``identifier`` in ``records``, by format."""
         records = self.records
@@ -436,7 +441,7 @@ class OaiProvider:
             if not formats:
                 raise _OaiError("idDoesNotExist", identifier)
         else:
-            formats = sorted(self.sequences)
+            formats = sorted(self._formats())
         out = []
         for f in formats:
             ns, schema = _FORMAT_NAMESPACES.get(
@@ -452,6 +457,8 @@ class OaiProvider:
             raise _OaiError("badResumptionToken", "ListSets issues no tokens")
         aggs = sorted(self.repo.subjects(OBJECT_TYPE,
                                          Term.iri(type_iri("Aggregation"))))
+        if not aggs:  # a ListSets answer holds at least one set
+            raise _OaiError("noSetHierarchy", "the repository has no sets")
         out = []
         for agg in aggs:
             name = agg
@@ -532,7 +539,7 @@ class OaiProvider:
 
         page = self.select(fmt, set_spec, from_ts, until_ts, after)
         if not page.records:
-            if fmt not in self.sequences:
+            if fmt not in self._formats():
                 raise _OaiError("cannotDisseminateFormat", fmt)
             raise _OaiError("noRecordsMatch", "empty selection")
 

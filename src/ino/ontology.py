@@ -31,6 +31,7 @@ from .model import (
     SOURCE_BASE_URL,
     SOURCE_RECORD_ID,
     SOURCE_SET,
+    config_lines,
     parse_int,
 )
 
@@ -95,14 +96,7 @@ class OntologyRegistry:
         types = set(BUILTIN_TYPES)
 
         # first pass: extension type declarations
-        lines = []
-        for lineno, raw in enumerate(config_text.splitlines(), start=1):
-            line = raw.strip()
-            # '#' also appears inside predicate IRIs, so comments are
-            # whole-line only
-            if not line or line.startswith("#"):
-                continue
-            lines.append((lineno, line))
+        lines = list(config_lines(config_text))
         for lineno, line in lines:
             m = _TYPE_LINE_RE.match(line)
             if m:

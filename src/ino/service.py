@@ -35,7 +35,7 @@ from .errors import (
     UnknownPredicate,
     UnknownResource,
 )
-from .model import ID_PREFIX, format_ts, local_id, parse_int
+from .model import ID_PREFIX, config_lines, format_ts, local_id, parse_int
 from .oai import OaiProvider
 from .ontology import OntologyRegistry
 
@@ -70,12 +70,7 @@ _ACCESS_LOG = logging.getLogger("ino.access")
 
 def load_config(path) -> dict:
     config = dict(DEFAULT_CONFIG)
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        # a value may hold '#' (an apiKey may), so comments are whole lines
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in config_lines(Path(path).read_text()):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
@@ -126,7 +121,15 @@ class Service:
         return ThreadingHTTPServer((host, port), Handler)
 
     def serve_forever(self, port: int, host: str = "127.0.0.1") -> None:
-        server = self.serve(port, host)
+        """Bind, then announce the bound address on stdout and serve until
+        interrupted. The repository is closed however this ends, a failed
+        bind too, so the caller keeps no store lock."""
+        try:
+            server = self.serve(port, host)
+        except OSError:
+            self.close()
+            raise
+        print(f"serving on {host}:{server.server_address[1]}", flush=True)
         try:
             server.serve_forever()
         except KeyboardInterrupt:

@@ -502,6 +502,57 @@ def test_purge_type_mismatch(fixture):
         repo.purge_resource(agent)
 
 
+@pytest.mark.parametrize("kind", ["Resource", "Metadata"])
+def test_purge_of_a_target_of_an_extension_predicate_is_refused(
+        tmp_path, vclock, kind):
+    """Every purge passes the dependents check, whatever the predicate that
+    targets the object: neither a cited resource nor a cited metadata object
+    can be purged, so the API leaves no dangling target for audit to find."""
+    cites = "x:cites"
+    ontology = OntologyRegistry.load(
+        f"predicate <{cites}> domain Metadata range Resource,Metadata card 0..*")
+    repo = Repository(tmp_path / "d", ontology=ontology, clock=vclock)
+    try:
+        agent = repo.add_agent("NSDL", "Organization")
+        resource = repo.add_resource(ResourceSpec(content_url="http://example.org/a"))
+        victim = repo.add_resource(ResourceSpec(content_url="http://example.org/b"))
+        purge = repo.purge_resource
+        if kind == "Metadata":
+            victim = repo.add_metadata(MetadataSpec(
+                target=resource, format_id="nsdl_dc", payload=PAYLOAD,
+                provider=agent))
+            purge = repo.purge_metadata
+        citing = repo.add_metadata(
+            MetadataSpec(target=resource, format_id="nsdl_dc", payload=PAYLOAD,
+                         provider=agent),
+            extra_relationships=[(cites, Term.iri(victim))])
+        before = snapshot(repo)
+        with pytest.raises(HasDependents) as exc:
+            purge(victim)
+        assert exc.value.dependents == [citing]
+        assert snapshot(repo) == before and repo.audit() == []
+        repo.remove_relationship(citing, cites, victim)
+        purge(victim)
+        assert repo.audit() == []
+    finally:
+        repo.close()
+
+
+def test_an_object_that_targets_itself_is_no_dependent(tmp_path, vclock):
+    see_also = "x:seeAlso"
+    ontology = OntologyRegistry.load(
+        f"predicate <{see_also}> domain Resource range Resource card 0..*")
+    repo = Repository(tmp_path / "d", ontology=ontology, clock=vclock)
+    try:
+        r = repo.add_resource(ResourceSpec(content_url="http://example.org/r"))
+        repo.add_relationship(r, see_also, r)
+        repo.purge_resource(r)
+        with pytest.raises(NotFound):
+            repo.get_object(r)
+    finally:
+        repo.close()
+
+
 def test_audit_clean_after_fixture(fixture):
     repo = fixture[0]
     assert repo.audit() == []

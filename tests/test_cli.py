@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 
 import pytest
@@ -153,6 +154,51 @@ def test_serve_refuses_an_overlong_number_with_an_error_line(tmp_path, capsys, l
     assert main(["serve", "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "data").exists()
+
+
+def error_line(capsys):
+    """What the command wrote to stderr, asserted to be one `error:` line,
+    with nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, \
+        captured.err
+    return captured.err
+
+
+def test_serve_with_a_missing_config_file_is_an_error_line(tmp_path, capsys):
+    assert main(["serve", "--config", str(tmp_path / "missing.conf")]) == 1
+    assert "missing.conf" in error_line(capsys)
+
+
+def test_serve_with_a_missing_ontology_is_an_error_line(tmp_path, capsys):
+    config = tmp_path / "serve.conf"
+    config.write_text(f"dataDir={tmp_path / 'data'}\n"
+                      f"ontologyPath={tmp_path / 'missing.ontology'}\n")
+    assert main(["serve", "--config", str(config)]) == 1
+    assert "missing.ontology" in error_line(capsys)
+    assert not (tmp_path / "data").exists()
+
+
+def test_a_data_dir_that_names_a_file_is_an_error_line(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["audit", "--data-dir", str(tmp_path / "file")]) == 1
+    error_line(capsys)
+
+
+def test_serve_on_a_port_in_use_is_an_error_line_and_frees_the_store(
+        tmp_path, capsys):
+    """The bind comes before the announcement, and a failed bind closes the
+    repository, so an in-process caller keeps no store lock."""
+    data = tmp_path / "data"
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        config = tmp_path / "serve.conf"
+        config.write_text(f"dataDir={data}\nport={held.getsockname()[1]}\n")
+        assert main(["serve", "--config", str(config)]) == 1
+    assert "Address already in use" in error_line(capsys)  # and no "serving on"
+    Repository(data).close()  # the store lock was let go
 
 
 def test_unknown_command_rejected(capsys):

@@ -381,6 +381,44 @@ def test_list_sets_names_a_set_by_its_represented_by_proxy_only(tmp_path, vclock
         repo.close()
 
 
+def error_code(provider, params):
+    error = parse(provider.handle_request(params)).find("error")
+    return None if error is None else error.get("code")
+
+
+def test_list_sets_without_an_aggregation_is_no_set_hierarchy(repo):
+    """A ListSets answer holds at least one set (``ListSetsType``), so a
+    repository with no aggregation answers noSetHierarchy; a list by set
+    still answers noRecordsMatch."""
+    provider = OaiProvider(repo)
+    assert error_code(provider, {"verb": "ListSets"}) == "noSetHierarchy"
+    assert error_code(provider, {"verb": "ListIdentifiers",
+                                 "metadataPrefix": "oai_dc",
+                                 "set": "agg-1"}) == "noRecordsMatch"
+
+
+@pytest.mark.parametrize("format_id", [None, "lom"], ids=["empty", "no-crosswalk"])
+def test_oai_dc_is_always_a_format(repo, format_id):
+    """OAI-PMH 2.0 requires every repository to disseminate oai_dc: an empty
+    repository, or one whose only format has no crosswalk to oai_dc, lists
+    it among its formats and answers a list in it with noRecordsMatch."""
+    if format_id is not None:
+        agent = repo.add_agent("prov", "Organization")
+        resource = repo.add_resource(ResourceSpec(content_url="http://example.org/r"))
+        repo.add_metadata(MetadataSpec(target=resource, format_id=format_id,
+                                       payload=b"<lom/>", provider=agent))
+    provider = OaiProvider(repo)
+    root = parse(provider.handle_request({"verb": "ListMetadataFormats"}))
+    assert [el.findtext("metadataPrefix")
+            for el in root.find("ListMetadataFormats")] == sorted(
+                {"oai_dc", format_id} - {None})
+    for verb in ("ListRecords", "ListIdentifiers"):
+        params = {"verb": verb, "metadataPrefix": "oai_dc"}
+        assert error_code(provider, params) == "noRecordsMatch"
+        params["metadataPrefix"] = "mods"
+        assert error_code(provider, params) == "cannotDisseminateFormat"
+
+
 def test_get_record(setup):
     _repo, provider, agg, mids = setup
     ident = "oai:ndr.local:" + local_id(mids[0])
