@@ -20,7 +20,7 @@ from .index import extract_triples
 from .model import VirtualClock
 from .oai import OaiProvider
 from .service import Service, load_config
-from .store import ObjectStore
+from .store import LOG_FILE, ObjectStore
 
 
 def _add_data_dir(parser):
@@ -79,7 +79,16 @@ def main(argv=None) -> int:
         return 1
 
 
+# the commands that read an existing store: each refuses a directory that
+# holds none, rather than create an empty store there
+_READ_ONLY = frozenset({"audit", "rebuild-index", "rebuild-oai-cache", "export"})
+
+
 def _run(args) -> int:
+    if args.command in _READ_ONLY and not (Path(args.data_dir) / LOG_FILE).is_file():
+        print(f"error: no store in {args.data_dir} (no {LOG_FILE})", file=sys.stderr)
+        return 1
+
     if args.command == "serve":
         config = load_config(args.config)
         # the access log (logger "ino.access") and failures, to stderr

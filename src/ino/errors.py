@@ -40,8 +40,8 @@ class StoreFailed(InoError):
 
 
 class OldStoreLayout(InoError):
-    """The data directory holds the one-file-per-object layout of an older
-    version, which is not read."""
+    """The data directory holds a layout of an older version, which is not
+    read: one file per object, or a log of XML versions."""
 
 
 # --- triple index / queries ---

@@ -1,9 +1,12 @@
-"""Core domain types: digital objects, datastreams, triples, canonical XML.
+"""Core domain types: digital objects, datastreams, triples; the log record
+and canonical XML.
 
-Objects serialize to a canonical XML document (UTF-8, LF, fixed element and
-attribute order) so that serialize(deserialize(serialize(o))) is the identity
-on bytes. The commit sequence number is store bookkeeping derived from the
-event log and is deliberately kept out of the XML and out of value equality.
+An object is stored as one log record, a JSON array of plain values
+(``serialize_object``), whose bytes depend only on the object, so that
+serialize(deserialize(serialize(o))) is the identity on bytes. Canonical XML
+(``canonical_xml``) is written only by ``export``, and never read. The
+commit sequence number is store bookkeeping derived from the event log and
+is deliberately kept out of the record and out of value equality.
 
 An object holds many values that other objects hold too, so each is kept
 once. The closed vocabularies (predicates, types, kinds, states, media types
@@ -18,16 +21,16 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
 import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import islice
+from itertools import product
 from typing import NamedTuple
-from xml.etree import ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import InvalidObject, ParseError
+from .errors import InvalidObject
 
 # Namespace for system predicates and built-in relationship types.
 INO_NS = "info:ino/def#"
@@ -119,6 +122,11 @@ def parse_int(text: str, limit: int) -> int | None:
     if len(digits) > len(str(limit)):
         return limit + 1
     return min(int(digits or "0"), limit + 1)
+
+
+# the characters XML 1.0 forbids: the C0 controls but tab, LF and CR, lone
+# surrogates, U+FFFE and U+FFFF
+NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def config_lines(text: str):
@@ -215,6 +223,14 @@ class DigitalObject:
         return None
 
 
+def _xml_text(name: str, *values: str) -> None:
+    """Raise InvalidObject naming field ``name`` when one of ``values`` holds
+    a character that ``canonical_xml`` could not write."""
+    for value in values:
+        if NOT_XML_CHAR.search(value):
+            raise InvalidObject(f"{name}: a character XML 1.0 forbids in {value!r}")
+
+
 def validate_object(obj: DigitalObject) -> None:
     """Raise InvalidObject naming the violated field."""
     if not is_valid_object_id(obj.id):
@@ -226,6 +242,7 @@ def validate_object(obj: DigitalObject) -> None:
             raise InvalidObject("types: must be non-empty")
     if len(set(obj.types)) != len(obj.types):
         raise InvalidObject("types: duplicate type names")
+    _xml_text("types", *obj.types)
     if obj.modified < obj.created:
         raise InvalidObject("modified: earlier than created")
     seen = set()
@@ -245,6 +262,7 @@ def validate_object(obj: DigitalObject) -> None:
             )
         if not ds.media_type:
             raise InvalidObject(f"datastreams: {ds.ds_id} missing mediaType")
+        _xml_text(f"datastreams: {ds.ds_id}", ds.media_type, ds.surrogate or "")
     for t in obj.relationships:
         if t.subject != obj.id:
             raise InvalidObject(
@@ -252,6 +270,7 @@ def validate_object(obj: DigitalObject) -> None:
             )
         if not t.predicate:
             raise InvalidObject("relationships: empty predicate")
+        _xml_text("relationships", t.predicate, t.object.value)
     if len(set(obj.relationships)) != len(obj.relationships):
         raise InvalidObject("relationships: duplicate triple")
 
@@ -288,87 +307,44 @@ def _interned(strings) -> tuple[str, ...]:
     return tuple(map(sys.intern, strings))
 
 
-# --- canonical XML ---
+# --- the log record and canonical XML ---
 
-_KNOWN_ELEMENTS = {
-    "inoObject", "types", "type", "datastreams", "datastream",
-    "surrogate", "inline", "relationships", "triple",
+def serialize_object(obj: DigitalObject) -> bytes:
+    """The object as one log record: a JSON array of plain values, ``[id,
+    state, created, modified, [type...], [[dsId, mediaType, surrogate|null,
+    base64|null]...], [[predicate, kind, value]...]]``, in ASCII. JSON's
+    bytes depend only on the value, so a re-encode is byte-stable."""
+    return json.dumps([
+        obj.id, obj.state, format_ts(obj.created), format_ts(obj.modified), obj.types,
+        [[ds.ds_id, ds.media_type, ds.surrogate,
+          None if ds.content is None else base64.b64encode(ds.content).decode("ascii")]
+         for ds in obj.datastreams],
+        [[t.predicate, t.object.kind, t.object.value] for t in obj.relationships],
+    ], separators=(",", ":")).encode("ascii")
+
+
+# the JSON types that each kind of row of a record holds, item by item
+_ROWS = {
+    "record": {(str, str, str, str, list, list, list)},
+    "datastream": set(product([str], [str], *[(str, type(None))] * 2)),
+    "triple": {(str, str, str)},
 }
 
 
-def serialize_object(obj: DigitalObject) -> bytes:
-    """Canonical, deterministic XML bytes for an object."""
-    out = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-    out.append(
-        "<inoObject id=%s state=%s created=%s modified=%s>\n"
-        % (
-            quoteattr(obj.id),
-            quoteattr(obj.state),
-            quoteattr(format_ts(obj.created)),
-            quoteattr(format_ts(obj.modified)),
-        )
-    )
-    if obj.types:
-        body = "".join(f"<type>{escape(t)}</type>" for t in obj.types)
-        out.append(f"  <types>{body}</types>\n")
-    else:
-        out.append("  <types/>\n")
-    if obj.datastreams:
-        out.append("  <datastreams>\n")
-        for ds in obj.datastreams:
-            if ds.is_surrogate:
-                inner = f"<surrogate href={quoteattr(ds.surrogate)}/>"
-            else:
-                b64 = base64.b64encode(ds.content).decode("ascii")
-                inner = f'<inline encoding="base64">{b64}</inline>'
-            out.append(
-                "    <datastream id=%s mediaType=%s>%s</datastream>\n"
-                % (quoteattr(ds.ds_id), quoteattr(ds.media_type), inner)
-            )
-        out.append("  </datastreams>\n")
-    else:
-        out.append("  <datastreams/>\n")
-    if obj.relationships:
-        out.append("  <relationships>\n")
-        for t in obj.relationships:
-            out.append(
-                "    <triple predicate=%s object=%s kind=%s/>\n"
-                % (
-                    quoteattr(t.predicate),
-                    quoteattr(t.object.value),
-                    quoteattr(t.object.kind),
-                )
-            )
-        out.append("  </relationships>\n")
-    else:
-        out.append("  <relationships/>\n")
-    out.append("</inoObject>\n")
-    return "".join(out).encode("utf-8")
-
-
-def _parse_error(message: str, data: bytes, at: ET.Element | tuple[int, int],
-                 root: ET.Element | None = None) -> ParseError:
-    """A ``ParseError`` for a bad stored document ``data``, at the given line
-    and column or, best effort, at the element ``at`` of ``root``: the n-th
-    start tag of its name in the text, where ``at`` is the n-th element of
-    that name in document order."""
-    if not isinstance(at, tuple):
-        n = next(i for i, e in enumerate(root.iter(at.tag)) if e is at)
-        tags = re.finditer(b"<" + re.escape(at.tag.encode("utf-8")) + rb"[\s/>]", data)
-        found = next(islice(tags, n, None), None)
-        i = found.start() if found else -1
-        at = (0, 0) if i < 0 else (data.count(b"\n", 0, i) + 1,
-                                   i - data.rfind(b"\n", 0, i) - 1)
-    return ParseError(message, *at)
+def _row(value, name: str) -> list:
+    """``value`` if it is a JSON array of the types a ``name`` row holds."""
+    if type(value) is list and tuple(map(type, value)) in _ROWS[name]:
+        return value
+    raise ValueError(f"not a {name}: {value!r:.80}")
 
 
 def deserialize_object(data: bytes, pool: dict | None = None,
                        stamps: dict[str, datetime] | None = None, *,
                        seq: int = 0) -> DigitalObject:
     """The object that ``serialize_object`` wrote as ``data``, numbered
-    ``seq``; ``ParseError`` or ``InvalidObject`` for anything else.
+    ``seq``; ``InvalidObject`` naming ``seq`` for anything else.
 
-    A reader of many documents passes the same ``pool`` and ``stamps`` to
+    A reader of many records passes the same ``pool`` and ``stamps`` to
     every call, so that equal values come out as one object: ``pool`` maps
     each object id and ``Term`` read to its first copy, ``stamps`` each
     timestamp's text to its datetime. Both grow with what is read, so keep
@@ -376,91 +352,64 @@ def deserialize_object(data: bytes, pool: dict | None = None,
     pool = {} if pool is None else pool
     stamps = {} if stamps is None else stamps
     try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise _parse_error(f"malformed XML: {exc.msg if hasattr(exc, 'msg') else exc}",
-                           data, getattr(exc, "position", (0, 0))) from exc
-    for elem in root.iter():
-        if elem.tag not in _KNOWN_ELEMENTS:
-            raise _parse_error(f"unknown element {elem.tag!r}", data, elem, root)
-    if root.tag != "inoObject":
-        raise _parse_error(f"unexpected root element {root.tag!r}", data, root, root)
-
-    def attr(elem, name):
-        value = elem.get(name)
-        if value is None:
-            raise _parse_error(f"missing attribute {name!r} on {elem.tag}",
-                               data, elem, root)
-        return value
-
-    def stamp(name):
-        text = attr(root, name)
-        if text not in stamps:
-            stamps[text] = parse_ts(text)
-        return stamps[text]
-
-    object_id = attr(root, "id")
-    object_id = pool.setdefault(object_id, object_id)
-    state = sys.intern(attr(root, "state"))
-    try:
-        created = stamp("created")
-        modified = stamp("modified")
-    except ValueError as exc:
-        raise _parse_error(str(exc), data, root, root) from exc
-
-    types: list[str] = []
-    datastreams: list[Datastream] = []
-    relationships: list[Triple] = []
-    for section in root:
-        if section.tag == "types":
-            types = [sys.intern(t.text or "") for t in section]
-        elif section.tag == "datastreams":
-            for d in section:
-                ds_id = sys.intern(attr(d, "id"))
-                media = sys.intern(attr(d, "mediaType"))
-                if len(d) != 1:
-                    raise _parse_error(
-                        f"datastream {ds_id!r} needs exactly one content element",
-                        data, d, root)
-                inner = d[0]
-                if inner.tag == "surrogate":
-                    datastreams.append(
-                        Datastream(ds_id, media, surrogate=attr(inner, "href"))
-                    )
-                else:
-                    if inner.get("encoding") != "base64":
-                        raise _parse_error(
-                            "inline content must declare base64 encoding",
-                            data, inner, root)
-                    try:
-                        content = base64.b64decode(inner.text or "", validate=True)
-                    except Exception as exc:
-                        raise _parse_error(f"bad base64 in datastream {ds_id!r}",
-                                           data, inner, root) from exc
-                    datastreams.append(Datastream(ds_id, media, content=content))
-        elif section.tag == "relationships":
-            for t in section:
-                kind = sys.intern(attr(t, "kind"))
-                if kind not in ("iri", "literal"):
-                    raise _parse_error(f"bad triple kind {kind!r}", data, t, root)
-                value = attr(t, "object")
-                if kind == "iri":  # an object id, maybe read before as one
-                    value = pool.setdefault(value, value)
-                term = Term(kind, value)
-                relationships.append(
-                    Triple(object_id, sys.intern(attr(t, "predicate")),
-                           pool.setdefault(term, term))
-                )
-
-    obj = DigitalObject(
-        id=object_id,
-        types=tuple(types),
-        state=state,
-        created=created,
-        modified=modified,
-        datastreams=tuple(datastreams),
-        relationships=tuple(relationships),
-        seq=seq,
-    )
-    validate_object(obj)
+        object_id, state, created, modified, types, streams, links = _row(
+            json.loads(data), "record")
+        if {*map(type, types)} - {str}:
+            raise ValueError(f"not a list of types: {types!r:.80}")
+        object_id = pool.setdefault(object_id, object_id)
+        for text in (created, modified):
+            if text not in stamps:
+                stamps[text] = parse_ts(text)
+        datastreams = tuple(
+            Datastream(sys.intern(ds_id), sys.intern(media), None if content is None
+                       else base64.b64decode(content, validate=True), surrogate)
+            for ds_id, media, surrogate, content in (_row(d, "datastream") for d in streams))
+        relationships = []
+        for predicate, kind, value in (_row(t, "triple") for t in links):
+            if kind not in ("iri", "literal"):
+                raise ValueError(f"bad triple kind {kind!r}")
+            # an iri is an object id, maybe read before as one
+            term = Term(sys.intern(kind), pool.setdefault(value, value) if kind == "iri" else value)
+            term = pool.setdefault(term, term)
+            relationships.append(Triple(object_id, sys.intern(predicate), term))
+        obj = DigitalObject(object_id, tuple(map(sys.intern, types)), stamps[created],
+                            stamps[modified], sys.intern(state), datastreams,
+                            tuple(relationships), seq)
+        validate_object(obj)
+    # RecursionError: arrays nested deeper than json reads
+    except (ValueError, RecursionError, InvalidObject) as exc:
+        raise InvalidObject(f"seq {seq}: bad record: {exc}") from None
     return obj
+
+
+# a parser reads a raw CR as LF, so text escapes it, as quoteattr does
+_CR = {"\r": "&#13;"}
+
+
+def canonical_xml(obj: DigitalObject) -> bytes:
+    """The object as a canonical XML document, Fedora's interchange form:
+    UTF-8, LF and a fixed element and attribute order. Only ``export``
+    writes it; nothing reads it back."""
+    def section(name: str, lines: list[str]) -> str:
+        body = "".join(f"    {line}\n" for line in lines)
+        return f"  <{name}>\n{body}  </{name}>\n" if lines else f"  <{name}/>\n"
+
+    types = "".join(f"<type>{escape(t, _CR)}</type>" for t in obj.types)
+    streams = ["<datastream id=%s mediaType=%s>%s</datastream>" % (
+        quoteattr(ds.ds_id), quoteattr(ds.media_type),
+        f"<surrogate href={quoteattr(ds.surrogate)}/>" if ds.is_surrogate else
+        f'<inline encoding="base64">{base64.b64encode(ds.content).decode("ascii")}</inline>')
+        for ds in obj.datastreams]
+    triples = ["<triple predicate=%s object=%s kind=%s/>" % (
+        quoteattr(t.predicate), quoteattr(t.object.value), quoteattr(t.object.kind))
+        for t in obj.relationships]
+    return "".join([
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        "<inoObject id=%s state=%s created=%s modified=%s>\n" % (
+            quoteattr(obj.id), quoteattr(obj.state),
+            quoteattr(format_ts(obj.created)), quoteattr(format_ts(obj.modified))),
+        f"  <types>{types}</types>\n" if types else "  <types/>\n",
+        section("datastreams", streams),
+        section("relationships", triples),
+        "</inoObject>\n",
+    ]).encode("utf-8")

@@ -49,7 +49,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-import re
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -65,6 +64,7 @@ from .errors import (BadResumptionToken, FormatUnavailable, InvalidObject,
 from .model import (
     DELETED,
     MEMBER_OF,
+    NOT_XML_CHAR,
     OBJECT_TYPE,
     REPRESENTED_BY,
     Term,
@@ -102,9 +102,6 @@ _ARGUMENTS = {verb: (frozenset(takes.split()), frozenset(needs.split()))
     ("ListIdentifiers", "metadataPrefix set from until resumptionToken", "metadataPrefix"),
     ("ListRecords", "metadataPrefix set from until resumptionToken", "metadataPrefix"),
 )}
-
-# the characters XML 1.0 forbids that a request argument can hold
-_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,7 +400,7 @@ class OaiProvider:
         try:
             if "verb" in repeated:
                 raise _OaiError("badVerb", "verb is repeated")
-            if _NOT_XML_CHAR.search("".join(chain.from_iterable(params.items()))):
+            if NOT_XML_CHAR.search("".join(chain.from_iterable(params.items()))):
                 # a response that names it would not parse
                 raise _OaiError("badArgument", "a character XML forbids")
             if verb not in _ARGUMENTS:

@@ -118,7 +118,10 @@ class Service:
 
         Handler.service = service
         Handler.timeout = IDLE_TIMEOUT_S  # the socket timeout of each connection
-        return ThreadingHTTPServer((host, port), Handler)
+        server = ThreadingHTTPServer((host, port), Handler)
+        # Identify's baseURL and each response's <request> name this address
+        self.provider.base_url = "http://%s:%d/oai" % server.server_address[:2]
+        return server
 
     def serve_forever(self, port: int, host: str = "127.0.0.1") -> None:
         """Bind, then announce the bound address on stdout and serve until

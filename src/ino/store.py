@@ -17,13 +17,14 @@ behind it a commit may be dated before it.
 The log, ``journal.log``, is a run of frames: a ``J <len> <sha256>`` line,
 the payload and a newline. A commit is one frame, appended with one write
 and, when durable, one fsync. Its payload is a JSON line (the commit's events,
-and the id and size of each new version) followed by the raw canonical XML
-of those versions. Opening the store reads the frames in order, keeps the
-last version of each id and stops at the first frame that is incomplete or
-fails its checksum. The file is cut there before anything is appended, so
-an interrupted commit either fully applies or vanishes. A durable store
-refuses, as it is, a log where a whole frame follows the bad one: each frame
-was synced before the next was written, so that is corruption.
+and the id and size of each new version) followed by those versions, each
+one JSON record (``serialize_object``). Opening the store reads the frames
+in order, keeps the last version of each id and stops at the first frame
+that is incomplete or fails its checksum. The file is cut there before
+anything is appended, so an interrupted commit either fully applies or
+vanishes. A durable store refuses, as it is, a log where a whole frame
+follows the bad one: each frame was synced before the next was written, so
+that is corruption.
 
 In memory one map holds each id's last version, live or a tombstone, with a
 count of its tombstones. A commit publishes with one ``update`` of it and hands
@@ -46,8 +47,10 @@ event holds its object's id string; the pool is dropped when the open ends.
 The index's term table is then the one pool that lasts (``TripleIndex.term``).
 
 ``export`` writes Fedora's layout, one canonical XML file per object under
-``objects/<xx>/<yy>/<id>.xml``. A data directory in that layout, as older
-versions kept it (``objects/`` or ``events.log``), is refused at open.
+``objects/<xx>/<yy>/<id>.xml``; nothing in the store reads XML. A data
+directory in that layout, as older versions kept it (``objects/`` or
+``events.log``), is refused at open, as is a log whose versions are XML
+documents, as older versions wrote them.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from .model import (
     DELETED,
     Clock,
     DigitalObject,
+    canonical_xml,
     format_ts,
     parse_ts,
     serialize_object,
@@ -93,7 +97,7 @@ MODIFIED = "Modified"
 PURGED = "Purged"
 _EVENT_KIND = {"create": CREATED, "modify": MODIFIED, "purge": PURGED}
 
-_LOG = "journal.log"
+LOG_FILE = "journal.log"
 _COMPACTING = "journal.tmp"
 # a frame's first line: the payload's length, in no more digits than a
 # 64-bit size takes, and its sha256
@@ -197,7 +201,7 @@ class ObjectStore:
         for obj in versions:
             path = Path(dest) / shard_path(obj.id)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(serialize_object(obj))
+            path.write_bytes(canonical_xml(obj))
         return len(versions)
 
     # ------------------------------------------------------------------- log
@@ -210,11 +214,15 @@ class ObjectStore:
                 f"version ({', '.join(old)}), which this version does not read")
         # left by a compaction that stopped before its rename
         (self.root / _COMPACTING).unlink(missing_ok=True)
-        path = self.root / _LOG
+        path = self.root / LOG_FILE
         self._log_fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         self._fds = (self._log_fd, self._lock_fd)
         data = path.read_bytes()
         rows, spans, self._versions, self._log_bytes = _read_log(data)
+        if any(data[start] == ord("<") for start, _end in spans.values()):
+            raise OldStoreLayout(
+                f"{path} holds each version as an XML document, as older "
+                f"versions wrote it, which this version does not read")
         if self._log_bytes < len(data):
             if self.durable and any(_read_log(data, m.start())[3] > m.start()
                                     for m in _FRAME_HEAD.finditer(data, self._log_bytes + 1)):
@@ -244,7 +252,7 @@ class ObjectStore:
 
     def _compact(self) -> None:
         """Rewrite the log as one frame; any failure stops the store."""
-        path, tmp = self.root / _LOG, self.root / _COMPACTING
+        path, tmp = self.root / LOG_FILE, self.root / _COMPACTING
         try:
             data = path.read_bytes()
             rows, spans, _versions, end = _read_log(data)
@@ -416,7 +424,7 @@ class ObjectStore:
 
 def _frame(rows: list, versions: list[tuple[str, bytes]]) -> bytes:
     """One log frame holding event rows ``[seq, kind, id, timestamp]`` and
-    each version's canonical XML, in order."""
+    each version's record, in order."""
     head = json.dumps({"events": rows, "versions": [[oid, len(content)]
                                                     for oid, content in versions]},
                       separators=(",", ":")).encode("utf-8") + b"\n"

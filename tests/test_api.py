@@ -95,6 +95,20 @@ def test_add_resource_no_aggregations(repo):
     assert not repo.get_object(oid).relationships
 
 
+def test_add_resource_with_a_character_xml_forbids_is_refused(tmp_path):
+    """A content URL holding U+0001 is refused with nothing written, and
+    the data directory still opens."""
+    repo = Repository(tmp_path / "d")
+    try:
+        before = snapshot(repo)
+        with pytest.raises(InvalidObject, match="a character XML 1.0 forbids"):
+            repo.add_resource(ResourceSpec(content_url="http://a.org/\u0001"))
+        assert snapshot(repo) == before
+    finally:
+        repo.close()
+    Repository(tmp_path / "d").close()
+
+
 def test_add_resource_unknown_aggregation_atomic(repo):
     before = snapshot(repo)
     with pytest.raises(UnknownAggregation):

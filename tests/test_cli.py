@@ -186,6 +186,23 @@ def test_a_data_dir_that_names_a_file_is_an_error_line(tmp_path, capsys):
     error_line(capsys)
 
 
+@pytest.mark.parametrize("argv", [["audit"], ["rebuild-index"], ["rebuild-oai-cache"],
+                                  ["export", "--dir", "out"]],
+                         ids=["audit", "rebuild-index", "rebuild-oai-cache", "export"])
+def test_a_read_only_command_refuses_a_missing_store(tmp_path, capsys, monkeypatch, argv):
+    """A mistyped --data-dir, or a directory with no store, is one error
+    line, and no store is made there."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--data-dir", str(tmp_path / "missing")]) == 1
+    assert "missing" in error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "empty").mkdir()
+    assert main([*argv, "--data-dir", str(tmp_path / "empty")]) == 1
+    assert "empty" in error_line(capsys)
+    assert list(tmp_path.iterdir()) == [tmp_path / "empty"]
+    assert list((tmp_path / "empty").iterdir()) == []
+
+
 def test_serve_on_a_port_in_use_is_an_error_line_and_frees_the_store(
         tmp_path, capsys):
     """The bind comes before the announcement, and a failed bind closes the

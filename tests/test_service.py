@@ -413,6 +413,28 @@ def test_http_end_to_end(live):
     assert status == 200 and b"<repositoryName>" in data2
 
 
+def test_create_with_a_character_xml_forbids_is_400_and_the_service_reopens(tmp_path):
+    with serving(tmp_path) as (_svc, port):
+        status, _h, data = request(
+            port, "POST", "/objects/resource",
+            json.dumps({"contentUrl": "http://a.org/\u0001"}), {"X-INO-Key": KEY})
+        assert status == 400 and json.loads(data)["error"] == "InvalidObject"
+    with serving(tmp_path) as (svc, _port):
+        assert svc.repo.store.count() == 0
+
+
+def test_identify_names_the_address_served(live):
+    """Identify's baseURL and the response's <request> are the bound
+    address's /oai (OAI-PMH 2.0 sections 3.2 and 4.2)."""
+    _svc, port = live
+    status, _h, data = request(port, "GET", "/oai?verb=Identify")
+    root = ET.fromstring(data)
+    expected = f"http://127.0.0.1:{port}/oai"
+    assert status == 200
+    assert root.find(f"{{{OAI_NS}}}Identify/{{{OAI_NS}}}baseURL").text == expected
+    assert root.find(f"{{{OAI_NS}}}request").text == expected
+
+
 def oai_error(data):
     """The code of the OAI error in ``data``, and the request's attributes."""
     root = ET.fromstring(data)

@@ -1,7 +1,10 @@
+import json
 import os
 import random
+import shutil
 import time
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +18,9 @@ from ino.errors import (
     StoreLocked,
 )
 from ino import store as store_module
-from ino.model import (Datastream, Term, Triple, VirtualClock, make_draft,
-                       serialize_object)
+from ino.model import (INO_NS, METADATA_FOR, Datastream, DigitalObject, Term,
+                       Triple, VirtualClock, canonical_xml, deserialize_object,
+                       make_draft, serialize_object)
 from ino.store import CREATED, MODIFIED, PURGED, BatchOp, ObjectStore
 from util import SteppedClock, random_object
 
@@ -49,11 +53,12 @@ def test_create_duplicate_ds_id(store):
 
 
 def test_get_read_your_write_bytes(store, tmp_path):
+    """The log holds the version's record; export writes its canonical XML."""
     store.create(draft("r1"))
-    written = serialize_object(store.get("info:ino/r1"))
-    assert written in (tmp_path / "data" / "journal.log").read_bytes()
+    obj = store.get("info:ino/r1")
+    assert serialize_object(obj) in (tmp_path / "data" / "journal.log").read_bytes()
     assert store.export(tmp_path / "out") == 1
-    assert (tmp_path / "out" / "objects/21/d0/r1.xml").read_bytes() == written
+    assert (tmp_path / "out" / "objects/21/d0/r1.xml").read_bytes() == canonical_xml(obj)
 
 
 def test_get_unknown_and_purged(store):
@@ -254,6 +259,147 @@ def test_old_layout_is_refused(tmp_path, old):
     assert not (tmp_path / "d" / "journal.log").exists()
 
 
+def test_a_log_of_xml_versions_is_refused(tmp_path):
+    """A log whose versions are XML documents, as older versions wrote them,
+    is not read and not written to, a torn tail included: the refusal leaves
+    it byte for byte and releases the lock."""
+    root = tmp_path / "d"
+    root.mkdir()
+    obj = DigitalObject(id="info:ino/r1", types=("Resource",),
+                        created=datetime(2006, 1, 1, tzinfo=timezone.utc),
+                        modified=datetime(2006, 1, 1, tzinfo=timezone.utc))
+    frame = store_module._frame([[1, "Created", obj.id, "2006-01-01T00:00:00Z"]],
+                                [(obj.id, canonical_xml(obj))])
+    log = frame + frame[:40]
+    (root / "journal.log").write_bytes(log)
+    for _ in range(2):  # not StoreLocked the second time
+        with pytest.raises(OldStoreLayout, match="as an XML document"):
+            ObjectStore(root)
+        assert (root / "journal.log").read_bytes() == log
+
+
+FIXTURE = Path(__file__).parent / "data" / "journal.log"
+
+
+def fixture_versions():
+    """Every version in the fixture log, in order: r1 created with a
+    surrogate and inline bytes, m1 created, r1 modified with a non-ASCII
+    literal, and m1 purged to a tombstone."""
+    t = [datetime(2006, 1, 1, 0, 0, n, tzinfo=timezone.utc) for n in range(4)]
+    r1, m1 = "info:ino/r1", "info:ino/m1"
+    streams = (Datastream("content", "text/html", surrogate="http://example.org/page"),
+               Datastream("note", "text/plain", content=b"hi\x00\xff"))
+    link = (Triple(m1, METADATA_FOR, Term.iri(r1)),)
+    title = (Triple(r1, INO_NS + "title", Term.literal('caf\u00e9 \u2615 \u65e5\u672c "q"')),)
+    return [
+        DigitalObject(id=r1, types=("Resource",), created=t[0], modified=t[0],
+                      datastreams=streams, seq=1),
+        DigitalObject(id=m1, types=("Metadata",), created=t[1], modified=t[1],
+                      datastreams=(Datastream("format_x", "text/xml",
+                                              content="<x>caf\u00e9</x>".encode()),),
+                      relationships=link, seq=2),
+        DigitalObject(id=r1, types=("Resource",), created=t[0], modified=t[2],
+                      datastreams=streams, relationships=title, seq=3),
+        DigitalObject(id=m1, types=("Metadata",), created=t[1], modified=t[3],
+                      state="Deleted", relationships=link, seq=4,
+                      datastreams=(Datastream("format_x", "text/xml", content=b""),)),
+    ]
+
+
+def test_fixture_log_reads_and_reencodes_byte_for_byte(tmp_path):
+    """A log checked in as the codec wrote it reads into the expected
+    objects, and each version re-encodes to its stored bytes."""
+    data = FIXTURE.read_bytes()
+    expected = fixture_versions()
+    stored, pos = [], 0
+    while (frame := store_module._FRAME_HEAD.match(data, pos)) is not None:
+        at = data.index(b"\n", frame.end()) + 1
+        for _oid, size in json.loads(data[frame.end():at])["versions"]:
+            stored.append(data[at:at + size])
+            at += size
+        pos = frame.end() + int(frame[1]) + 1
+    assert pos == len(data) and len(stored) == len(expected)
+    for blob, obj in zip(stored, expected):
+        assert deserialize_object(blob, seq=obj.seq) == obj
+        assert serialize_object(obj) == blob
+
+    shutil.copy(FIXTURE, tmp_path / "journal.log")
+    store = ObjectStore(tmp_path, durable=False)
+    try:
+        last = [store.latest(obj.id) for obj in expected[2:]]
+        assert last == expected[2:] and [obj.seq for obj in last] == [3, 4]
+        assert [(e.seq, e.kind, e.object_id) for e in store.changes_since(0)] == [
+            (1, CREATED, "info:ino/r1"), (2, CREATED, "info:ino/m1"),
+            (3, MODIFIED, "info:ino/r1"), (4, PURGED, "info:ino/m1")]
+    finally:
+        store.close()
+    assert (tmp_path / "journal.log").read_bytes() == data
+
+
+GOOD_RECORD = (b'["info:ino/r1","Active","2006-01-01T00:00:00Z","2006-01-01T00:00:00Z",'
+               b'["Resource"],[["content","text/html","http://example.org/page",null],'
+               b'["note","text/plain",null,"aGk="]],'
+               b'[["info:ino/def#memberOf","iri","info:ino/agg1"]]]')
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b'"Active",', b"", "not a record"),
+    (GOOD_RECORD, b'{"id":"info:ino/r1"}', "not a record"),
+    (b'"2006-01-01T00:00:00Z",[', b'"2006-13-01T00:00:00Z",[',
+     "bad timestamp '2006-13-01T00:00:00Z'"),
+    (b'null,"aGk="', b'"http://example.org/","aGk="',
+     "datastreams: note must be exactly one of inline/surrogate"),
+    (b'"aGk="]', b'"aGk=",null]', "not a datastream"),
+    (b'["Resource"]', b'["Resource",7]', "not a list of types"),
+    (b'"aGk="', b"7", "not a datastream"),
+    (b'"aGk="', b'"a!k="', "Only base64 data is allowed"),
+    (b'"iri"', b'"uri"', "bad triple kind 'uri'"),
+    (b'"info:ino/agg1"]', b'"info:ino/agg1"],["info:ino/def#memberOf","uri","x"]',
+     "bad triple kind 'uri'"),
+    (b"]]]", b"]]", "Expecting ',' delimiter"),
+    (GOOD_RECORD, b"[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["wrong-arity", "not-an-array", "bad-timestamp", "two-contents",
+        "extra-field", "non-string-type", "inline-not-a-string", "bad-base64",
+        "kind-uri", "second-kind-uri", "malformed-json", "nested-too-deep"])
+def test_a_bad_record_is_refused_naming_its_seq(tmp_path, old, new, message):
+    """A version whose frame checksum holds but whose record is not one the
+    codec writes is refused at open, naming its seq; the log is left as it
+    is and the lock released."""
+    bad = GOOD_RECORD.replace(old, new, 1)
+    assert bad != GOOD_RECORD
+    stamp = "2006-01-01T00:00:00Z"
+    log = (store_module._frame([[1, CREATED, "info:ino/r1", stamp]],
+                               [("info:ino/r1", GOOD_RECORD)])
+           + store_module._frame([[2, MODIFIED, "info:ino/r1", stamp]],
+                                 [("info:ino/r1", bad)]))
+    root = tmp_path / "d"
+    root.mkdir()
+    (root / "journal.log").write_bytes(log)
+    for _ in range(2):  # not StoreLocked the second time
+        with pytest.raises(InvalidObject, match="^seq 2: bad record: ") as exc:
+            ObjectStore(root)
+        assert message in str(exc.value)
+        assert (root / "journal.log").read_bytes() == log
+
+
+def test_a_literal_xml_forbids_is_refused_and_the_store_reopens(tmp_path):
+    """A literal holding U+0001 is refused at commit, so no acknowledged
+    write leaves a version that export could not write as XML."""
+    store = ObjectStore(tmp_path / "d", clock=VirtualClock())
+    bad = draft("r1", relationships=[
+        Triple("info:ino/r1", INO_NS + "title", Term.literal("a\u0001b"))])
+    with pytest.raises(InvalidObject, match="^relationships: a character XML 1.0 forbids"):
+        store.create(bad)
+    store.create(draft("r2"))
+    store.close()
+    reopened = ObjectStore(tmp_path / "d", clock=VirtualClock())
+    try:
+        assert reopened.ids() == ["info:ino/r2"]
+        assert reopened.export(tmp_path / "out") == 1
+    finally:
+        reopened.close()
+
+
 class Boom(Exception):
     pass
 
@@ -436,7 +582,7 @@ def test_compaction_refuses_a_log_with_a_bad_frame(tmp_path, monkeypatch):
     for name in names * 2:
         store.modify(f"info:ino/{name}")
     log = bytearray((root / "journal.log").read_bytes())
-    log[log.index(b"<") + 5] ^= 1  # inside the first frame's XML
+    log[log.index(b'["info:ino/r1","Active"') + 5] ^= 1  # inside the first version
     (root / "journal.log").write_bytes(log)
     monkeypatch.setattr(store_module, "COMPACT_BYTES", 0)
     with pytest.raises(StoreFailed, match="journal corrupt: a bad frame at byte 0"):
@@ -461,7 +607,7 @@ def test_a_failed_compaction_does_not_fail_the_commit_before_it(
     store.modify("info:ino/r1")
     store.modify("info:ino/r1")
     log = bytearray((root / "journal.log").read_bytes())
-    log[log.index(b"<") + 5] ^= 1  # inside the first frame's XML
+    log[log.index(b'["info:ino/r1","Active"') + 5] ^= 1  # inside the first version
     (root / "journal.log").write_bytes(log)
     monkeypatch.setattr(store_module, "COMPACT_BYTES", 0)
     modified = store.modify("info:ino/r2")  # five versions over two ids: due
